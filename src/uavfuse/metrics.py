@@ -112,12 +112,16 @@ def roc_curve(labels, probabilities) -> RocCurve:
     """Threshold sweep over distinct scores, ties flipping together.
 
     Points run from (0, 0) to exactly (1, 1); the area uses the trapezoidal
-    rule. Both classes must be present, or a rate is undefined.
+    rule. Both classes must be present, or a rate is undefined, and every
+    score must be finite: a NaN never equals itself, so it cannot be ranked.
     """
     y = np.asarray(labels).astype(bool)
     p = np.asarray(probabilities, dtype=np.float64)
     if y.shape != p.shape:
         raise ShapeError(f"labels shape {y.shape} != probabilities shape {p.shape}")
+    non_finite = int(np.count_nonzero(~np.isfinite(p)))
+    if non_finite:
+        raise ValidationError(f"roc_curve got {non_finite} non-finite probabilities")
     n_pos = int(y.sum())
     n_neg = int(y.size - n_pos)
     if n_pos == 0 or n_neg == 0:

@@ -24,8 +24,8 @@ from .ops import (
     TRAIN_DTYPE,
     ConvParams,
     DenseParams,
-    conv2d_backward,
     conv2d_forward,
+    conv2d_param_grads,
     dense_backward,
     dense_forward,
     dropout_apply,
@@ -257,7 +257,7 @@ def backward_pass(model: Model, cache, grad_p: np.ndarray) -> dict[str, np.ndarr
     dflat = dh[:, : model.spec.flatten_width]  # radar slice gets no gradient path
     dflat = dropout_backward(dflat, m1, rate)
     dz1 = relu_backward(dflat.reshape(z1.shape), z1)
-    _, g_c_k, g_c_b = conv2d_backward(x, model.conv, dz1)
+    g_c_k, g_c_b = conv2d_param_grads(x, model.conv, dz1)
     return {
         "conv_kernels": g_c_k,
         "conv_bias": g_c_b,

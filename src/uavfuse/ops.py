@@ -26,6 +26,10 @@ CHECK_DTYPE = np.float64
 
 BCE_EPS = 1e-7
 
+# Elements per rmsprop_step pass: 64 KB of float32 per operand, so the
+# working set of one block stays in L2.
+_RMSPROP_BLOCK = 16384
+
 
 @dataclass
 class ConvParams:
@@ -88,10 +92,15 @@ def conv2d_forward(x: np.ndarray, params: ConvParams) -> np.ndarray:
     return out + params.bias
 
 
-def conv2d_backward(
+def conv2d_param_grads(
     x: np.ndarray, params: ConvParams, upstream_grad: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Analytic gradients of conv2d_forward: (grad_input, grad_kernels, grad_bias)."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gradients of conv2d_forward wrt its parameters: (grad_kernels, grad_bias).
+
+    Training uses only these: the conv is the network's first layer, so no
+    gradient flows on into its input, and skipping that gradient saves a
+    product twice the size of the forward one.
+    """
     _check_conv_shapes(x, params)
     kh, kw, _, c_out = params.kernels.shape
     expect = x.shape[:-3] + (x.shape[-3] - kh + 1, x.shape[-2] - kw + 1, c_out)
@@ -104,6 +113,19 @@ def conv2d_backward(
     grad_kernels = np.tensordot(
         _patches(x, kh, kw), upstream_grad, axes=(spatial, spatial)
     )
+    return grad_kernels, grad_bias
+
+
+def conv2d_backward(
+    x: np.ndarray, params: ConvParams, upstream_grad: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """All analytic gradients of conv2d_forward: (grad_input, grad_kernels, grad_bias).
+
+    grad_kernels and grad_bias come from conv2d_param_grads, which training
+    calls directly because it never needs grad_input.
+    """
+    grad_kernels, grad_bias = conv2d_param_grads(x, params, upstream_grad)
+    kh, kw = params.kernels.shape[:2]
     # grad wrt input is the full correlation of the padded upstream gradient
     # with the spatially flipped kernels, channels transposed.
     pad = [(0, 0)] * (upstream_grad.ndim - 3) + [(kh - 1, kh - 1), (kw - 1, kw - 1), (0, 0)]
@@ -239,7 +261,8 @@ def rmsprop_step(
     E <- rho*E + (1-rho)*g^2, then theta <- theta - lr_t * g / (sqrt(E)+eps)
     with lr_t = lr0 / (1 + decay*t), t being the step count before the update.
     The caller keeps one logical step counter per model; it increments once
-    per optimizer step.
+    per optimizer step. Besides the two returned tensors it allocates
+    nothing of full size.
     """
     if grad.shape != param.shape:
         raise ShapeError(f"grad shape {grad.shape} != param shape {param.shape}")
@@ -247,11 +270,33 @@ def rmsprop_step(
         raise ShapeError(
             f"mean_square shape {state.mean_square.shape} != param shape {param.shape}"
         )
-    if not np.all(np.isfinite(grad)):
-        raise NumericFault("non-finite gradient element in rmsprop_step")
-    mean_square = rho * state.mean_square + (1.0 - rho) * grad * grad
     lr = lr0 / (1.0 + decay * state.step_count)
-    new_param = param - lr * grad / (np.sqrt(mean_square) + eps)
+    dtype = np.result_type(param, grad, state.mean_square)
+    mean_square = np.empty(param.shape, dtype)
+    new_param = np.empty(param.shape, dtype)
+    # One pass per block of _RMSPROP_BLOCK elements keeps every operand in
+    # cache. Each block runs the ops of rho*E + (1-rho)*g*g and
+    # theta - lr*g / (sqrt(E)+eps) in their left-to-right order, so when
+    # param, grad and mean_square share one dtype (as in training) the result
+    # is bit-identical to evaluating those expressions on whole tensors.
+    e_in, g_in, p_in = state.mean_square.reshape(-1), grad.reshape(-1), param.reshape(-1)
+    e_out, p_out = mean_square.reshape(-1), new_param.reshape(-1)
+    scratch = np.empty(min(param.size, _RMSPROP_BLOCK), dtype)
+    for lo in range(0, param.size, _RMSPROP_BLOCK):
+        hi = lo + _RMSPROP_BLOCK
+        g, e, p = g_in[lo:hi], e_out[lo:hi], p_out[lo:hi]
+        t = scratch[: g.size]
+        if not np.isfinite(g).all():
+            raise NumericFault("non-finite gradient element in rmsprop_step")
+        np.multiply(e_in[lo:hi], rho, out=e)
+        np.multiply(g, 1.0 - rho, out=t)
+        np.multiply(t, g, out=t)
+        np.add(e, t, out=e)
+        np.sqrt(e, out=t)
+        np.add(t, eps, out=t)
+        np.multiply(g, lr, out=p)
+        np.divide(p, t, out=p)
+        np.subtract(p_in[lo:hi], p, out=p)
     return new_param, RmspropState(mean_square, state.step_count + 1)
 
 

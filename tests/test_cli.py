@@ -1,13 +1,18 @@
 """End-to-end command-line behavior: outputs, determinism, exit codes."""
 
+import hashlib
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from uavfuse.cli import main
+from uavfuse.data import ModalitySet, ShapeProfile
+from uavfuse.model import ModelSpec, build_model, save_weights
 from uavfuse.msfr import read_manifest
+from uavfuse.rng import Rng
 
 FAST_TRAIN = """
 profile = reduced
@@ -275,6 +280,48 @@ class TestEvaluate:
         )
         assert code == 5
         assert "model input" in capsys.readouterr().err
+
+
+def test_golden_evaluation_digest(tmp_path):
+    # Pinned bytes of a tiny generate -> register -> train -> evaluate run.
+    cfg = write_config(
+        tmp_path,
+        "profile = reduced\nrecordings_per_modality = 2\nsamples_per_recording = 40\n"
+        "seed = 3\nlr0 = 0.001\nmax_epochs = 3\npatience = 3\n",
+    )
+    data, fused_dir, models, out = (tmp_path / n for n in ("d", "f", "m", "e"))
+    assert main(["generate", "--config", str(cfg), "--out", str(data)]) == 0
+    assert main(["register", "--config", str(cfg), "--data", str(data), "--out", str(fused_dir)]) == 0
+    assert main(["train", "--config", str(cfg), "--data", str(fused_dir), "--out", str(models)]) == 0
+    assert main(
+        ["evaluate", "--config", str(cfg), "--model", str(models),
+         "--data", str(fused_dir), "--out", str(out)]
+    ) == 0
+    digest = hashlib.sha256((out / "evaluation.txt").read_bytes()).hexdigest()
+    assert digest == "fabe4151837e9c199818ab7041065b034fa2332d92a9b3f2996cd562c3ad6c0e"
+
+
+def test_evaluate_nan_weights_exits_3(fused, tmp_path):
+    # Runs in a child process with a timeout: NaN scores once sent the ROC
+    # sweep into an endless loop that kept appending points.
+    cfg, data = fused
+    spec = ModelSpec.for_profile(
+        ModalitySet.THERMAL_OPTRONIC_RADAR, ShapeProfile.reduced(), conv_filters=16, dense_units=32
+    )
+    model = build_model(spec, Rng(0))
+    model.output.bias[0] = np.nan
+    weights = tmp_path / "nan.msfw"
+    save_weights(model, weights)
+    proc = subprocess.run(
+        [sys.executable, "-m", "uavfuse.cli", "evaluate", "--config", str(cfg),
+         "--model", str(weights), "--data", str(data), "--out", str(tmp_path / "e")],
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert "non-finite" in proc.stderr
+    assert not (tmp_path / "e" / "evaluation.txt").exists()
 
 
 def test_console_entry_point_runs(tmp_path):

@@ -326,6 +326,33 @@ class TestTraining:
         assert split_sizes(10, 0.2) == (8, 2)
         assert sum(split_sizes(17633, 0.2)) == 17633
 
+    def test_golden_weights_digest(self):
+        # Pinned output of a short reduced-profile run whose dense1 tensor
+        # spans several optimizer blocks; a speed or refactor change that
+        # alters any trained bit changes this digest.
+        data = generate_synthetic_dataset(
+            SynthConfig(
+                recordings_per_modality=2,
+                samples_per_recording=60,
+                shape_profile=ShapeProfile.reduced(),
+                seed=21,
+            )
+        )
+        ds = fuse_dataset(
+            data[Modality.THERMAL], data[Modality.OPTRONIC], data[Modality.RADAR],
+            ModalitySet.THERMAL_OPTRONIC_RADAR,
+        )
+        spec = ModelSpec.for_profile(
+            ModalitySet.THERMAL_OPTRONIC_RADAR, ShapeProfile.reduced(),
+            conv_filters=32, dense_units=64,
+        )
+        model = build_model(spec, Rng(22))
+        _, report = train(model, ds, TrainConfig(lr0=1e-3, max_epochs=4, patience=4, seed=23))
+        assert report.stopped_epoch == 4
+        assert report.weights_digest == (
+            "4e0c91ce3b95c838b26011de7d238c60e2d5ed7276121d39e4f8460a8a421826"
+        )
+
     def test_input_model_is_not_mutated(self):
         ds = tiny_dataset()
         model = build_model(tiny_spec(), Rng(20))

@@ -131,6 +131,13 @@ class TestRoc:
         p = rng.uniform(10_000)
         assert 0.45 <= roc_curve(y, p).auc <= 0.55
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scores_rejected_with_count(self, bad):
+        y = np.array([1, 0, 1, 0, 1])
+        p = np.array([0.9, bad, 0.4, bad, 0.2])
+        with pytest.raises(ValidationError, match="2 non-finite"):
+            roc_curve(y, p)
+
     def test_ties_flip_together(self):
         y = np.array([1, 0, 1, 0])
         p = np.array([0.7, 0.7, 0.7, 0.1])

@@ -7,6 +7,7 @@ import pytest
 
 from uavfuse.errors import ConfigError, NumericFault, ShapeError
 from uavfuse.ops import (
+    _RMSPROP_BLOCK,
     BCE_EPS,
     ConvParams,
     DenseParams,
@@ -14,6 +15,7 @@ from uavfuse.ops import (
     bce_loss,
     conv2d_backward,
     conv2d_forward,
+    conv2d_param_grads,
     dense_backward,
     dense_forward,
     dropout_apply,
@@ -174,6 +176,27 @@ class TestConvBackward:
         x, params = _rand_conv(rng, 5, 5, 2, 3)
         with pytest.raises(ShapeError, match="upstream"):
             conv2d_backward(x, params, np.zeros((3, 3, 5)))
+
+
+class TestConvParamGrads:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("batch", [None, 3])
+    def test_equals_conv2d_backward_bitwise(self, dtype, batch):
+        rng = Rng(40)
+        x, params = _rand_conv(rng, 6, 5, 4, 3, dtype=dtype)
+        if batch is not None:
+            x = np.stack([x * (i + 1) for i in range(batch)])
+        g = rng.normal(x.shape[:-3] + (4, 3, 3)).astype(dtype)
+        gk, gb = conv2d_param_grads(x, params, g)
+        _, want_k, want_b = conv2d_backward(x, params, g)
+        assert gk.dtype == want_k.dtype and gb.dtype == want_b.dtype
+        assert np.array_equal(gk, want_k)
+        assert np.array_equal(gb, want_b)
+
+    def test_wrong_upstream_shape_rejected(self):
+        x, params = _rand_conv(Rng(41), 5, 5, 2, 3)
+        with pytest.raises(ShapeError, match="upstream"):
+            conv2d_param_grads(x, params, np.zeros((3, 3, 5)))
 
 
 class TestDense:
@@ -379,6 +402,57 @@ class TestRmsprop:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ShapeError):
             rmsprop_step(np.zeros(2), np.zeros(3), RmspropState(np.zeros(2)), 1e-4, 0)
+
+
+def _rmsprop_oracle(param, grad, mean_square, step, lr0, decay, rho=0.9, eps=1e-7):
+    """The whole-tensor RMSprop expression that rmsprop_step must match bit for bit."""
+    mean_square = rho * mean_square + (1.0 - rho) * grad * grad
+    lr = lr0 / (1.0 + decay * step)
+    return param - lr * grad / (np.sqrt(mean_square) + eps), mean_square
+
+
+class TestRmspropBlocks:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "size",
+        [1, _RMSPROP_BLOCK - 1, _RMSPROP_BLOCK, _RMSPROP_BLOCK + 1, 3 * _RMSPROP_BLOCK + 7],
+    )
+    def test_matches_whole_tensor_expression_bitwise(self, dtype, size):
+        rng = Rng(size)
+        param = rng.normal(size).astype(dtype)
+        want_p, want_e = param, np.zeros(size, dtype=dtype)
+        state = RmspropState(want_e.copy())
+        for step in range(4):
+            grad = (rng.normal(size) * 10.0 ** -step).astype(dtype)
+            before = (param.copy(), grad.copy(), state.mean_square.copy())
+            new_p, new_state = rmsprop_step(param, grad, state, 1e-3, 1e-2, 0.9, 1e-7)
+            want_p, want_e = _rmsprop_oracle(want_p, grad, want_e, step, 1e-3, 1e-2)
+            for arr, old in zip((param, grad, state.mean_square), before):
+                assert np.array_equal(arr, old)
+            assert new_p.dtype == dtype and new_state.mean_square.dtype == dtype
+            assert np.array_equal(new_p, want_p)
+            assert np.array_equal(new_state.mean_square, want_e)
+            assert new_state.step_count == step + 1
+            param, state = new_p, new_state
+
+    def test_multi_dimensional_tensor_keeps_its_shape(self):
+        rng = Rng(42)
+        shape = (3, 3, 7, _RMSPROP_BLOCK // 50)
+        param = rng.normal(shape).astype(np.float32)
+        grad = rng.normal(shape).astype(np.float32)
+        mean_square = np.abs(rng.normal(shape)).astype(np.float32)
+        new_p, state = rmsprop_step(param, grad, RmspropState(mean_square, 5), 1e-4, 1e-7)
+        want_p, want_e = _rmsprop_oracle(param, grad, mean_square, 5, 1e-4, 1e-7)
+        assert new_p.shape == shape and state.mean_square.shape == shape
+        assert np.array_equal(new_p, want_p)
+        assert np.array_equal(state.mean_square, want_e)
+
+    def test_non_finite_gradient_in_a_later_block_faults(self):
+        grad = np.zeros(2 * _RMSPROP_BLOCK + 3, dtype=np.float32)
+        grad[-1] = np.inf
+        param = np.zeros_like(grad)
+        with pytest.raises(NumericFault):
+            rmsprop_step(param, grad, RmspropState(np.zeros_like(grad)), 1e-4, 0)
 
 
 class TestGradCheckHarness:
