@@ -33,9 +33,7 @@ from .model import (
     build_model,
     classify_probability,
     count_parameters,
-    forward_pass,
     load_weights,
-    predict_and_classify,
     save_weights,
     weights_digest,
 )
@@ -87,12 +85,10 @@ __all__ = [
     "count_parameters",
     "derive_seed",
     "evaluate_probabilities",
-    "forward_pass",
     "fuse_dataset",
     "generate_synthetic_dataset",
     "load_weights",
     "match_streams",
-    "predict_and_classify",
     "read_fused",
     "read_manifest",
     "read_recording",

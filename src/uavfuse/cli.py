@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig, load_run_config
-from .data import Modality, ModalitySet
+from .data import Modality
 from .errors import (
     CompatibilityError,
     ConfigError,
@@ -91,7 +91,7 @@ def cmd_generate(cfg: RunConfig, out_dir: Path) -> int:
     cfg.write_resolved(out_dir)
     total = sum(count for _, _, count in entries)
     print(
-        f"wrote {cfg.recordings_per_modality} recording(s) per modality, "
+        f"wrote {cfg.synth.recordings_per_modality} recording(s) per modality, "
         f"{total} samples total, to {out_dir}"
     )
     return 0
@@ -105,31 +105,18 @@ def _load_recordings(data_dir: Path) -> dict[Modality, list]:
     return {m: by_kind[_KINDS[m]] for m in Modality}
 
 
-def _counts_line(split: str, thermal, optronic, radar, cfg: RunConfig) -> str:
-    parts = []
-    one = fuse_dataset(thermal, optronic, radar, ModalitySet.THERMAL, cfg.match_config())
-    parts.append(f"one={len(one.samples)}")
-    if optronic:
-        two = fuse_dataset(
-            thermal, optronic, radar, ModalitySet.THERMAL_OPTRONIC, cfg.match_config()
-        )
-        parts.append(f"two={len(two.samples)}")
-        if radar:
-            three = fuse_dataset(
-                thermal, optronic, radar, ModalitySet.THERMAL_OPTRONIC_RADAR, cfg.match_config()
-            )
-            parts.append(f"three={len(three.samples)}")
-    return f"counts[{split}]: " + " ".join(parts)
-
-
-def _write_fused_split(cfg: RunConfig, split_dir: Path, thermal, optronic, radar) -> str:
+def _write_fused_split(
+    cfg: RunConfig, split: str, split_dir: Path, thermal, optronic, radar
+) -> None:
     split_dir.mkdir(parents=True, exist_ok=True)
-    fused = fuse_dataset(thermal, optronic, radar, cfg.modality_set, cfg.match_config())
+    fused = fuse_dataset(thermal, optronic, radar, cfg.modality_set, cfg.match)
     name = f"fused_{cfg.modalities}.msfr"
     write_fused(fused, split_dir / name)
     write_manifest(split_dir, [(name, "fused", len(fused.samples))])
     cfg.write_resolved(split_dir)
-    return name
+    counts = " ".join(f"{s.value}={n}" for s, n in fused.set_counts.items())
+    print(f"counts[{split}]: {counts}")
+    print(f"wrote {name} to {split_dir}")
 
 
 def cmd_register(cfg: RunConfig, data_dir: Path, out_dir: Path) -> int:
@@ -164,16 +151,12 @@ def cmd_register(cfg: RunConfig, data_dir: Path, out_dir: Path) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     cfg.write_resolved(out_dir)
     if holdout == 0:
-        name = _write_fused_split(cfg, out_dir, *(recordings[m] for m in Modality))
-        print(_counts_line("all", *(recordings[m] for m in Modality), cfg))
-        print(f"wrote {name} to {out_dir}")
+        _write_fused_split(cfg, "all", out_dir, *(recordings[m] for m in Modality))
     else:
         train_ids, test_ids = set(ids[:-holdout]), set(ids[-holdout:])
         for split, chosen in (("train", train_ids), ("test", test_ids)):
             parts = [pick(recordings[m], chosen) for m in Modality]
-            name = _write_fused_split(cfg, out_dir / split, *parts)
-            print(_counts_line(split, *parts, cfg))
-            print(f"wrote {name} to {out_dir / split}")
+            _write_fused_split(cfg, split, out_dir / split, *parts)
     return 0
 
 
@@ -283,7 +266,7 @@ def cmd_evaluate(cfg: RunConfig, model_path: Path, data: Path, out_dir: Path) ->
     for path in model_files:
         model = load_weights(path)
         _check_compatible(model, dataset)
-        p = evaluate_probabilities(model, x, r, cfg.batch_size)
+        p = evaluate_probabilities(model, x, r, cfg.train.batch_size)
         cm = confusion_at_threshold(y, p)
         report = classification_report(cm)
         curve = roc_curve(y, p)

@@ -4,11 +4,16 @@ A config file is UTF-8 text, one ``key = value`` per line, ``#`` starting a
 comment. Unknown keys are rejected. Command-line flags override file
 values; the fully resolved configuration is echoed into every output
 directory as ``resolved_config.txt``.
+
+The run-wide and model keys are ``RunConfig`` fields. Every other key is a
+field of ``SynthConfig``, ``MatchConfig`` or ``TrainConfig`` and takes its
+default from there. Their ``seed`` and ``shape_profile`` fields are not
+keys: the run-wide ``seed`` and ``profile`` set them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .data import ModalitySet, ShapeProfile
@@ -18,6 +23,8 @@ from .synth import SynthConfig
 from .training import TrainConfig
 
 RESOLVED_NAME = "resolved_config.txt"
+_SECTIONS = ("synth", "match", "train")  # the RunConfig fields that hold sub-configs
+_NOT_KEYS = ("seed", "shape_profile")  # sub-config fields the run-wide keys set
 
 
 def _parse_bool(text: str) -> bool:
@@ -36,38 +43,23 @@ class RunConfig:
     seed: int = 0
     repeats: int = 1
     holdout_recordings: int = 0
-    # synthetic generator
-    recordings_per_modality: int = 4
-    samples_per_recording: int = 60
-    uav_fraction: float = 1045 / 3209
-    thermal_separation: float = 1.0
-    optronic_separation: float = 1.0
-    radar_separation: float = 1.0
-    noise_sigma: float = 0.5
-    frame_rate: float = 2.0
-    radar_rate: float = 3.0
-    timestamp_jitter: float = 0.05
-    thermal_dropout: float = 0.1
-    optronic_dropout: float = 0.1
-    radar_dropout: float = 0.1
-    # registration
-    frame_tolerance: float = 0.1
-    radar_tolerance: float = 0.5
-    label_constrained: bool = True
-    one_to_one: bool = True
     # model; conv_filters/dense_units of -1 resolve per profile (512 paper, 16/32 reduced)
     conv_filters: int = -1
     dense_units: int = -1
     kernel_size: int = 3
     dropout_rate: float = 0.5
-    # training
-    lr0: float = 1e-4
-    decay: float = 1e-7
-    batch_size: int = 12
-    max_epochs: int = 160
-    patience: int = 10
-    val_fraction: float = 0.2
-    restore_best: bool = True
+    # generator, registration and training keys, with their defaults
+    synth: SynthConfig = field(default_factory=SynthConfig)
+    match: MatchConfig = field(default_factory=MatchConfig)
+    train: TrainConfig = field(default_factory=TrainConfig)
+
+    def _key_owners(self) -> dict[str, object]:
+        """Every flat key, mapped to the config object that holds its value."""
+        owners = {f.name: self for f in fields(self) if f.name not in _SECTIONS}
+        for section in _SECTIONS:
+            sub = getattr(self, section)
+            owners.update((f.name, sub) for f in fields(sub) if f.name not in _NOT_KEYS)
+        return owners
 
     def resolve(self) -> None:
         if self.profile not in ("paper", "reduced"):
@@ -94,55 +86,22 @@ class RunConfig:
         return ModalitySet.from_word(self.modalities)
 
     def synth_config(self) -> SynthConfig:
-        return SynthConfig(
-            recordings_per_modality=self.recordings_per_modality,
-            samples_per_recording=self.samples_per_recording,
-            uav_fraction=self.uav_fraction,
-            thermal_separation=self.thermal_separation,
-            optronic_separation=self.optronic_separation,
-            radar_separation=self.radar_separation,
-            noise_sigma=self.noise_sigma,
-            frame_rate=self.frame_rate,
-            radar_rate=self.radar_rate,
-            timestamp_jitter=self.timestamp_jitter,
-            thermal_dropout=self.thermal_dropout,
-            optronic_dropout=self.optronic_dropout,
-            radar_dropout=self.radar_dropout,
-            seed=self.seed,
-            shape_profile=self.shape_profile,
-        )
-
-    def match_config(self) -> MatchConfig:
-        return MatchConfig(
-            frame_tolerance=self.frame_tolerance,
-            radar_tolerance=self.radar_tolerance,
-            label_constrained=self.label_constrained,
-            one_to_one=self.one_to_one,
-        )
+        return replace(self.synth, seed=self.seed, shape_profile=self.shape_profile)
 
     def train_config(self, seed: int) -> TrainConfig:
-        return TrainConfig(
-            lr0=self.lr0,
-            decay=self.decay,
-            batch_size=self.batch_size,
-            max_epochs=self.max_epochs,
-            patience=self.patience,
-            val_fraction=self.val_fraction,
-            seed=seed,
-            restore_best=self.restore_best,
-        )
+        return replace(self.train, seed=seed)
 
     def resolved_lines(self) -> str:
         out = []
-        for f in sorted(fields(self), key=lambda f: f.name):
-            value = getattr(self, f.name)
+        for key, owner in sorted(self._key_owners().items()):
+            value = getattr(owner, key)
             if isinstance(value, bool):
                 text = "true" if value else "false"
             elif isinstance(value, float):
                 text = f"{value:.9g}"
             else:
                 text = str(value)
-            out.append(f"{f.name} = {text}\n")
+            out.append(f"{key} = {text}\n")
         return "".join(out)
 
     def write_resolved(self, out_dir) -> None:
@@ -151,11 +110,6 @@ class RunConfig:
 
 
 _PARSERS = {bool: _parse_bool, int: int, float: float, str: str}
-
-
-def _field_types() -> dict[str, type]:
-    defaults = RunConfig()
-    return {f.name: type(getattr(defaults, f.name)) for f in fields(RunConfig)}
 
 
 def parse_config_file(path) -> dict[str, str]:
@@ -177,19 +131,19 @@ def parse_config_file(path) -> dict[str, str]:
 def load_run_config(config_path=None, overrides: dict | None = None) -> RunConfig:
     """Defaults, then the config file, then CLI overrides; then resolve."""
     cfg = RunConfig()
-    types = _field_types()
+    owners = cfg._key_owners()
 
     def apply(key: str, text_or_value, where: str) -> None:
-        if key not in types:
+        if key not in owners:
             raise ConfigError(f"{where}: unknown key {key!r}")
         if isinstance(text_or_value, str):
             try:
-                value = _PARSERS[types[key]](text_or_value)
+                value = _PARSERS[type(getattr(owners[key], key))](text_or_value)
             except ValueError as exc:
                 raise ConfigError(f"{where}: bad value for {key}: {exc}") from None
         else:
             value = text_or_value
-        setattr(cfg, key, value)
+        setattr(owners[key], key, value)
 
     if config_path is not None:
         for key, text in parse_config_file(config_path).items():

@@ -40,6 +40,13 @@ class ModalitySet(enum.Enum):
                 return member
         raise ValueError(f"modality set must be one|two|three, got {word!r}")
 
+    @classmethod
+    def from_count(cls, count: int) -> "ModalitySet":
+        for member in cls:
+            if member.count == count:
+                return member
+        raise ValueError(f"modality count must be 1..3, got {count}")
+
     @property
     def count(self) -> int:
         return {"one": 1, "two": 2, "three": 3}[self.value]
@@ -160,13 +167,19 @@ class FusedSample:
 
 @dataclass
 class FusedDataset:
-    """Temporally registered samples for one modality set."""
+    """Temporally registered samples for one modality set.
+
+    ``set_counts`` is registration accounting: for each modality set the
+    source recordings can form, the sample count the same matching pass
+    gives it. ``fuse_dataset`` fills it; it is not persisted.
+    """
 
     modality_set: ModalitySet
     samples: list[FusedSample]
     provenance: list[str]
     stacked_shape: tuple[int, ...]
     radar_len: int
+    set_counts: dict[ModalitySet, int] = field(default_factory=dict)
 
     def validate(self) -> None:
         for i, sample in enumerate(self.samples):

@@ -19,7 +19,7 @@ import numpy as np
 
 from .data import FusedSample, Label, ModalitySet, ShapeProfile
 from .errors import CompatibilityError, ConfigError, CorruptionError, FormatError
-from .msfr import _Reader
+from .msfr import BinaryReader
 from .ops import (
     TRAIN_DTYPE,
     ConvParams,
@@ -231,20 +231,6 @@ def _forward(model: Model, x, r, mode: str, rng: Rng | None):
     return p, cache
 
 
-def forward_pass(model: Model, batch, mode: str = "eval", rng: Rng | None = None) -> np.ndarray:
-    """Per-sample UAV probabilities for a batch of fused samples.
-
-    ``batch`` is a list of FusedSample or a prepared (stacked, radar) pair.
-    Eval mode applies no dropout and is deterministic.
-    """
-    if isinstance(batch, tuple):
-        x, r = batch
-    else:
-        x, r, _ = batch_arrays(batch, dtype=model.conv.kernels.dtype)
-    p, _ = _forward(model, x, r, mode, rng)
-    return p
-
-
 def backward_pass(model: Model, cache, grad_p: np.ndarray) -> dict[str, np.ndarray]:
     """Gradients of the scalar loss wrt every parameter, given dL/dp."""
     x, z1, m1, h, z2, m2, d2, p = cache
@@ -271,12 +257,6 @@ def backward_pass(model: Model, cache, grad_p: np.ndarray) -> dict[str, np.ndarr
 def classify_probability(p: float) -> Label:
     """UAV iff p > 0.5 strictly; exactly 0.5 is a false alarm."""
     return Label.UAV if p > 0.5 else Label.FALSE_ALARM
-
-
-def predict_and_classify(model: Model, sample: FusedSample) -> tuple[float, Label]:
-    """Eval-mode probability plus the hard decision for one sample."""
-    p = float(forward_pass(model, [sample], mode="eval")[0])
-    return p, classify_probability(p)
 
 
 def _spec_bytes(spec: ModelSpec) -> bytes:
@@ -326,16 +306,13 @@ def _expected_shapes(spec: ModelSpec) -> dict[str, tuple[int, ...]]:
 
 
 def load_weights(source) -> Model:
-    reader = _Reader(Path(source).read_bytes())
+    reader = BinaryReader(Path(source).read_bytes())
     if reader.take(4) != WEIGHTS_MAGIC:
         raise FormatError(f"not a weights file: bad magic in {source}")
     (version,) = reader.unpack("<H")
     if version != WEIGHTS_VERSION:
         raise FormatError(f"unsupported weights version {version}")
-    (modality_count,) = reader.unpack("<B")
-    sets = {1: ModalitySet.THERMAL, 2: ModalitySet.THERMAL_OPTRONIC, 3: ModalitySet.THERMAL_OPTRONIC_RADAR}
-    if modality_count not in sets:
-        raise CorruptionError(f"modality count must be 1..3, got {modality_count}")
+    modality_set = reader.modality_set()
     stacked_shape = reader.shape()
     (radar_len,) = reader.unpack("<I")
     (conv_filters,) = reader.unpack("<I")
@@ -343,25 +320,19 @@ def load_weights(source) -> Model:
     (dense_units,) = reader.unpack("<I")
     (dropout_rate,) = reader.unpack("<d")
     spec = ModelSpec(
-        sets[modality_count], stacked_shape, radar_len, conv_filters, (kh, kw),
+        modality_set, stacked_shape, radar_len, conv_filters, (kh, kw),
         dense_units, dropout_rate,
     )
     spec.validate()
     expected = _expected_shapes(spec)
     values = {}
     for name in PARAM_ORDER:
-        (ndim,) = reader.unpack("<B")
-        shape = tuple(reader.unpack(f"<{ndim}I")) if ndim else ()
+        shape = reader.shape()
         if shape != expected[name]:
             raise CorruptionError(
                 f"{name}: stored shape {shape} != spec shape {expected[name]}"
             )
-        count = int(np.prod(shape))
-        values[name] = (
-            np.frombuffer(reader.take(4 * count), dtype="<f4")
-            .astype(np.float32)
-            .reshape(shape)
-        )
+        values[name] = reader.floats(shape, f"{source}: tensor {name}")
     reader.done()
     return Model(
         spec,

@@ -23,6 +23,7 @@ line, tab-separated ``filename<TAB>kind<TAB>sample_count``.
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -44,12 +45,6 @@ VERSION = 1
 FUSED_MODALITY_BYTE = 3
 MANIFEST_NAME = "manifest.tsv"
 
-_SET_BY_COUNT = {
-    1: ModalitySet.THERMAL,
-    2: ModalitySet.THERMAL_OPTRONIC,
-    3: ModalitySet.THERMAL_OPTRONIC_RADAR,
-}
-
 
 def _shape_block(shape: tuple[int, ...]) -> bytes:
     return struct.pack("<B", len(shape)) + struct.pack(f"<{len(shape)}I", *shape)
@@ -62,8 +57,11 @@ def _id_block(text: str) -> bytes:
     return struct.pack("<H", len(raw)) + raw
 
 
-class _Reader:
-    """Offset-tracked parser that treats any short read as corruption."""
+class BinaryReader:
+    """Offset-tracked parser of the MSFR and MSFW formats.
+
+    Any short read is corruption, and so is a non-finite float payload.
+    """
 
     def __init__(self, buf: bytes):
         self.buf = buf
@@ -90,17 +88,27 @@ class _Reader:
         (n,) = self.unpack("<H")
         return self.take(n).decode("utf-8")
 
+    def modality_set(self) -> ModalitySet:
+        (count,) = self.unpack("<B")
+        try:
+            return ModalitySet.from_count(count)
+        except ValueError as exc:
+            raise CorruptionError(str(exc)) from None
+
+    def floats(self, shape: tuple[int, ...], what: str) -> np.ndarray:
+        """The next little-endian f32 array of ``shape``; ``what`` names it in errors."""
+        # a Python int: exact where an int64 product of stored dims would wrap
+        count = math.prod(shape)
+        values = np.frombuffer(self.take(4 * count), dtype="<f4").astype(np.float32)
+        if not np.isfinite(values).all():
+            raise CorruptionError(f"{what} holds non-finite values")
+        return values.reshape(shape)
+
     def done(self) -> None:
         if self.pos != len(self.buf):
             raise CorruptionError(
                 f"{len(self.buf) - self.pos} trailing bytes after declared payload"
             )
-
-
-def _features(reader: _Reader, shape: tuple[int, ...]) -> np.ndarray:
-    count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-    raw = reader.take(4 * count)
-    return np.frombuffer(raw, dtype="<f4").astype(np.float32).reshape(shape)
 
 
 def _label(byte: int) -> Label:
@@ -109,7 +117,7 @@ def _label(byte: int) -> Label:
     return Label(byte)
 
 
-def _check_header(reader: _Reader, expect_fused: bool) -> None:
+def _check_header(reader: BinaryReader, expect_fused: bool) -> None:
     magic = reader.take(4)
     if magic != MAGIC:
         raise FormatError(f"bad magic {magic!r}, expected {MAGIC!r}")
@@ -150,16 +158,17 @@ def write_recording(recording: Recording, destination) -> int:
 
 def read_recording(source) -> Recording:
     """Parse and validate one recording file (exact inverse of write_recording)."""
-    reader = _Reader(Path(source).read_bytes())
+    reader = BinaryReader(Path(source).read_bytes())
     _check_header(reader, expect_fused=False)
     (modality_byte,) = reader.unpack("<B")
     recording_id = reader.text()
     shape = reader.shape()
     (count,) = reader.unpack("<I")
     samples = []
-    for _ in range(count):
+    for i in range(count):
         ts, label_byte = reader.unpack("<dB")
-        samples.append(DetectionSample(ts, _label(label_byte), _features(reader, shape)))
+        features = reader.floats(shape, f"{source}: sample {i}")
+        samples.append(DetectionSample(ts, _label(label_byte), features))
     reader.done()
     recording = Recording(Modality(modality_byte), recording_id, samples, shape)
     recording.validate()
@@ -192,29 +201,28 @@ def write_fused(dataset: FusedDataset, destination) -> int:
 
 def read_fused(source) -> FusedDataset:
     """Parse and validate one fused dataset file."""
-    reader = _Reader(Path(source).read_bytes())
+    reader = BinaryReader(Path(source).read_bytes())
     _check_header(reader, expect_fused=True)
-    _, modality_count = reader.unpack("<BB")
-    if modality_count not in _SET_BY_COUNT:
-        raise CorruptionError(f"modality count must be 1..3, got {modality_count}")
+    reader.unpack("<B")  # the fused modality byte, checked above
+    modality_set = reader.modality_set()
     provenance_text = reader.text()
     stacked_shape = reader.shape()
     radar_shape = reader.shape()
-    radar_len = int(np.prod(radar_shape, dtype=np.int64)) if radar_shape else 0
+    radar_len = math.prod(radar_shape) if radar_shape else 0
     (count,) = reader.unpack("<I")
     samples = []
-    for _ in range(count):
+    for i in range(count):
         ts, label_byte = reader.unpack("<dB")
-        stacked = _features(reader, stacked_shape)
-        radar = _features(reader, (radar_len,)) if radar_len else None
+        stacked = reader.floats(stacked_shape, f"{source}: sample {i} stacked payload")
+        radar = None
+        if radar_len:
+            radar = reader.floats((radar_len,), f"{source}: sample {i} radar payload")
         samples.append(
             FusedSample(stacked, radar, _label(label_byte), timestamps={"fused": ts})
         )
     reader.done()
     provenance = provenance_text.split(",") if provenance_text else []
-    dataset = FusedDataset(
-        _SET_BY_COUNT[modality_count], samples, provenance, stacked_shape, radar_len
-    )
+    dataset = FusedDataset(modality_set, samples, provenance, stacked_shape, radar_len)
     dataset.validate()
     return dataset
 

@@ -5,7 +5,9 @@ tight tolerance; the resulting stacked stream is then matched against the
 radar stream inside a wider window. Matching is greedy nearest-first and,
 by default, one-to-one without replacement: reusing a radar sample for
 several stacked instances would duplicate its features across training
-rows.
+rows. Each recording is matched once per ``fuse_dataset`` call, and that
+one pass gives both the dataset of the requested modality set and the
+sample count of every set.
 """
 
 from __future__ import annotations
@@ -119,10 +121,12 @@ def fuse_dataset(
 ) -> FusedDataset:
     """Register recordings (paired by recording_id) into one fused dataset.
 
-    Per recording: thermal and optronic are matched under frame_tolerance
-    and stacked (timestamped at the thermal contributor); for the
-    three-modality set the stacked stream is then matched against radar
-    under radar_tolerance and unmatched instances are dropped. Recordings
+    One matching pass per recording: thermal and optronic are matched under
+    frame_tolerance, then the matched pairs (timestamped at the thermal
+    contributor) are matched against radar under radar_tolerance. The pass
+    counts the samples of every modality set the recordings can form into
+    ``set_counts``; only the samples of ``modality_set`` are stacked. The
+    three-modality set drops pairs without a radar match. Recordings
     without a counterpart are skipped with a warning. Sample counts obey
     |three| <= |two| <= |one|.
     """
@@ -147,11 +151,17 @@ def fuse_dataset(
     if modality_set.has_radar and radar_by_id:
         radar_len = int(np.prod(next(iter(radar_by_id.values())).feature_shape))
 
+    two, three = ModalitySet.THERMAL_OPTRONIC, ModalitySet.THERMAL_OPTRONIC_RADAR
+    counts = {ModalitySet.THERMAL: 0}
+    if optronic_by_id:
+        counts[two] = 0
+        if radar_by_id:
+            counts[three] = 0
     samples: list[FusedSample] = []
     provenance: list[str] = []
     for rec_id in sorted(thermal_by_id):
         t_rec = thermal_by_id[rec_id]
-
+        counts[ModalitySet.THERMAL] += len(t_rec.samples)
         if modality_set is ModalitySet.THERMAL:
             provenance.append(rec_id)
             for i, s in enumerate(t_rec.samples):
@@ -164,19 +174,12 @@ def fuse_dataset(
                         source_indices={"recording": rec_id, "thermal": i},
                     )
                 )
-            continue
 
         o_rec = optronic_by_id.get(rec_id)
         if o_rec is None:
-            log.warning("recording %s: no optronic counterpart, skipped", rec_id)
+            if modality_set.has_optronic:
+                log.warning("recording %s: no optronic counterpart, skipped", rec_id)
             continue
-        r_rec = None
-        if modality_set.has_radar:
-            r_rec = radar_by_id.get(rec_id)
-            if r_rec is None:
-                log.warning("recording %s: no radar counterpart, skipped", rec_id)
-                continue
-
         pairs = match_streams(
             t_rec.samples,
             o_rec.samples,
@@ -184,46 +187,50 @@ def fuse_dataset(
             cfg.label_constrained,
             cfg.one_to_one,
         )
-        fused = []
-        for i, j in pairs:
-            tsamp, osamp = t_rec.samples[i], o_rec.samples[j]
-            fused.append(
-                FusedSample(
-                    stacked=stack_features(tsamp.features, osamp.features),
-                    radar=None,
-                    label=tsamp.label,
-                    timestamps={"thermal": tsamp.timestamp, "optronic": osamp.timestamp},
-                    deltas={"thermal_optronic": abs(tsamp.timestamp - osamp.timestamp)},
-                    source_indices={"recording": rec_id, "thermal": i, "optronic": j},
-                )
-            )
+        counts[two] += len(pairs)
 
-        if modality_set.has_radar:
-            keys = [t_rec.samples[i] for i, _ in pairs]
+        r_rec = radar_by_id.get(rec_id)
+        if r_rec is not None:
             radar_pairs = match_streams(
-                keys,
+                [t_rec.samples[i] for i, _ in pairs],
                 r_rec.samples,
                 cfg.radar_tolerance,
                 cfg.label_constrained,
                 cfg.one_to_one,
             )
-            matched = []
-            for k, m in radar_pairs:
+            counts[three] += len(radar_pairs)
+        elif modality_set.has_radar:
+            log.warning("recording %s: no radar counterpart, skipped", rec_id)
+            continue
+
+        if modality_set is two:
+            kept = [(i, j, None) for i, j in pairs]
+        elif modality_set is three:
+            kept = [pairs[k] + (m,) for k, m in radar_pairs]
+        else:
+            continue
+        for i, j, m in kept:
+            tsamp, osamp = t_rec.samples[i], o_rec.samples[j]
+            sample = FusedSample(
+                stacked=stack_features(tsamp.features, osamp.features),
+                radar=None,
+                label=tsamp.label,
+                timestamps={"thermal": tsamp.timestamp, "optronic": osamp.timestamp},
+                deltas={"thermal_optronic": abs(tsamp.timestamp - osamp.timestamp)},
+                source_indices={"recording": rec_id, "thermal": i, "optronic": j},
+            )
+            if m is not None:
                 rs = r_rec.samples[m]
-                sample = fused[k]
                 sample.radar = rs.features.reshape(-1)
                 sample.timestamps["radar"] = rs.timestamp
-                sample.deltas["stacked_radar"] = abs(
-                    sample.timestamps["thermal"] - rs.timestamp
-                )
+                sample.deltas["stacked_radar"] = abs(tsamp.timestamp - rs.timestamp)
                 sample.source_indices["radar"] = m
-                matched.append(sample)
-            fused = matched
-
+            samples.append(sample)
         provenance.append(rec_id)
-        samples.extend(fused)
 
-    dataset = FusedDataset(modality_set, samples, provenance, stacked_shape, radar_len)
+    dataset = FusedDataset(
+        modality_set, samples, provenance, stacked_shape, radar_len, counts
+    )
     dataset.validate()
     return dataset
 

@@ -72,7 +72,12 @@ def validation_split_indices(n: int, cfg: TrainConfig) -> tuple[np.ndarray, np.n
 
 
 def evaluate_probabilities(model: Model, x, r, batch_size: int = 64) -> np.ndarray:
-    """Eval-mode probabilities in fixed-size chunks (bounds peak memory)."""
+    """Eval-mode UAV probabilities of a (stacked, radar-or-None) batch.
+
+    The package's one inference entry point: deterministic, no dropout,
+    run in chunks of ``batch_size`` to bound peak memory. Pair it with
+    ``classify_probability`` for hard labels.
+    """
     out = []
     for s in range(0, x.shape[0], batch_size):
         rb = None if r is None else r[s : s + batch_size]

@@ -8,10 +8,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from uavfuse import registration
 from uavfuse.cli import main
+from uavfuse.config import load_run_config
 from uavfuse.data import ModalitySet, ShapeProfile
 from uavfuse.model import ModelSpec, build_model, save_weights
-from uavfuse.msfr import read_manifest
+from uavfuse.msfr import read_fused, read_manifest, read_recording, write_fused, write_manifest
+from uavfuse.registration import fuse_dataset
 from uavfuse.rng import Rng
 
 FAST_TRAIN = """
@@ -78,6 +81,36 @@ def test_resolved_config_echoed(tmp_path):
     assert "conv_filters = 16" in text  # reduced-profile default resolved
 
 
+def test_golden_resolved_config_default_paper_profile(tmp_path):
+    load_run_config().write_resolved(tmp_path)
+    digest = hashlib.sha256((tmp_path / "resolved_config.txt").read_bytes()).hexdigest()
+    assert digest == "3cd2b5fd3883cf083fd959fe1eecf81e6c93ab3a6567cf7f499c78c35857703a"
+
+
+def test_golden_resolved_config_file_and_flag_overrides(tmp_path):
+    # Every value type goes through the file (int, float, bool, str) and the
+    # flags beat the file's seed.
+    cfg = write_config(
+        tmp_path,
+        "profile = reduced\nrecordings_per_modality = 1\nsamples_per_recording = 5\n"
+        "noise_sigma = 0.25\nlabel_constrained = false\nmax_epochs = 7\nseed = 4\n",
+    )
+    out = tmp_path / "out"
+    assert main(
+        ["generate", "--config", str(cfg), "--out", str(out), "--seed", "11",
+         "--modalities", "two", "--repeats", "3"]
+    ) == 0
+    digest = hashlib.sha256((out / "resolved_config.txt").read_bytes()).hexdigest()
+    assert digest == "04f41d859e953a89232ec42b427717e7f04ab8fdf459e902f2ae43b530c18638"
+
+
+def test_sub_config_field_left_out_of_the_keys_exits_2(tmp_path, capsys):
+    # SynthConfig.shape_profile is set from ``profile``, never directly.
+    cfg = write_config(tmp_path, "shape_profile = paper\n")
+    assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "shape_profile" in capsys.readouterr().err
+
+
 @pytest.fixture()
 def generated(tmp_path):
     cfg = write_config(tmp_path)
@@ -117,8 +150,6 @@ class TestRegister:
         cfg, data = generated
         # drop every radar file from the manifest
         entries = [e for e in read_manifest(data) if e[1] != "radar"]
-        from uavfuse.msfr import write_manifest
-
         write_manifest(data, entries)
         code = main(
             ["register", "--config", str(cfg), "--data", str(data),
@@ -137,6 +168,45 @@ class TestRegister:
         ) == 0
         assert (out / "train" / "fused_three.msfr").is_file()
         assert (out / "test" / "fused_three.msfr").is_file()
+
+    @pytest.mark.parametrize("modalities", ["one", "two", "three"])
+    def test_counts_equal_each_sets_fused_dataset(self, tmp_path, capsys, monkeypatch, modalities):
+        # rec001 has no radar counterpart. Every counts[...] entry must equal
+        # the sample count fuse_dataset gives that set on its own, and one
+        # pass matches each recording once: thermal-optronic, then radar.
+        cfg = write_config(
+            tmp_path, "profile = reduced\nrecordings_per_modality = 3\nsamples_per_recording = 40\n"
+        )
+        data = tmp_path / "data"
+        assert main(["generate", "--config", str(cfg), "--out", str(data)]) == 0
+        entries = [e for e in read_manifest(data) if e[0] != "rec001_radar.msfr"]
+        write_manifest(data, entries)
+        streams = {kind: [read_recording(data / n) for n, k, _ in entries if k == kind]
+                   for kind in ("thermal", "optronic", "radar")}
+        want = {
+            s.value: len(fuse_dataset(*streams.values(), s).samples) for s in ModalitySet
+        }
+        calls = []
+        real_match = registration.match_streams
+
+        def counting_match(*args, **kwargs):
+            calls.append(args)
+            return real_match(*args, **kwargs)
+
+        monkeypatch.setattr(registration, "match_streams", counting_match)
+        capsys.readouterr()
+        out = tmp_path / "fused"
+        assert main(
+            ["register", "--config", str(cfg), "--data", str(data), "--out", str(out),
+             "--modalities", modalities]
+        ) == 0
+        line = next(
+            l for l in capsys.readouterr().out.splitlines() if l.startswith("counts[all]: ")
+        )
+        counts = {k: int(v) for k, v in (part.split("=") for part in line.split(": ")[1].split())}
+        assert counts == want
+        assert read_manifest(out)[0][2] == want[modalities]
+        assert len(calls) == 2 * 3 - 1  # rec001 has no radar match
 
     def test_register_is_deterministic(self, generated):
         cfg, data = generated
@@ -321,6 +391,26 @@ def test_evaluate_nan_weights_exits_3(fused, tmp_path):
     )
     assert proc.returncode == 3, proc.stderr
     assert "non-finite" in proc.stderr
+    assert not (tmp_path / "e" / "evaluation.txt").exists()
+
+
+def test_evaluate_nan_feature_exits_3(fused, tmp_path, capsys):
+    cfg, data = fused
+    spec = ModelSpec.for_profile(
+        ModalitySet.THERMAL_OPTRONIC_RADAR, ShapeProfile.reduced(), conv_filters=16, dense_units=32
+    )
+    weights = tmp_path / "m.msfw"
+    save_weights(build_model(spec, Rng(0)), weights)
+    dataset = read_fused(data)
+    dataset.samples[5].stacked[0, 0, 0] = np.nan
+    bad = tmp_path / "nan.msfr"
+    write_fused(dataset, bad)
+    code = main(
+        ["evaluate", "--config", str(cfg), "--model", str(weights), "--data", str(bad),
+         "--out", str(tmp_path / "e")]
+    )
+    assert code == 3
+    assert "nan.msfr: sample 5 stacked payload holds non-finite" in capsys.readouterr().err
     assert not (tmp_path / "e" / "evaluation.txt").exists()
 
 

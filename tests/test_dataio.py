@@ -157,20 +157,22 @@ class TestRecordingFaults:
             read_recording(path)
 
 
-class TestFusedRoundTrip:
-    def _dataset(self, modality_set, radar_len):
-        rng = Rng(9)
-        samples = []
-        for i in range(4):
-            samples.append(
-                FusedSample(
-                    stacked=rng.normal((2, 2, 3)).astype(np.float32),
-                    radar=rng.normal(radar_len).astype(np.float32) if radar_len else None,
-                    label=Label.UAV if i % 2 else Label.FALSE_ALARM,
-                    timestamps={"thermal": 0.5 * i},
-                )
+def _random_fused(modality_set, radar_len):
+    rng = Rng(9)
+    samples = []
+    for i in range(4):
+        samples.append(
+            FusedSample(
+                stacked=rng.normal((2, 2, 3)).astype(np.float32),
+                radar=rng.normal(radar_len).astype(np.float32) if radar_len else None,
+                label=Label.UAV if i % 2 else Label.FALSE_ALARM,
+                timestamps={"thermal": 0.5 * i},
             )
-        return FusedDataset(modality_set, samples, ["rec000", "rec001"], (2, 2, 3), radar_len)
+        )
+    return FusedDataset(modality_set, samples, ["rec000", "rec001"], (2, 2, 3), radar_len)
+
+
+class TestFusedRoundTrip:
 
     @pytest.mark.parametrize(
         "modality_set,radar_len",
@@ -181,7 +183,7 @@ class TestFusedRoundTrip:
         ],
     )
     def test_write_read_write(self, tmp_path, modality_set, radar_len):
-        ds = self._dataset(modality_set, radar_len)
+        ds = _random_fused(modality_set, radar_len)
         p1, p2 = tmp_path / "a.msfr", tmp_path / "b.msfr"
         write_fused(ds, p1)
         back = read_fused(p1)
@@ -199,12 +201,49 @@ class TestFusedRoundTrip:
         assert back.samples == [] and back.radar_len == 5
 
     def test_truncated_fused(self, tmp_path):
-        ds = self._dataset(ModalitySet.THERMAL_OPTRONIC_RADAR, 5)
+        ds = _random_fused(ModalitySet.THERMAL_OPTRONIC_RADAR, 5)
         path = tmp_path / "f.msfr"
         write_fused(ds, path)
         path.write_bytes(path.read_bytes()[:-3])
         with pytest.raises(CorruptionError):
             read_fused(path)
+
+
+NON_FINITE = [np.nan, np.inf, -np.inf]
+
+
+class TestNonFinitePayloads:
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_recording_names_file_and_sample(self, tmp_path, bad):
+        rec = _random_recording()
+        rec.samples[3].features[1, 2, 0] = bad
+        path = tmp_path / "r.msfr"
+        write_recording(rec, path)
+        with pytest.raises(CorruptionError, match=rf"r\.msfr: sample 3 .*non-finite"):
+            read_recording(path)
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    @pytest.mark.parametrize("payload", ["stacked", "radar"])
+    def test_fused_names_file_and_sample(self, tmp_path, bad, payload):
+        ds = _random_fused(ModalitySet.THERMAL_OPTRONIC_RADAR, 5)
+        getattr(ds.samples[2], payload).flat[-1] = bad
+        path = tmp_path / "f.msfr"
+        write_fused(ds, path)
+        with pytest.raises(CorruptionError, match=rf"f\.msfr: sample 2 {payload} .*non-finite"):
+            read_fused(path)
+
+
+def test_shape_overflowing_int64_is_corruption(tmp_path):
+    # 2**31 cubed wraps to 0 as an int64 element count
+    ds = _random_fused(ModalitySet.THERMAL_OPTRONIC_RADAR, 5)
+    path = tmp_path / "f.msfr"
+    write_fused(ds, path)
+    raw = bytearray(path.read_bytes())
+    shape_at = raw.index(struct.pack("<B3I", 3, 2, 2, 3))
+    struct.pack_into("<3I", raw, shape_at + 1, 2**31, 2**31, 2**31)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CorruptionError, match="truncated"):
+        read_fused(path)
 
 
 class TestManifest:

@@ -19,9 +19,7 @@ from uavfuse.model import (
     build_model,
     classify_probability,
     count_parameters,
-    forward_pass,
     load_weights,
-    predict_and_classify,
     save_weights,
     serialize_model,
     weights_digest,
@@ -111,32 +109,38 @@ class TestCountParameters:
         assert count_parameters(model) == 27 + 1 + 12 + 1 + 1 + 1
 
 
+def eval_probabilities(model, samples, batch_size=64):
+    x, r, _ = batch_arrays(samples)
+    return evaluate_probabilities(model, x, r, batch_size)
+
+
 class TestForward:
     def test_eval_is_deterministic(self):
         model = build_model(tiny_spec(), Rng(1))
         ds = tiny_dataset()
         batch = ds.samples[:8]
-        p1 = forward_pass(model, batch)
-        p2 = forward_pass(model, batch)
+        p1 = eval_probabilities(model, batch)
+        p2 = eval_probabilities(model, batch)
         assert np.array_equal(p1, p2)
 
     def test_zero_weights_give_half_probability(self):
         model = build_model(tiny_spec(), Rng(1))
         model.set_params({k: np.zeros_like(v) for k, v in model.params().items()})
-        p = forward_pass(model, tiny_dataset().samples[:5])
+        p = eval_probabilities(model, tiny_dataset().samples[:5])
         assert np.all(p == 0.5)
 
     def test_batching_invariance(self):
         model = build_model(tiny_spec(), Rng(2))
         samples = tiny_dataset().samples[:6]
-        batched = forward_pass(model, samples)
+        batched = eval_probabilities(model, samples)
+        assert np.array_equal(eval_probabilities(model, samples, batch_size=4), batched)
         for k, s in enumerate(samples):
-            single = forward_pass(model, [s])[0]
+            single = eval_probabilities(model, [s])[0]
             assert abs(single - batched[k]) < 1e-6
 
     def test_probabilities_strictly_inside_unit_interval(self):
         model = build_model(tiny_spec(), Rng(3))
-        p = forward_pass(model, tiny_dataset().samples[:20])
+        p = eval_probabilities(model, tiny_dataset().samples[:20])
         assert np.all(p > 0) and np.all(p < 1)
 
     def test_train_mode_reproducible_given_seed(self):
@@ -150,7 +154,7 @@ class TestForward:
         model = build_model(tiny_spec(ModalitySet.THERMAL_OPTRONIC), Rng(5))
         ds = tiny_dataset()  # three-modality samples
         with pytest.raises(CompatibilityError):
-            forward_pass(model, ds.samples[:2])
+            eval_probabilities(model, ds.samples[:2])
 
 
 class TestClassification:
@@ -163,9 +167,8 @@ class TestClassification:
     def test_zero_model_classifies_everything_false_alarm(self):
         model = build_model(tiny_spec(), Rng(1))
         model.set_params({k: np.zeros_like(v) for k, v in model.params().items()})
-        for sample in tiny_dataset().samples[:5]:
-            p, label = predict_and_classify(model, sample)
-            assert p == 0.5 and label is Label.FALSE_ALARM
+        for p in eval_probabilities(model, tiny_dataset().samples[:5], batch_size=1):
+            assert p == 0.5 and classify_probability(p) is Label.FALSE_ALARM
 
 
 class TestPersistence:
@@ -182,7 +185,9 @@ class TestPersistence:
         save_weights(model, path)
         loaded = load_weights(path)
         samples = tiny_dataset().samples[:6]
-        assert np.array_equal(forward_pass(model, samples), forward_pass(loaded, samples))
+        assert np.array_equal(
+            eval_probabilities(model, samples), eval_probabilities(loaded, samples)
+        )
 
     def test_truncated_weights_rejected(self, tmp_path):
         model = build_model(tiny_spec(), Rng(9))
@@ -196,6 +201,15 @@ class TestPersistence:
         path = tmp_path / "m.msfw"
         path.write_bytes(b"JUNKJUNKJUNK")
         with pytest.raises(FormatError):
+            load_weights(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_tensor_rejected_by_name(self, tmp_path, bad):
+        model = build_model(tiny_spec(), Rng(10))
+        model.dense1.weights[3, 1] = bad
+        path = tmp_path / "m.msfw"
+        save_weights(model, path)
+        with pytest.raises(CorruptionError, match="dense1_weights holds non-finite"):
             load_weights(path)
 
     def test_wrong_version_rejected(self, tmp_path):
