@@ -132,13 +132,25 @@ class Model:
         self.dense1 = DenseParams(values["dense1_weights"], values["dense1_bias"])
         self.output = DenseParams(values["output_weights"], values["output_bias"])
 
+    def flat_clone(self) -> tuple[np.ndarray, "Model"]:
+        """One flat copy of every parameter, in PARAM_ORDER, and a model over it.
+
+        The new model's tensors are views of the flat vector, so updating
+        the vector in place updates the model.
+        """
+        values = self.params()
+        flat = np.concatenate([values[name].reshape(-1) for name in PARAM_ORDER])
+        views, lo = {}, 0
+        for name in PARAM_ORDER:
+            value = values[name]
+            views[name] = flat[lo : lo + value.size].reshape(value.shape)
+            lo += value.size
+        clone = Model(replace(self.spec), self.conv, self.dense1, self.output)
+        clone.set_params(views)
+        return flat, clone
+
     def clone(self) -> "Model":
-        return Model(
-            replace(self.spec),
-            ConvParams(self.conv.kernels.copy(), self.conv.bias.copy()),
-            DenseParams(self.dense1.weights.copy(), self.dense1.bias.copy()),
-            DenseParams(self.output.weights.copy(), self.output.bias.copy()),
-        )
+        return self.flat_clone()[1]
 
 
 def _he_uniform(rng: Rng, shape, fan_in: int, dtype) -> np.ndarray:

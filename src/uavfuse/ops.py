@@ -2,9 +2,10 @@
 
 Valid 2-D convolution, fully connected layers, ReLU, sigmoid, inverted
 dropout, binary cross entropy and an RMSprop update, each with an exact
-analytic backward pass, plus a central-difference gradient checker. All
-functions are pure: they never mutate their inputs, and identical inputs
-(including generator state) give bit-identical outputs.
+analytic backward pass, plus a central-difference gradient checker. Every
+function except rmsprop_update, which updates its parameter and
+mean-square arrays in place, is pure: it never mutates its inputs. Identical
+inputs (including generator state) give bit-identical outputs.
 
 Layout conventions: feature maps are (H, W, C) row-major, kernels are
 (kh, kw, C_in, C_out), dense weights are (n_in, n_out). Spatial functions
@@ -13,10 +14,11 @@ also accept a leading batch axis.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import ConfigError, NumericFault, ShapeError
 from .rng import Rng
@@ -76,20 +78,25 @@ def _check_conv_shapes(x: np.ndarray, params: ConvParams) -> None:
 
 
 def _patches(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
-    """Sliding valid windows, shape (..., H', W', kh, kw, C)."""
-    if x.ndim == 3:
-        win = sliding_window_view(x, (kh, kw), axis=(0, 1))
-        return np.ascontiguousarray(win.transpose(0, 1, 3, 4, 2))
-    win = sliding_window_view(x, (kh, kw), axis=(1, 2))
-    return np.ascontiguousarray(win.transpose(0, 1, 2, 4, 5, 3))
+    """Sliding valid windows, shape (..., H', W', kh, kw, C), C-contiguous."""
+    *lead, h, w, c = x.shape
+    # a window step moves one row or column, exactly as an output step does
+    win = as_strided(
+        x, (*lead, h - kh + 1, w - kw + 1, kh, kw, c), x.strides[:-1] + x.strides[-3:],
+        writeable=False,
+    )
+    return np.ascontiguousarray(win)
 
 
 def conv2d_forward(x: np.ndarray, params: ConvParams) -> np.ndarray:
     """Valid convolution, stride 1: out[i,j,f] = b[f] + sum x[i+a,j+b,c]*k[a,b,c,f]."""
     _check_conv_shapes(x, params)
-    kh, kw = params.kernels.shape[:2]
-    out = np.tensordot(_patches(x, kh, kw), params.kernels, axes=3)
-    return out + params.bias
+    kh, kw, c_in, c_out = params.kernels.shape
+    patches = _patches(x, kh, kw)
+    # the same BLAS call tensordot(patches, kernels, axes=3) makes, so the
+    # same bits, without tensordot's per-call overhead
+    out = np.dot(patches.reshape(-1, kh * kw * c_in), params.kernels.reshape(-1, c_out))
+    return out.reshape(patches.shape[:-3] + (c_out,)) + params.bias
 
 
 def conv2d_param_grads(
@@ -108,12 +115,11 @@ def conv2d_param_grads(
         raise ShapeError(
             f"upstream_grad shape {upstream_grad.shape} does not match forward output {expect}"
         )
-    spatial = tuple(range(upstream_grad.ndim - 1))
-    grad_bias = upstream_grad.sum(axis=spatial)
-    grad_kernels = np.tensordot(
-        _patches(x, kh, kw), upstream_grad, axes=(spatial, spatial)
-    )
-    return grad_kernels, grad_bias
+    grad_bias = upstream_grad.sum(axis=tuple(range(upstream_grad.ndim - 1)))
+    # patches^T @ upstream over all windows; BLAS reads the transpose in place.
+    patches = _patches(x, kh, kw).reshape(-1, kh * kw * x.shape[-1])
+    grad_kernels = np.dot(patches.T, upstream_grad.reshape(-1, c_out))
+    return grad_kernels.reshape(params.kernels.shape), grad_bias
 
 
 def conv2d_backward(
@@ -212,7 +218,11 @@ def dropout_apply(
         return x, np.ones(x.shape, dtype=bool)
     if rng is None:
         raise ConfigError("train-mode dropout requires an Rng")
-    keep = rng.uniform(x.shape) >= rate
+    # rng.uniform(shape) >= rate on the raw words: a uniform is m * 2^-53 for
+    # the 53-bit integer m = word >> 11, so it is >= rate exactly when
+    # m >= ceil(rate * 2^53). Same words, same order, no float conversion.
+    threshold = np.uint64(math.ceil(float(rate) * 2.0**53))
+    keep = (rng.u64(x.size) >> np.uint64(11) >= threshold).reshape(x.shape)
     scale = x.dtype.type(1.0 / (1.0 - rate))
     return x * (keep.astype(x.dtype) * scale), keep
 
@@ -247,6 +257,57 @@ def bce_loss(p: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
     return loss, grad / p.dtype.type(p.size)
 
 
+def rmsprop_update(
+    param: np.ndarray,
+    grad: np.ndarray,
+    mean_square: np.ndarray,
+    lr: float,
+    rho: float = 0.9,
+    eps: float = 1e-7,
+) -> None:
+    """One RMSprop update of ``param`` and ``mean_square``, in place.
+
+    E <- rho*E + (1-rho)*g^2, then theta <- theta - lr * g / (sqrt(E)+eps).
+    ``param`` and ``mean_square`` must be C-contiguous and share a dtype.
+    Training calls this once per step on one flat vector holding every
+    parameter; rmsprop_step is the pure, per-tensor form.
+
+    Raises NumericFault at the first block whose gradient holds a non-finite
+    element; the blocks before it are already updated.
+    """
+    if grad.shape != param.shape:
+        raise ShapeError(f"grad shape {grad.shape} != param shape {param.shape}")
+    if mean_square.shape != param.shape:
+        raise ShapeError(
+            f"mean_square shape {mean_square.shape} != param shape {param.shape}"
+        )
+    if not (param.flags.c_contiguous and mean_square.flags.c_contiguous):
+        raise ShapeError("param and mean_square must be C-contiguous to update in place")
+    # One pass per block of _RMSPROP_BLOCK elements keeps every operand in
+    # cache. Each block runs the ops of rho*E + (1-rho)*g*g and
+    # theta - lr*g / (sqrt(E)+eps) in their left-to-right order, so when
+    # param, grad and mean_square share one dtype (as in training) the result
+    # is bit-identical to evaluating those expressions on whole tensors.
+    p_all, g_all, e_all = param.reshape(-1), grad.reshape(-1), mean_square.reshape(-1)
+    n = min(param.size, _RMSPROP_BLOCK)
+    denom, delta = np.empty(n, param.dtype), np.empty(n, param.dtype)
+    for lo in range(0, param.size, _RMSPROP_BLOCK):
+        hi = lo + _RMSPROP_BLOCK
+        g, e, p = g_all[lo:hi], e_all[lo:hi], p_all[lo:hi]
+        t, u = denom[: g.size], delta[: g.size]
+        if not np.isfinite(g).all():
+            raise NumericFault("non-finite gradient element in rmsprop_step")
+        np.multiply(e, rho, out=e)
+        np.multiply(g, 1.0 - rho, out=t)
+        np.multiply(t, g, out=t)
+        np.add(e, t, out=e)
+        np.sqrt(e, out=t)
+        np.add(t, eps, out=t)
+        np.multiply(g, lr, out=u)
+        np.divide(u, t, out=u)
+        np.subtract(p, u, out=p)
+
+
 def rmsprop_step(
     param: np.ndarray,
     grad: np.ndarray,
@@ -256,47 +317,18 @@ def rmsprop_step(
     rho: float = 0.9,
     eps: float = 1e-7,
 ) -> tuple[np.ndarray, RmspropState]:
-    """One RMSprop update on one parameter tensor.
+    """One RMSprop update on one parameter tensor, returning new arrays.
 
     E <- rho*E + (1-rho)*g^2, then theta <- theta - lr_t * g / (sqrt(E)+eps)
     with lr_t = lr0 / (1 + decay*t), t being the step count before the update.
     The caller keeps one logical step counter per model; it increments once
-    per optimizer step. Besides the two returned tensors it allocates
-    nothing of full size.
+    per optimizer step. The inputs are copied, then updated by rmsprop_update.
     """
-    if grad.shape != param.shape:
-        raise ShapeError(f"grad shape {grad.shape} != param shape {param.shape}")
-    if state.mean_square.shape != param.shape:
-        raise ShapeError(
-            f"mean_square shape {state.mean_square.shape} != param shape {param.shape}"
-        )
     lr = lr0 / (1.0 + decay * state.step_count)
     dtype = np.result_type(param, grad, state.mean_square)
-    mean_square = np.empty(param.shape, dtype)
-    new_param = np.empty(param.shape, dtype)
-    # One pass per block of _RMSPROP_BLOCK elements keeps every operand in
-    # cache. Each block runs the ops of rho*E + (1-rho)*g*g and
-    # theta - lr*g / (sqrt(E)+eps) in their left-to-right order, so when
-    # param, grad and mean_square share one dtype (as in training) the result
-    # is bit-identical to evaluating those expressions on whole tensors.
-    e_in, g_in, p_in = state.mean_square.reshape(-1), grad.reshape(-1), param.reshape(-1)
-    e_out, p_out = mean_square.reshape(-1), new_param.reshape(-1)
-    scratch = np.empty(min(param.size, _RMSPROP_BLOCK), dtype)
-    for lo in range(0, param.size, _RMSPROP_BLOCK):
-        hi = lo + _RMSPROP_BLOCK
-        g, e, p = g_in[lo:hi], e_out[lo:hi], p_out[lo:hi]
-        t = scratch[: g.size]
-        if not np.isfinite(g).all():
-            raise NumericFault("non-finite gradient element in rmsprop_step")
-        np.multiply(e_in[lo:hi], rho, out=e)
-        np.multiply(g, 1.0 - rho, out=t)
-        np.multiply(t, g, out=t)
-        np.add(e, t, out=e)
-        np.sqrt(e, out=t)
-        np.add(t, eps, out=t)
-        np.multiply(g, lr, out=p)
-        np.divide(p, t, out=p)
-        np.subtract(p_in[lo:hi], p, out=p)
+    new_param = param.astype(dtype, order="C")
+    mean_square = state.mean_square.astype(dtype, order="C")
+    rmsprop_update(new_param, grad, mean_square, lr, rho, eps)
     return new_param, RmspropState(mean_square, state.step_count + 1)
 
 

@@ -28,7 +28,8 @@ generated in parallel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -58,6 +59,10 @@ class SynthConfig:
     shape_profile: ShapeProfile = field(default_factory=ShapeProfile.paper)
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
         if self.recordings_per_modality < 0 or self.samples_per_recording < 0:
             raise ConfigError("recording and sample counts must be non-negative")
         if not 0 <= self.uav_fraction <= 1:

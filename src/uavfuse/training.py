@@ -16,8 +16,8 @@ import numpy as np
 
 from .data import FusedDataset
 from .errors import ConfigError, NumericFault, TrainingError
-from .model import Model, backward_pass, batch_arrays, weights_digest, _forward
-from .ops import RmspropState, bce_loss, rmsprop_step
+from .model import PARAM_ORDER, Model, backward_pass, batch_arrays, weights_digest, _forward
+from .ops import bce_loss, rmsprop_update
 from .rng import Rng
 
 RMSPROP_RHO = 0.9
@@ -113,8 +113,11 @@ def train(model: Model, dataset: FusedDataset, cfg: TrainConfig) -> tuple[Model,
     shuffle_rng = rng.spawn("shuffle")
     dropout_rng = rng.spawn("dropout")
 
-    model = model.clone()
-    mean_square = {k: np.zeros_like(v) for k, v in model.params().items()}
+    # Every parameter lives in one flat vector that the model's tensors view;
+    # one in-place RMSprop pass per step updates all of them.
+    theta, model = model.flat_clone()
+    mean_square = np.zeros_like(theta)
+    grad = np.empty_like(theta)
     step = 0
 
     x_val, y_val = x[val_idx], y[val_idx]
@@ -123,7 +126,7 @@ def train(model: Model, dataset: FusedDataset, cfg: TrainConfig) -> tuple[Model,
     report = TrainReport()
     best_val = math.inf
     best_epoch = 0
-    best_params = None
+    best_theta = None
     since_improve = 0
     stopped = cfg.max_epochs
 
@@ -139,21 +142,9 @@ def train(model: Model, dataset: FusedDataset, cfg: TrainConfig) -> tuple[Model,
             if not math.isfinite(loss):
                 raise NumericFault(f"non-finite training loss at epoch {epoch}")
             grads = backward_pass(model, cache, grad_p)
-            params = model.params()
-            updated = {}
-            for name, value in params.items():
-                new_value, state = rmsprop_step(
-                    value,
-                    grads[name],
-                    RmspropState(mean_square[name], step),
-                    cfg.lr0,
-                    cfg.decay,
-                    RMSPROP_RHO,
-                    RMSPROP_EPS,
-                )
-                updated[name] = new_value
-                mean_square[name] = state.mean_square
-            model.set_params(updated)
+            np.concatenate([grads[name].reshape(-1) for name in PARAM_ORDER], out=grad)
+            lr = cfg.lr0 / (1.0 + cfg.decay * step)
+            rmsprop_update(theta, grad, mean_square, lr, RMSPROP_RHO, RMSPROP_EPS)
             step += 1
             loss_sum += loss * len(idx)
             correct += int(np.sum((p > 0.5) == (y[idx] > 0.5)))
@@ -171,7 +162,7 @@ def train(model: Model, dataset: FusedDataset, cfg: TrainConfig) -> tuple[Model,
         if val_loss < best_val:
             best_val = val_loss
             best_epoch = epoch
-            best_params = {k: v.copy() for k, v in model.params().items()}
+            best_theta = theta.copy()
             since_improve = 0
         else:
             since_improve += 1
@@ -179,8 +170,8 @@ def train(model: Model, dataset: FusedDataset, cfg: TrainConfig) -> tuple[Model,
                 stopped = epoch
                 break
 
-    if cfg.restore_best and best_params is not None:
-        model.set_params(best_params)
+    if cfg.restore_best and best_theta is not None:
+        theta[:] = best_theta
 
     report.stopped_epoch = stopped
     report.best_epoch = best_epoch

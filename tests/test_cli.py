@@ -71,6 +71,27 @@ def test_bad_config_value_exits_2(tmp_path, capsys):
     assert "seed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "line",
+    [
+        "noise_sigma = inf",
+        "noise_sigma = nan",
+        "thermal_separation = inf",
+        "radar_separation = -inf",
+        "frame_rate = inf",
+        "radar_rate = nan",
+        "timestamp_jitter = inf",
+    ],
+)
+def test_non_finite_generator_value_exits_2(tmp_path, capsys, line):
+    cfg = write_config(tmp_path, f"profile = reduced\nrecordings_per_modality = 1\n{line}\n")
+    out = tmp_path / "o"
+    assert main(["generate", "--config", str(cfg), "--out", str(out)]) == 2
+    key = line.split(" = ")[0]
+    assert f"{key} must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_resolved_config_echoed(tmp_path):
     cfg = write_config(tmp_path)
     out = tmp_path / "out"

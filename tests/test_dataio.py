@@ -1,9 +1,15 @@
-"""MSFR round trips, fault handling, and synthetic generator properties."""
+"""MSFR and MSFW round trips, fault handling, and synthetic generator properties."""
 
+import os
 import struct
+import tempfile
+from pathlib import Path
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from uavfuse.data import (
     DetectionSample,
@@ -16,6 +22,7 @@ from uavfuse.data import (
     ShapeProfile,
 )
 from uavfuse.errors import ConfigError, CorruptionError, FormatError, ValidationError
+from uavfuse.model import ModelSpec, build_model, load_weights, save_weights, serialize_model
 from uavfuse.msfr import (
     read_fused,
     read_manifest,
@@ -244,6 +251,129 @@ def test_shape_overflowing_int64_is_corruption(tmp_path):
     path.write_bytes(bytes(raw))
     with pytest.raises(CorruptionError, match="truncated"):
         read_fused(path)
+
+
+# ---- property tests over generated files ------------------------------------------
+
+_FINITE_F32 = st.floats(width=32, allow_nan=False, allow_infinity=False)
+_SMALL_SHAPES = st.lists(st.integers(0, 3), max_size=3).map(tuple)
+
+
+def _payloads(shape, n):
+    return st.lists(hnp.arrays(np.float32, shape, elements=_FINITE_F32), min_size=n, max_size=n)
+
+
+@st.composite
+def _recordings(draw):
+    shape = draw(_SMALL_SHAPES)
+    n = draw(st.integers(0, 3))
+    gaps = draw(st.lists(st.floats(0, 10), min_size=n, max_size=n))
+    labels = draw(st.lists(st.sampled_from(Label), min_size=n, max_size=n))
+    samples = [
+        DetectionSample(float(t), label, features)
+        for t, label, features in zip(np.cumsum(gaps), labels, draw(_payloads(shape, n)))
+    ]
+    return Recording(draw(st.sampled_from(Modality)), draw(st.text(max_size=8)), samples, shape)
+
+
+@st.composite
+def _fused_datasets(draw):
+    modality_set = draw(st.sampled_from(ModalitySet))
+    radar_len = draw(st.integers(1, 4)) if modality_set.has_radar else 0
+    stacked_shape = tuple(draw(st.lists(st.integers(1, 3), min_size=3, max_size=3)))
+    n = draw(st.integers(0, 3))
+    stacked = draw(_payloads(stacked_shape, n))
+    radar = draw(_payloads((radar_len,), n)) if radar_len else [None] * n
+    samples = [
+        FusedSample(s, r, draw(st.sampled_from(Label)), {"thermal": draw(st.floats(0, 1e6))})
+        for s, r in zip(stacked, radar)
+    ]
+    ids = st.text("abcxyz019_-", min_size=1, max_size=6)
+    provenance = draw(st.lists(ids, max_size=3))
+    return FusedDataset(modality_set, samples, provenance, stacked_shape, radar_len)
+
+
+@st.composite
+def _models(draw):
+    modality_set = draw(st.sampled_from(ModalitySet))
+    kernel = (draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    spec = ModelSpec(
+        modality_set,
+        (kernel[0] + draw(st.integers(0, 2)), kernel[1] + draw(st.integers(0, 2)),
+         draw(st.integers(1, 3))),
+        draw(st.integers(1, 4)) if modality_set.has_radar else 0,
+        conv_filters=draw(st.integers(1, 3)),
+        kernel=kernel,
+        dense_units=draw(st.integers(1, 3)),
+        dropout_rate=draw(st.floats(0, 1, exclude_max=True)),
+    )
+    return build_model(spec, Rng(draw(st.integers(0, 2**64 - 1))))
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype="<f4").view("<u4")
+
+
+def _every_prefix_rejected(path: Path, read) -> None:
+    """Cut the file one byte at a time; every prefix must fail to parse."""
+    for size in range(path.stat().st_size - 1, -1, -1):
+        os.truncate(path, size)
+        with pytest.raises((CorruptionError, FormatError)):
+            read(path)
+
+
+class TestFileProperties:
+    @given(_recordings())
+    def test_recording_round_trip(self, rec):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "r.msfr"
+            write_recording(rec, path)
+            back = read_recording(path)
+            assert (back.modality, back.recording_id) == (rec.modality, rec.recording_id)
+            assert back.feature_shape == rec.feature_shape
+            assert len(back.samples) == len(rec.samples)
+            for got, want in zip(back.samples, rec.samples):
+                assert (got.timestamp, got.label) == (want.timestamp, want.label)
+                assert np.array_equal(_bits(got.features), _bits(want.features))
+            blob = path.read_bytes()
+            write_recording(back, path)
+            assert path.read_bytes() == blob
+            _every_prefix_rejected(path, read_recording)
+
+    @given(_fused_datasets())
+    def test_fused_round_trip(self, ds):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "f.msfr"
+            write_fused(ds, path)
+            back = read_fused(path)
+            assert back.modality_set is ds.modality_set
+            assert (back.provenance, back.radar_len) == (ds.provenance, ds.radar_len)
+            assert back.stacked_shape == ds.stacked_shape
+            assert len(back.samples) == len(ds.samples)
+            for got, want in zip(back.samples, ds.samples):
+                assert got.label == want.label
+                assert got.timestamps == {"fused": want.timestamps["thermal"]}
+                assert np.array_equal(_bits(got.stacked), _bits(want.stacked))
+                if ds.radar_len:
+                    assert np.array_equal(_bits(got.radar), _bits(want.radar))
+                else:
+                    assert got.radar is None
+            blob = path.read_bytes()
+            write_fused(back, path)
+            assert path.read_bytes() == blob
+            _every_prefix_rejected(path, read_fused)
+
+    @given(_models())
+    def test_weights_round_trip(self, model):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "m.msfw"
+            save_weights(model, path)
+            back = load_weights(path)
+            assert back.spec == model.spec
+            for name, value in model.params().items():
+                assert np.array_equal(_bits(back.params()[name]), _bits(value)), name
+            assert serialize_model(back) == path.read_bytes()
+            _every_prefix_rejected(path, load_weights)
 
 
 class TestManifest:

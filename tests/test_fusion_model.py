@@ -29,6 +29,7 @@ from uavfuse.ops import bce_loss, grad_check
 from uavfuse.registration import fuse_dataset
 from uavfuse.rng import Rng
 from uavfuse.synth import SynthConfig, generate_synthetic_dataset
+from uavfuse import training
 from uavfuse.training import TrainConfig, evaluate_probabilities, split_sizes, train
 
 TINY = ShapeProfile("tiny", (4, 4, 2), (4, 4, 1), (8,))
@@ -373,3 +374,30 @@ class TestTraining:
         before = serialize_model(model)
         train(model, ds, TrainConfig(max_epochs=2, patience=2, seed=1))
         assert serialize_model(model) == before
+
+    def test_returned_model_shares_no_memory_with_the_input(self):
+        ds = tiny_dataset()
+        model = build_model(tiny_spec(), Rng(24))
+        before = weights_digest(model)
+        trained, report = train(model, ds, TrainConfig(max_epochs=3, patience=3, seed=2))
+        assert weights_digest(model) == before
+        assert report.weights_digest == weights_digest(trained) != before
+        for name, value in model.params().items():
+            for other in trained.params().values():
+                assert not np.shares_memory(value, other), name
+
+    def test_non_finite_gradient_faults_and_leaves_the_input_alone(self, monkeypatch):
+        # a finite loss with an infinite gradient in the last tensor, so the
+        # fault comes from the optimizer's own check
+        def inf_backward(model, cache, grad_p):
+            grads = backward_pass(model, cache, grad_p)
+            grads["output_bias"] = np.full_like(grads["output_bias"], np.inf)
+            return grads
+
+        monkeypatch.setattr(training, "backward_pass", inf_backward)
+        ds = tiny_dataset()
+        model = build_model(tiny_spec(), Rng(25))
+        before = weights_digest(model)
+        with pytest.raises(NumericFault, match="gradient"):
+            train(model, ds, TrainConfig(max_epochs=2, patience=2, seed=1))
+        assert weights_digest(model) == before

@@ -4,10 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from uavfuse.errors import ConfigError, NumericFault, ShapeError
 from uavfuse.ops import (
     _RMSPROP_BLOCK,
+    _patches,
     BCE_EPS,
     ConvParams,
     DenseParams,
@@ -24,6 +28,7 @@ from uavfuse.ops import (
     relu,
     relu_backward,
     rmsprop_step,
+    rmsprop_update,
     sigmoid,
     sigmoid_backward,
 )
@@ -199,6 +204,71 @@ class TestConvParamGrads:
             conv2d_param_grads(x, params, np.zeros((3, 3, 5)))
 
 
+def _window_patches(x, kh, kw):
+    """The sliding_window_view windows that _patches replaced."""
+    axes = (0, 1) if x.ndim == 3 else (1, 2)
+    win = sliding_window_view(x, (kh, kw), axis=axes)
+    return np.ascontiguousarray(np.moveaxis(win, -3, -1))
+
+
+def _tensordot_forward(x, params):
+    """The tensordot formulation that conv2d_forward replaced."""
+    kh, kw = params.kernels.shape[:2]
+    return np.tensordot(_window_patches(x, kh, kw), params.kernels, axes=3) + params.bias
+
+
+def _tensordot_param_grads(x, params, g):
+    """The tensordot formulation that conv2d_param_grads replaced."""
+    kh, kw = params.kernels.shape[:2]
+    spatial = tuple(range(g.ndim - 1))
+    grad_kernels = np.tensordot(_window_patches(x, kh, kw), g, axes=(spatial, spatial))
+    return grad_kernels, g.sum(axis=spatial)
+
+
+class TestConvBlasProducts:
+    """The np.dot products give the old tensordot results bit for bit."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("batch", [None, 1, 12])
+    @pytest.mark.parametrize("dims", [(6, 5, 4, 3, 3, 3), (7, 7, 48, 16, 3, 3), (5, 6, 3, 7, 2, 4)])
+    def test_forward_and_param_grads_match_tensordot(self, dtype, batch, dims):
+        h, w, c_in, c_out, kh, kw = dims
+        rng = Rng(h * 100 + c_in)
+        x, params = _rand_conv(rng, h, w, c_in, c_out, kh, kw, dtype=dtype)
+        if batch is not None:
+            x = rng.normal((batch, h, w, c_in)).astype(dtype)
+        out = conv2d_forward(x, params)
+        want = _tensordot_forward(x, params)
+        assert out.dtype == want.dtype and np.array_equal(out, want)
+        g = rng.normal(out.shape).astype(dtype)
+        gk, gb = conv2d_param_grads(x, params, g)
+        want_k, want_b = _tensordot_param_grads(x, params, g)
+        assert gk.shape == want_k.shape and gk.dtype == want_k.dtype
+        assert np.array_equal(gk, want_k)
+        assert np.array_equal(gb, want_b)
+
+    @pytest.mark.parametrize("batch", [None, 2])
+    def test_patches_of_strided_views_match_windows(self, batch):
+        rng = Rng(43)
+        shape = (9, 8, 6) if batch is None else (batch, 9, 8, 6)
+        base = rng.normal(shape)
+        # reversed rows and every other channel: a view with unusual strides
+        x = base[..., ::-1, :, ::2]
+        got = _patches(x, 3, 2)
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, _window_patches(x, 3, 2))
+
+    def test_grad_input_unchanged(self):
+        rng = Rng(44)
+        x, params = _rand_conv(rng, 6, 5, 4, 3)
+        g = rng.normal((4, 3, 3))
+        grad_input, _, _ = conv2d_backward(x, params, g)
+        g_pad = np.pad(g, [(2, 2), (2, 2), (0, 0)])
+        flipped = params.kernels[::-1, ::-1].transpose(0, 1, 3, 2)
+        want = np.tensordot(_window_patches(g_pad, 3, 3), flipped, axes=3)
+        assert np.array_equal(grad_input, want)
+
+
 class TestDense:
     def test_identity_weights(self):
         x = np.array([1.0, -2.0, 3.0])
@@ -331,6 +401,58 @@ class TestDropout:
             dropout_apply(np.zeros(3), 1.0, "train", Rng(0))
 
 
+class _Words:
+    """Stands in for an Rng whose next raw words are given."""
+
+    def __init__(self, words):
+        self.words = np.asarray(words, dtype=np.uint64)
+
+    def u64(self, n):
+        out, self.words = self.words[:n], self.words[n:]
+        return out.copy()
+
+    # Rng.uniform reads its words through u64 only
+    uniform = Rng.uniform
+
+
+# Exact multiples of 2^-53 are where a threshold rounding error would show.
+_MULTIPLE_RATES = st.integers(0, 2**53 - 1).map(lambda k: k * 2.0**-53)
+_DROPOUT_RATES = st.one_of(
+    st.floats(0, 1, exclude_max=True),
+    _MULTIPLE_RATES,
+    st.tuples(_MULTIPLE_RATES, st.sampled_from([-1.0, 2.0])).map(
+        lambda rv: float(np.nextafter(rv[0], rv[1]))
+    ),
+).filter(lambda r: 0 < r < 1)
+
+
+class TestDropoutMask:
+    """The integer keep mask is exactly Rng.uniform(shape) >= rate."""
+
+    @given(rate=_DROPOUT_RATES, seed=st.integers(0, 2**64 - 1))
+    def test_mask_equals_uniform_comparison(self, rate, seed):
+        x = np.ones((3, 50), dtype=np.float32)
+        rng, ref = Rng(seed), Rng(seed)
+        _, mask = dropout_apply(x, rate, "train", rng)
+        assert mask.dtype == bool and mask.shape == x.shape
+        assert np.array_equal(mask, ref.uniform(x.shape) >= rate)
+        # the same words were consumed: both streams continue alike
+        assert np.array_equal(rng.u64(5), ref.u64(5))
+
+    @given(
+        rate=_DROPOUT_RATES,
+        low_bits=st.lists(st.integers(0, 2**11 - 1), min_size=5, max_size=5),
+    )
+    def test_mask_at_the_threshold(self, rate, low_bits):
+        # 53-bit mantissas just below, at and above rate * 2^53, plus the ends
+        m0 = int(rate * 2.0**53)
+        mantissas = [0, max(m0 - 1, 0), m0, min(m0 + 1, 2**53 - 1), 2**53 - 1]
+        words = [(m << 11) | low for m, low in zip(mantissas, low_bits)]
+        x = np.ones(len(words))
+        _, mask = dropout_apply(x, rate, "train", _Words(words))
+        assert np.array_equal(mask, _Words(words).uniform(len(words)) >= rate)
+
+
 class TestBce:
     def test_half_probability(self):
         loss, _ = bce_loss(np.array([0.5]), np.array([1.0]))
@@ -453,6 +575,54 @@ class TestRmspropBlocks:
         param = np.zeros_like(grad)
         with pytest.raises(NumericFault):
             rmsprop_step(param, grad, RmspropState(np.zeros_like(grad)), 1e-4, 0)
+
+
+class TestRmspropUpdate:
+    """The in-place kernel training runs on its flat parameter vector."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "size",
+        [1, _RMSPROP_BLOCK - 1, _RMSPROP_BLOCK, _RMSPROP_BLOCK + 1, 3 * _RMSPROP_BLOCK + 7],
+    )
+    def test_in_place_matches_whole_tensor_expression_bitwise(self, dtype, size):
+        rng = Rng(size + 1)
+        param = rng.normal(size).astype(dtype)
+        mean_square = np.zeros(size, dtype=dtype)
+        want_p, want_e = param.copy(), mean_square.copy()
+        param_buf, mean_square_buf = param, mean_square
+        for step in range(4):
+            grad = (rng.normal(size) * 10.0 ** -step).astype(dtype)
+            grad_before = grad.copy()
+            lr = 1e-3 / (1.0 + 1e-2 * step)
+            assert rmsprop_update(param, grad, mean_square, lr, 0.9, 1e-7) is None
+            want_p, want_e = _rmsprop_oracle(want_p, grad, want_e, step, 1e-3, 1e-2)
+            assert param is param_buf and mean_square is mean_square_buf
+            assert param.dtype == dtype and mean_square.dtype == dtype
+            assert np.array_equal(grad, grad_before)
+            assert np.array_equal(param, want_p)
+            assert np.array_equal(mean_square, want_e)
+
+    def test_updates_views_of_the_buffer(self):
+        flat = np.zeros(7, dtype=np.float32)
+        head = flat[:3].reshape(3, 1)
+        rmsprop_update(flat, np.ones(7, dtype=np.float32), np.zeros_like(flat), 1e-3)
+        assert np.all(head < 0) and np.shares_memory(head, flat)
+
+    def test_non_contiguous_param_rejected(self):
+        param = np.zeros(8)[::2]
+        with pytest.raises(ShapeError, match="contiguous"):
+            rmsprop_update(param, np.zeros(4), np.zeros(4), 1e-3)
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ShapeError, match="mean_square"):
+            rmsprop_update(np.zeros(4), np.zeros(4), np.zeros(5), 1e-3)
+
+    def test_non_finite_gradient_in_a_later_block_faults(self):
+        grad = np.zeros(2 * _RMSPROP_BLOCK + 3, dtype=np.float32)
+        grad[-1] = np.nan
+        with pytest.raises(NumericFault):
+            rmsprop_update(np.zeros_like(grad), grad, np.zeros_like(grad), 1e-4)
 
 
 class TestGradCheckHarness:
