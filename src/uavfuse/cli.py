@@ -227,18 +227,6 @@ def cmd_train(cfg: RunConfig, data: Path, out_dir: Path) -> int:
     return 0
 
 
-def _check_compatible(model: Model, dataset) -> None:
-    if tuple(model.spec.stacked_shape) != tuple(dataset.stacked_shape):
-        raise CompatibilityError(
-            f"model input {tuple(model.spec.stacked_shape)} != dataset "
-            f"stacked shape {tuple(dataset.stacked_shape)}"
-        )
-    if model.spec.radar_len != dataset.radar_len:
-        raise CompatibilityError(
-            f"model radar length {model.spec.radar_len} != dataset {dataset.radar_len}"
-        )
-
-
 def cmd_evaluate(cfg: RunConfig, model_path: Path, data: Path, out_dir: Path) -> int:
     fused_file = _fused_path(data, cfg)
     dataset = read_fused(fused_file)
@@ -265,7 +253,6 @@ def cmd_evaluate(cfg: RunConfig, model_path: Path, data: Path, out_dir: Path) ->
     f1s = []
     for path in model_files:
         model = load_weights(path)
-        _check_compatible(model, dataset)
         p = evaluate_probabilities(model, x, r, cfg.train.batch_size)
         cm = confusion_at_threshold(y, p)
         report = classification_report(cm)

@@ -4,6 +4,9 @@ The CLI maps these onto process exit codes; library code raises them
 directly and never calls sys.exit.
 """
 
+import math
+from dataclasses import fields
+
 
 class UavFuseError(Exception):
     """Base class for all errors raised by this package."""
@@ -11,6 +14,14 @@ class UavFuseError(Exception):
 
 class ConfigError(UavFuseError):
     """Invalid or unknown configuration value."""
+
+
+def check_finite_fields(config) -> None:
+    """Raise ConfigError naming the first float field of a dataclass that is NaN or infinite."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{f.name} must be finite, got {value}")
 
 
 class ShapeError(UavFuseError, ValueError):

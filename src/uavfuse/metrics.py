@@ -130,19 +130,12 @@ def roc_curve(labels, probabilities) -> RocCurve:
     order = np.argsort(-p, kind="stable")
     ps = p[order]
     ys = y[order]
-    points = [(0.0, 0.0)]
-    cum_tp = cum_fp = 0
-    i = 0
-    while i < ps.size:
-        j = i
-        while j < ps.size and ps[j] == ps[i]:
-            j += 1
-        cum_tp += int(ys[i:j].sum())
-        cum_fp += (j - i) - int(ys[i:j].sum())
-        points.append((cum_fp / n_neg, cum_tp / n_pos))
-        i = j
-    if points[-1] != (1.0, 1.0):
-        points.append((1.0, 1.0))
+    # one point after each group of tied scores, with the counts up to its end
+    ends = np.flatnonzero(np.append(ps[1:] != ps[:-1], True))
+    cum_tp = np.cumsum(ys)[ends]
+    cum_fp = ends + 1 - cum_tp
+    # the last group ends with every sample counted: exactly (1, 1)
+    points = [(0.0, 0.0), *zip((cum_fp / n_neg).tolist(), (cum_tp / n_pos).tolist())]
 
     auc = 0.0
     for (x0, y0), (x1, y1) in zip(points, points[1:]):

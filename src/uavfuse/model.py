@@ -11,6 +11,7 @@ false alarm.
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -18,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import FusedSample, Label, ModalitySet, ShapeProfile
-from .errors import CompatibilityError, ConfigError, CorruptionError, FormatError
+from .errors import CompatibilityError, ConfigError, CorruptionError, FormatError, ShapeError
 from .msfr import BinaryReader
 from .ops import (
     TRAIN_DTYPE,
@@ -109,15 +110,50 @@ class ModelSpec:
     def dense1_in(self) -> int:
         return self.flatten_width + self.radar_len
 
+    @property
+    def param_shapes(self) -> dict[str, tuple[int, ...]]:
+        """Every parameter tensor's shape, in PARAM_ORDER."""
+        kh, kw = self.kernel
+        shapes = (
+            (kh, kw, self.stacked_shape[2], self.conv_filters),
+            (self.conv_filters,),
+            (self.dense1_in, self.dense_units),
+            (self.dense_units,),
+            (self.dense_units, 1),
+            (1,),
+        )
+        return dict(zip(PARAM_ORDER, shapes))
 
-@dataclass
+    @property
+    def param_count(self) -> int:
+        return sum(math.prod(shape) for shape in self.param_shapes.values())
+
+
 class Model:
-    spec: ModelSpec
-    conv: ConvParams
-    dense1: DenseParams
-    output: DenseParams
+    """The network's parameters: one flat vector ``theta``, laid out by the spec.
+
+    ``conv``, ``dense1`` and ``output`` hold views of ``theta`` in
+    PARAM_ORDER, so an in-place update of the vector updates every layer.
+    """
+
+    def __init__(self, spec: ModelSpec, theta: np.ndarray):
+        if theta.shape != (spec.param_count,):
+            raise ShapeError(
+                f"parameter vector of shape {theta.shape} != ({spec.param_count},) for the spec"
+            )
+        views, lo = {}, 0
+        for name, shape in spec.param_shapes.items():
+            size = math.prod(shape)
+            views[name] = theta[lo : lo + size].reshape(shape)
+            lo += size
+        self.spec = spec
+        self.theta = theta
+        self.conv = ConvParams(views["conv_kernels"], views["conv_bias"])
+        self.dense1 = DenseParams(views["dense1_weights"], views["dense1_bias"])
+        self.output = DenseParams(views["output_weights"], views["output_bias"])
 
     def params(self) -> dict[str, np.ndarray]:
+        """Every parameter tensor by name, in PARAM_ORDER; each views ``theta``."""
         return {
             "conv_kernels": self.conv.kernels,
             "conv_bias": self.conv.bias,
@@ -128,39 +164,18 @@ class Model:
         }
 
     def set_params(self, values: dict[str, np.ndarray]) -> None:
-        self.conv = ConvParams(values["conv_kernels"], values["conv_bias"])
-        self.dense1 = DenseParams(values["dense1_weights"], values["dense1_bias"])
-        self.output = DenseParams(values["output_weights"], values["output_bias"])
-
-    def flat_clone(self) -> tuple[np.ndarray, "Model"]:
-        """One flat copy of every parameter, in PARAM_ORDER, and a model over it.
-
-        The new model's tensors are views of the flat vector, so updating
-        the vector in place updates the model.
-        """
-        values = self.params()
-        flat = np.concatenate([values[name].reshape(-1) for name in PARAM_ORDER])
-        views, lo = {}, 0
-        for name in PARAM_ORDER:
-            value = values[name]
-            views[name] = flat[lo : lo + value.size].reshape(value.shape)
-            lo += value.size
-        clone = Model(replace(self.spec), self.conv, self.dense1, self.output)
-        clone.set_params(views)
-        return flat, clone
+        """Copy each named tensor into its view of ``theta``."""
+        for name, view in self.params().items():
+            view[...] = values[name]
 
     def clone(self) -> "Model":
-        return self.flat_clone()[1]
+        return Model(replace(self.spec), self.theta.copy())
 
 
-def _he_uniform(rng: Rng, shape, fan_in: int, dtype) -> np.ndarray:
-    limit = np.sqrt(6.0 / fan_in)
-    return ((rng.uniform(shape) * 2 - 1) * limit).astype(dtype)
-
-
-def _glorot_uniform(rng: Rng, shape, fan_in: int, fan_out: int, dtype) -> np.ndarray:
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return ((rng.uniform(shape) * 2 - 1) * limit).astype(dtype)
+def _uniform_into(rng: Rng, out: np.ndarray, fan: int) -> None:
+    """Fill ``out`` from U(-limit, limit), limit = sqrt(6 / fan)."""
+    limit = np.sqrt(6.0 / fan)
+    out[...] = (rng.uniform(out.shape) * 2 - 1) * limit
 
 
 def build_model(spec: ModelSpec, rng: Rng, dtype=TRAIN_DTYPE) -> Model:
@@ -171,26 +186,17 @@ def build_model(spec: ModelSpec, rng: Rng, dtype=TRAIN_DTYPE) -> Model:
     float64 for gradient-verification builds.
     """
     spec.validate()
+    model = Model(spec, np.zeros(spec.param_count, dtype=dtype))
     kh, kw = spec.kernel
-    c_in = spec.stacked_shape[2]
-    conv = ConvParams(
-        _he_uniform(rng, (kh, kw, c_in, spec.conv_filters), kh * kw * c_in, dtype),
-        np.zeros(spec.conv_filters, dtype=dtype),
-    )
-    dense1 = DenseParams(
-        _he_uniform(rng, (spec.dense1_in, spec.dense_units), spec.dense1_in, dtype),
-        np.zeros(spec.dense_units, dtype=dtype),
-    )
-    output = DenseParams(
-        _glorot_uniform(rng, (spec.dense_units, 1), spec.dense_units, 1, dtype),
-        np.zeros(1, dtype=dtype),
-    )
-    return Model(spec, conv, dense1, output)
+    _uniform_into(rng, model.conv.kernels, kh * kw * spec.stacked_shape[2])
+    _uniform_into(rng, model.dense1.weights, spec.dense1_in)
+    _uniform_into(rng, model.output.weights, spec.dense_units + 1)  # Glorot: fan in + out
+    return model
 
 
 def count_parameters(model: Model) -> int:
     """Total element count across all weight and bias tensors."""
-    return sum(int(v.size) for v in model.params().values())
+    return model.theta.size
 
 
 def batch_arrays(
@@ -290,9 +296,7 @@ def _spec_bytes(spec: ModelSpec) -> bytes:
 def serialize_model(model: Model) -> bytes:
     """MSFW bytes: magic, version, spec fields, then tensors in fixed order."""
     parts = [WEIGHTS_MAGIC, struct.pack("<H", WEIGHTS_VERSION), _spec_bytes(model.spec)]
-    values = model.params()
-    for name in PARAM_ORDER:
-        arr = values[name]
+    for arr in model.params().values():
         parts.append(struct.pack("<B", arr.ndim))
         parts.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
         parts.append(np.ascontiguousarray(arr, dtype="<f4").tobytes())
@@ -303,18 +307,6 @@ def save_weights(model: Model, destination) -> int:
     blob = serialize_model(model)
     Path(destination).write_bytes(blob)
     return len(blob)
-
-
-def _expected_shapes(spec: ModelSpec) -> dict[str, tuple[int, ...]]:
-    kh, kw = spec.kernel
-    return {
-        "conv_kernels": (kh, kw, spec.stacked_shape[2], spec.conv_filters),
-        "conv_bias": (spec.conv_filters,),
-        "dense1_weights": (spec.dense1_in, spec.dense_units),
-        "dense1_bias": (spec.dense_units,),
-        "output_weights": (spec.dense_units, 1),
-        "output_bias": (1,),
-    }
 
 
 def load_weights(source) -> Model:
@@ -336,22 +328,16 @@ def load_weights(source) -> Model:
         dense_units, dropout_rate,
     )
     spec.validate()
-    expected = _expected_shapes(spec)
-    values = {}
-    for name in PARAM_ORDER:
+    # Read every tensor before the vector is allocated: a hostile spec with
+    # huge dimensions then fails on the short payload, not on the allocation.
+    tensors = []
+    for name, want in spec.param_shapes.items():
         shape = reader.shape()
-        if shape != expected[name]:
-            raise CorruptionError(
-                f"{name}: stored shape {shape} != spec shape {expected[name]}"
-            )
-        values[name] = reader.floats(shape, f"{source}: tensor {name}")
+        if shape != want:
+            raise CorruptionError(f"{name}: stored shape {shape} != spec shape {want}")
+        tensors.append(reader.floats(shape, f"{source}: tensor {name}").reshape(-1))
     reader.done()
-    return Model(
-        spec,
-        ConvParams(values["conv_kernels"], values["conv_bias"]),
-        DenseParams(values["dense1_weights"], values["dense1_bias"]),
-        DenseParams(values["output_weights"], values["output_bias"]),
-    )
+    return Model(spec, np.concatenate(tensors))
 
 
 def weights_digest(model: Model) -> str:

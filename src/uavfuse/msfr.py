@@ -117,7 +117,8 @@ def _label(byte: int) -> Label:
     return Label(byte)
 
 
-def _check_header(reader: BinaryReader, expect_fused: bool) -> None:
+def _check_header(reader: BinaryReader, expect_fused: bool) -> int:
+    """Check magic, version and modality byte; return the modality byte."""
     magic = reader.take(4)
     if magic != MAGIC:
         raise FormatError(f"bad magic {magic!r}, expected {MAGIC!r}")
@@ -134,7 +135,7 @@ def _check_header(reader: BinaryReader, expect_fused: bool) -> None:
         raise FormatError("modality byte 3 marks a fused dataset, not a plain recording")
     elif modality_byte not in (0, 1, 2):
         raise FormatError(f"modality byte {modality_byte} is not a recording modality")
-    reader.pos -= 1  # caller re-reads the modality byte
+    return modality_byte
 
 
 def write_recording(recording: Recording, destination) -> int:
@@ -159,8 +160,7 @@ def write_recording(recording: Recording, destination) -> int:
 def read_recording(source) -> Recording:
     """Parse and validate one recording file (exact inverse of write_recording)."""
     reader = BinaryReader(Path(source).read_bytes())
-    _check_header(reader, expect_fused=False)
-    (modality_byte,) = reader.unpack("<B")
+    modality_byte = _check_header(reader, expect_fused=False)
     recording_id = reader.text()
     shape = reader.shape()
     (count,) = reader.unpack("<I")
@@ -203,7 +203,6 @@ def read_fused(source) -> FusedDataset:
     """Parse and validate one fused dataset file."""
     reader = BinaryReader(Path(source).read_bytes())
     _check_header(reader, expect_fused=True)
-    reader.unpack("<B")  # the fused modality byte, checked above
     modality_set = reader.modality_set()
     provenance_text = reader.text()
     stacked_shape = reader.shape()

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import FusedDataset, FusedSample, ModalitySet, Recording
-from .errors import ShapeError, ValidationError
+from .errors import ConfigError, ShapeError, ValidationError, check_finite_fields
 
 log = logging.getLogger(__name__)
 
@@ -32,8 +32,9 @@ class MatchConfig:
     one_to_one: bool = True
 
     def validate(self) -> None:
+        check_finite_fields(self)
         if self.frame_tolerance < 0 or self.radar_tolerance < 0:
-            raise ValidationError("tolerances must be non-negative")
+            raise ConfigError("tolerances must be non-negative")
 
 
 def _check_sorted(samples, name: str) -> list[float]:

@@ -28,13 +28,12 @@ generated in parallel.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .data import DetectionSample, Label, Modality, Recording, ShapeProfile
-from .errors import ConfigError
+from .errors import ConfigError, check_finite_fields
 from .rng import Rng
 
 
@@ -59,10 +58,7 @@ class SynthConfig:
     shape_profile: ShapeProfile = field(default_factory=ShapeProfile.paper)
 
     def validate(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ConfigError(f"{f.name} must be finite, got {value}")
+        check_finite_fields(self)
         if self.recordings_per_modality < 0 or self.samples_per_recording < 0:
             raise ConfigError("recording and sample counts must be non-negative")
         if not 0 <= self.uav_fraction <= 1:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import FusedDataset
-from .errors import ConfigError, NumericFault, TrainingError
+from .errors import ConfigError, NumericFault, TrainingError, check_finite_fields
 from .model import PARAM_ORDER, Model, backward_pass, batch_arrays, weights_digest, _forward
 from .ops import bce_loss, rmsprop_update
 from .rng import Rng
@@ -36,6 +36,7 @@ class TrainConfig:
     restore_best: bool = True
 
     def validate(self) -> None:
+        check_finite_fields(self)
         if not 0 < self.val_fraction < 1:
             raise ConfigError(f"val_fraction must be in (0, 1), got {self.val_fraction}")
         if self.patience < 1 or self.patience > self.max_epochs:
@@ -98,7 +99,7 @@ def train(model: Model, dataset: FusedDataset, cfg: TrainConfig) -> tuple[Model,
     cfg.validate()
     if not dataset.samples:
         raise TrainingError("dataset is empty")
-    x, r, y = batch_arrays(dataset.samples, dtype=model.conv.kernels.dtype)
+    x, r, y = batch_arrays(dataset.samples, dtype=model.theta.dtype)
 
     rng = Rng(cfg.seed)
     train_idx, val_idx = validation_split_indices(len(y), cfg)
@@ -113,9 +114,10 @@ def train(model: Model, dataset: FusedDataset, cfg: TrainConfig) -> tuple[Model,
     shuffle_rng = rng.spawn("shuffle")
     dropout_rng = rng.spawn("dropout")
 
-    # Every parameter lives in one flat vector that the model's tensors view;
-    # one in-place RMSprop pass per step updates all of them.
-    theta, model = model.flat_clone()
+    # The model's tensors view its one flat vector, so one in-place RMSprop
+    # pass per step updates all of them.
+    model = model.clone()
+    theta = model.theta
     mean_square = np.zeros_like(theta)
     grad = np.empty_like(theta)
     step = 0

@@ -229,6 +229,26 @@ class TestRegister:
         assert read_manifest(out)[0][2] == want[modalities]
         assert len(calls) == 2 * 3 - 1  # rec001 has no radar match
 
+    @pytest.mark.parametrize(
+        "line", ["frame_tolerance = nan", "radar_tolerance = inf", "frame_tolerance = -inf"]
+    )
+    def test_non_finite_tolerance_exits_2(self, generated, tmp_path, capsys, line):
+        cfg, data = generated
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(cfg.read_text(encoding="utf-8") + line + "\n", encoding="utf-8")
+        code = main(["register", "--config", str(bad), "--data", str(data), "--out", str(tmp_path / "f")])
+        assert code == 2
+        key = line.split(" = ")[0]
+        assert f"config error: {key} must be finite" in capsys.readouterr().err
+
+    def test_negative_tolerance_exits_2(self, generated, tmp_path, capsys):
+        cfg, data = generated
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(cfg.read_text(encoding="utf-8") + "radar_tolerance = -0.5\n", encoding="utf-8")
+        code = main(["register", "--config", str(bad), "--data", str(data), "--out", str(tmp_path / "f")])
+        assert code == 2
+        assert "tolerances must be non-negative" in capsys.readouterr().err
+
     def test_register_is_deterministic(self, generated):
         cfg, data = generated
         a, b = data.parent / "ra", data.parent / "rb"
@@ -284,6 +304,17 @@ class TestTrain:
         )
         assert code == 4
         assert "single class" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["lr0 = nan", "decay = inf", "val_fraction = nan"])
+    def test_non_finite_training_value_exits_2(self, fused, tmp_path, capsys, line):
+        cfg, data = fused
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(FAST_TRAIN.replace("lr0 = 0.001\n", "") + line + "\n", encoding="utf-8")
+        out = tmp_path / "m"
+        assert main(["train", "--config", str(bad), "--data", str(data), "--out", str(out)]) == 2
+        key = line.split(" = ")[0]
+        assert f"config error: {key} must be finite" in capsys.readouterr().err
+        assert not list(out.glob("model_*.msfw"))
 
     def test_missing_fused_file_exits_3(self, fused, tmp_path):
         cfg, _ = fused

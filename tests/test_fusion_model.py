@@ -1,5 +1,7 @@
 """Fusion network construction, forward/backward, persistence, and training."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -10,9 +12,14 @@ from uavfuse.errors import (
     CorruptionError,
     FormatError,
     NumericFault,
+    ShapeError,
     TrainingError,
 )
 from uavfuse.model import (
+    PARAM_ORDER,
+    WEIGHTS_MAGIC,
+    WEIGHTS_VERSION,
+    Model,
     ModelSpec,
     backward_pass,
     batch_arrays,
@@ -24,6 +31,7 @@ from uavfuse.model import (
     serialize_model,
     weights_digest,
     _forward,
+    _spec_bytes,
 )
 from uavfuse.ops import bce_loss, grad_check
 from uavfuse.registration import fuse_dataset
@@ -108,6 +116,52 @@ class TestCountParameters:
         model = build_model(spec, Rng(0))
         # conv 3*3*3*1 + 1, dense (2*2*1 + 8)*1 + 1, output 1*1 + 1
         assert count_parameters(model) == 27 + 1 + 12 + 1 + 1 + 1
+
+
+class TestFlatLayout:
+    """Every model holds its parameters as views of one flat vector."""
+
+    @staticmethod
+    def assert_views_of_theta(model):
+        offset = 0
+        for name, shape in model.spec.param_shapes.items():
+            value = model.params()[name]
+            assert value.shape == shape, name
+            assert np.shares_memory(value, model.theta), name
+            assert np.array_equal(value.reshape(-1), model.theta[offset : offset + value.size])
+            offset += value.size
+        assert offset == model.theta.size == count_parameters(model)
+
+    def test_param_shapes_follow_param_order(self):
+        assert tuple(tiny_spec().param_shapes) == PARAM_ORDER
+
+    def test_built_loaded_cloned_and_trained_models_view_theta(self, tmp_path):
+        model = build_model(tiny_spec(), Rng(3))
+        self.assert_views_of_theta(model)
+        path = tmp_path / "m.msfw"
+        save_weights(model, path)
+        self.assert_views_of_theta(load_weights(path))
+        clone = model.clone()
+        self.assert_views_of_theta(clone)
+        assert not np.shares_memory(clone.theta, model.theta)
+        trained, _ = train(model, tiny_dataset(), TrainConfig(max_epochs=1, patience=1, seed=1))
+        self.assert_views_of_theta(trained)
+
+    def test_set_params_writes_into_theta(self):
+        model = build_model(tiny_spec(), Rng(4))
+        model.set_params({k: np.full_like(v, 0.25) for k, v in model.params().items()})
+        assert np.all(model.theta == np.float32(0.25))
+
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_theta_of_the_wrong_size_rejected(self, delta):
+        spec = tiny_spec()
+        with pytest.raises(ShapeError, match=str(spec.param_count)):
+            Model(spec, np.zeros(spec.param_count + delta, dtype=np.float32))
+
+    def test_two_dimensional_theta_rejected(self):
+        spec = tiny_spec()
+        with pytest.raises(ShapeError):
+            Model(spec, np.zeros((1, spec.param_count), dtype=np.float32))
 
 
 def eval_probabilities(model, samples, batch_size=64):
@@ -198,6 +252,16 @@ class TestPersistence:
         with pytest.raises(CorruptionError):
             load_weights(path)
 
+    def test_huge_declared_model_without_payload_rejected(self, tmp_path):
+        # a header that declares about 10**18 parameters and stops: the loader
+        # must report the missing payload, not try to allocate the vector
+        spec = tiny_spec()
+        spec.conv_filters = spec.dense_units = 2**30
+        path = tmp_path / "m.msfw"
+        path.write_bytes(WEIGHTS_MAGIC + struct.pack("<H", WEIGHTS_VERSION) + _spec_bytes(spec))
+        with pytest.raises(CorruptionError, match="truncated"):
+            load_weights(path)
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "m.msfw"
         path.write_bytes(b"JUNKJUNKJUNK")
@@ -214,8 +278,6 @@ class TestPersistence:
             load_weights(path)
 
     def test_wrong_version_rejected(self, tmp_path):
-        import struct
-
         model = build_model(tiny_spec(), Rng(10))
         path = tmp_path / "m.msfw"
         save_weights(model, path)

@@ -109,7 +109,49 @@ class TestClassificationReport:
                 assert 0.0 <= v <= 1.0
 
 
+def _loop_roc(labels, probabilities):
+    """The tie-group sweep as one Python loop: the vectorized sweep's oracle."""
+    y = np.asarray(labels).astype(bool)
+    p = np.asarray(probabilities, dtype=np.float64)
+    n_pos = int(y.sum())
+    n_neg = int(y.size - n_pos)
+    order = np.argsort(-p, kind="stable")
+    ps, ys = p[order], y[order]
+    points = [(0.0, 0.0)]
+    cum_tp = cum_fp = 0
+    i = 0
+    while i < ps.size:
+        j = i
+        while j < ps.size and ps[j] == ps[i]:
+            j += 1
+        cum_tp += int(ys[i:j].sum())
+        cum_fp += (j - i) - int(ys[i:j].sum())
+        points.append((cum_fp / n_neg, cum_tp / n_pos))
+        i = j
+    if points[-1] != (1.0, 1.0):
+        points.append((1.0, 1.0))
+    auc = 0.0
+    for (x0, y0), (x1, y1) in zip(points, points[1:]):
+        auc += (x1 - x0) * (y1 + y0) / 2.0
+    return tuple(points), auc
+
+
 class TestRoc:
+    def test_matches_the_loop_oracle_bit_for_bit(self):
+        gen = np.random.default_rng(11)
+        for _ in range(500):
+            n = int(gen.integers(2, 60))
+            y = gen.integers(0, 2, n)
+            y[:2] = (0, 1)  # both classes present
+            # few distinct levels give heavy ties; some cases have none
+            levels = int(gen.integers(1, 2 * n))
+            p = gen.integers(0, levels, n) / levels
+            curve = roc_curve(y, p)
+            points, auc = _loop_roc(y, p)
+            assert curve.points == points
+            assert all(type(v) is float for point in curve.points for v in point)
+            assert np.float64(curve.auc).tobytes() == np.float64(auc).tobytes()
+
     def test_hand_sweep(self):
         curve = roc_curve(np.array([1, 0, 1, 0]), np.array([0.8, 0.7, 0.6, 0.1]))
         assert curve.points == ((0, 0), (0, 0.5), (0.5, 0.5), (0.5, 1), (1, 1))
