@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from uavfuse import (
+    Label,
     Modality,
     ShapeProfile,
     SynthConfig,
@@ -40,22 +41,24 @@ for modality in Modality:
     print(f"  {modality.name.lower():8s} {rec.recording_id}: "
           f"{len(rec.samples)} samples of shape {rec.feature_shape}")
 
+# a recording's samples are packed records, the MSFR file's layout, with
+# one column per field: timestamp, label and features
 rec = data[Modality.THERMAL][0]
-print("\nfirst thermal samples (timestamp, label):")
-for s in rec.samples[:5]:
-    print(f"  t={s.timestamp:6.3f}  {s.label.name}")
+print(f"\nrecord layout: {rec.samples.dtype}")
+print("first thermal samples (timestamp, label):")
+for t, label in zip(rec.samples.timestamp[:5], rec.samples.label[:5]):
+    print(f"  t={t:6.3f}  {Label(label).name}")
 
 print("\nthermal and optronic are frame-locked (same capture times):")
-for st, so in zip(rec.samples[:3], data[Modality.OPTRONIC][0].samples[:3]):
-    print(f"  thermal t={st.timestamp:.3f}  optronic t={so.timestamp:.3f}")
+optronic_t = data[Modality.OPTRONIC][0].samples.timestamp
+for tt, to in zip(rec.samples.timestamp[:3], optronic_t[:3]):
+    print(f"  thermal t={tt:.3f}  optronic t={to:.3f}")
 
 path = out / "rec000_thermal.msfr"
 n = write_recording(rec, path)
 back = read_recording(path)
-same = all(
-    a.timestamp == b.timestamp and np.array_equal(a.features, b.features)
-    for a, b in zip(rec.samples, back.samples)
-)
+same = (np.array_equal(rec.samples.timestamp, back.samples.timestamp)
+        and np.array_equal(rec.samples.features, back.samples.features))
 print(f"\nwrote {n} bytes to {path.name}; bit-exact round trip: {same}")
 
 # same seed, same bytes: generation is a pure function of the config

@@ -48,6 +48,7 @@ test_ds = fuse_dataset(test_recs[Modality.THERMAL], test_recs[Modality.OPTRONIC]
                        test_recs[Modality.RADAR], mset)
 print(f"train: {len(train_ds.samples)} fused samples, "
       f"test: {len(test_ds.samples)} fused samples")
+print(f"fused record layout: {train_ds.samples.dtype}")
 
 spec = ModelSpec.for_profile(mset, profile, conv_filters=16, dense_units=32)
 model = build_model(spec, Rng(0).spawn("init"))
@@ -61,6 +62,7 @@ print("val loss per epoch:",
       " ".join(f"{v:.3f}" for v in report.val_loss[:10]),
       "..." if len(report.val_loss) > 10 else "")
 
+# the model takes aligned arrays: batch_arrays copies the record columns
 x, r, y = batch_arrays(test_ds.samples)
 p = evaluate_probabilities(trained, x, r)
 cm = confusion_at_threshold(y, p)

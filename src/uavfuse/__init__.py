@@ -7,14 +7,14 @@ binary-classification toolkit. Everything is seed-deterministic.
 """
 
 from .data import (
-    DetectionSample,
     FusedDataset,
-    FusedSample,
     Label,
     Modality,
     ModalitySet,
     Recording,
     ShapeProfile,
+    fused_dtype,
+    recording_dtype,
 )
 from .metrics import (
     ClassificationReport,
@@ -61,9 +61,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ClassificationReport",
     "ConfusionMatrix",
-    "DetectionSample",
     "FusedDataset",
-    "FusedSample",
     "Label",
     "MatchConfig",
     "Modality",
@@ -86,12 +84,14 @@ __all__ = [
     "derive_seed",
     "evaluate_probabilities",
     "fuse_dataset",
+    "fused_dtype",
     "generate_synthetic_dataset",
     "load_weights",
     "match_streams",
     "read_fused",
     "read_manifest",
     "read_recording",
+    "recording_dtype",
     "render_confusion",
     "render_report",
     "roc_csv",

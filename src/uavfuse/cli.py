@@ -34,6 +34,7 @@ from .errors import (
     DataError,
     TrainingError,
     UavFuseError,
+    ValidationError,
 )
 from .metrics import (
     classification_report,
@@ -45,7 +46,6 @@ from .metrics import (
 )
 from .model import (
     Model,
-    ModelSpec,
     batch_arrays,
     build_model,
     load_weights,
@@ -99,9 +99,14 @@ def cmd_generate(cfg: RunConfig, out_dir: Path) -> int:
 
 def _load_recordings(data_dir: Path) -> dict[Modality, list]:
     by_kind = {kind: [] for kind in _KINDS.values()}
-    for name, kind, _count in read_manifest(data_dir):
+    for name, kind, count in read_manifest(data_dir):
         if kind in by_kind:
-            by_kind[kind].append(read_recording(data_dir / name))
+            rec = read_recording(data_dir / name)
+            if len(rec.samples) != count:
+                raise ValidationError(
+                    f"{name}: {len(rec.samples)} samples, but the manifest lists {count}"
+                )
+            by_kind[kind].append(rec)
     return {m: by_kind[_KINDS[m]] for m in Modality}
 
 
@@ -125,12 +130,7 @@ def cmd_register(cfg: RunConfig, data_dir: Path, out_dir: Path) -> int:
     if not thermal:
         raise DataError(f"no thermal recordings listed in {data_dir}")
 
-    required = [Modality.THERMAL]
-    if cfg.modality_set.has_optronic:
-        required.append(Modality.OPTRONIC)
-    if cfg.modality_set.has_radar:
-        required.append(Modality.RADAR)
-    for modality in required:
+    for modality in list(Modality)[: cfg.modality_set.count]:
         if not recordings[modality]:
             ids = sorted(r.recording_id for r in thermal)
             raise DataError(
@@ -196,15 +196,7 @@ def _training_report_text(seed: int, report, val_f1: float) -> str:
 
 def cmd_train(cfg: RunConfig, data: Path, out_dir: Path) -> int:
     dataset = read_fused(_fused_path(data, cfg))
-    spec = ModelSpec(
-        modality_set=dataset.modality_set,
-        stacked_shape=tuple(dataset.stacked_shape),
-        radar_len=dataset.radar_len,
-        conv_filters=cfg.conv_filters,
-        kernel=(cfg.kernel_size, cfg.kernel_size),
-        dense_units=cfg.dense_units,
-        dropout_rate=cfg.dropout_rate,
-    )
+    spec = cfg.model_spec(dataset.modality_set, dataset.stacked_shape, dataset.radar_len)
     out_dir.mkdir(parents=True, exist_ok=True)
     cfg.write_resolved(out_dir)
     f1s = []
@@ -230,7 +222,7 @@ def cmd_train(cfg: RunConfig, data: Path, out_dir: Path) -> int:
 def cmd_evaluate(cfg: RunConfig, model_path: Path, data: Path, out_dir: Path) -> int:
     fused_file = _fused_path(data, cfg)
     dataset = read_fused(fused_file)
-    if not dataset.samples:
+    if len(dataset.samples) == 0:
         raise DataError(f"fused dataset {fused_file} is empty")
     if model_path.is_dir():
         model_files = sorted(model_path.glob("*.msfw"))

@@ -18,6 +18,7 @@ from pathlib import Path
 
 from .data import ModalitySet, ShapeProfile
 from .errors import ConfigError
+from .model import ModelSpec
 from .registration import MatchConfig
 from .synth import SynthConfig
 from .training import TrainConfig
@@ -76,6 +77,19 @@ class RunConfig:
             self.conv_filters = 512 if self.profile == "paper" else 16
         if self.dense_units == -1:
             self.dense_units = 512 if self.profile == "paper" else 32
+        # every key is checked here, before any command writes output
+        for section in _SECTIONS:
+            getattr(self, section).validate()
+        mset, profile = self.modality_set, self.shape_profile
+        self.model_spec(mset, profile.input_shape(mset), profile.radar_len(mset)).validate()
+
+    def model_spec(self, modality_set: ModalitySet, stacked_shape, radar_len: int) -> ModelSpec:
+        """The model keys as a spec for inputs of the given shapes."""
+        kernel = (self.kernel_size, self.kernel_size)
+        return ModelSpec(
+            modality_set, tuple(stacked_shape), radar_len, self.conv_filters, kernel,
+            self.dense_units, self.dropout_rate,
+        )
 
     @property
     def shape_profile(self) -> ShapeProfile:
@@ -83,7 +97,7 @@ class RunConfig:
 
     @property
     def modality_set(self) -> ModalitySet:
-        return ModalitySet.from_word(self.modalities)
+        return ModalitySet(self.modalities)
 
     def synth_config(self) -> SynthConfig:
         return replace(self.synth, seed=self.seed, shape_profile=self.shape_profile)

@@ -1,4 +1,5 @@
-"""Domain types: modalities, labeled feature-map samples, recordings, fused samples."""
+"""Domain types: modalities, shape profiles, and the packed sample records of
+recordings and fused datasets (the MSFR file layout, held in memory as recarrays)."""
 
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ShapeError, ValidationError
+from .errors import CorruptionError, ShapeError, ValidationError
 
 
 class Modality(enum.IntEnum):
@@ -34,18 +35,10 @@ class ModalitySet(enum.Enum):
     THERMAL_OPTRONIC_RADAR = "three"
 
     @classmethod
-    def from_word(cls, word: str) -> "ModalitySet":
-        for member in cls:
-            if member.value == word:
-                return member
-        raise ValueError(f"modality set must be one|two|three, got {word!r}")
-
-    @classmethod
     def from_count(cls, count: int) -> "ModalitySet":
-        for member in cls:
-            if member.count == count:
-                return member
-        raise ValueError(f"modality count must be 1..3, got {count}")
+        if not 1 <= count <= 3:
+            raise ValueError(f"modality count must be 1..3, got {count}")
+        return list(cls)[count - 1]
 
     @property
     def count(self) -> int:
@@ -81,18 +74,12 @@ class ShapeProfile:
 
     @classmethod
     def named(cls, name: str) -> "ShapeProfile":
-        if name == "paper":
-            return cls.paper()
-        if name == "reduced":
-            return cls.reduced()
+        if name in ("paper", "reduced"):
+            return getattr(cls, name)()
         raise ValueError(f"profile must be paper or reduced, got {name!r}")
 
     def shape_for(self, modality: Modality) -> tuple[int, ...]:
-        return {
-            Modality.THERMAL: self.thermal,
-            Modality.OPTRONIC: self.optronic,
-            Modality.RADAR: self.radar,
-        }[modality]
+        return getattr(self, modality.name.lower())
 
     @property
     def stacked(self) -> tuple[int, ...]:
@@ -110,86 +97,113 @@ class ShapeProfile:
         return int(np.prod(self.radar)) if modality_set.has_radar else 0
 
 
-@dataclass
-class DetectionSample:
-    """One timestamped, labeled feature map emitted by one modality."""
+_HEAD = np.dtype([("timestamp", "<f8"), ("label", "u1")])
 
-    timestamp: float
-    label: Label
-    features: np.ndarray
+
+def record_dtype(**payloads: tuple[int, ...]) -> np.dtype:
+    """A packed MSFR record: f8 timestamp, u1 label, then one f4 array per payload shape."""
+    fields = [(name, "<f4", tuple(shape)) for name, shape in payloads.items()]
+    return np.dtype(_HEAD.descr + fields)
+
+
+def record_size(**payloads: tuple[int, ...]) -> int:
+    """``record_dtype(**payloads).itemsize`` in Python ints, exact for any stored shape."""
+    return _HEAD.itemsize + 4 * sum(math.prod(shape) for shape in payloads.values())
+
+
+def recording_dtype(shape: tuple[int, ...]) -> np.dtype:
+    """One recording sample: timestamp, label, features[shape]."""
+    return record_dtype(features=shape)
+
+
+def fused_payloads(stacked_shape: tuple[int, ...], radar_len: int) -> dict:
+    """A fused sample's payload shapes: stacked, then radar only when radar_len > 0."""
+    return {"stacked": tuple(stacked_shape), **({"radar": (radar_len,)} if radar_len else {})}
+
+
+def fused_dtype(stacked_shape: tuple[int, ...], radar_len: int) -> np.dtype:
+    """One fused sample: timestamp, label, stacked[shape], then radar[radar_len] if any."""
+    return record_dtype(**fused_payloads(stacked_shape, radar_len))
+
+
+def check_records(samples: np.ndarray, dtype: np.dtype, ordered: bool, source=None) -> None:
+    """Raise naming the first sample with a bad timestamp, label or payload.
+
+    ``samples`` must have exactly ``dtype``. Timestamps must be finite,
+    non-negative and, when ``ordered``, non-decreasing; labels must be 0 or
+    1; payloads must be finite. In a file (``source`` given) a bad label or
+    payload is corruption.
+    """
+    where = "" if source is None else f"{source}: "
+    if samples.dtype != dtype:
+        raise ValidationError(f"{where}{samples.dtype} is not the file layout {dtype}")
+    fault = ValidationError if source is None else CorruptionError
+    t, labels = samples["timestamp"], samples["label"]
+    checks = [
+        (~np.isfinite(t) | (t < 0), ValidationError,
+         "timestamp {t} must be finite and non-negative"),
+        (np.r_[False, t[1:] < t[:-1]] & ordered, ValidationError,
+         "timestamp {t} out of order (previous {prev})"),
+        (labels > 1, fault, "label byte must be 0 or 1, got {label}"),
+    ]
+    for name in dtype.names[2:]:
+        finite = np.isfinite(samples[name]).all(axis=tuple(range(1, samples[name].ndim)))
+        checks.append((~finite, fault, f"{name} payload holds non-finite values"))
+    for bad, error, message in checks:
+        if bad.any():
+            i = int(np.argmax(bad))
+            message = message.format(t=t[i], prev=t[i - 1], label=labels[i])
+            raise error(f"{where}sample {i} {message}")
 
 
 @dataclass
 class Recording:
-    """Time-ordered detection samples of one modality from one session."""
+    """Time-ordered detection samples of one modality from one session.
+
+    ``samples`` is a recarray of ``recording_dtype(feature_shape)``: the
+    in-memory layout is the MSFR file's record layout.
+    """
 
     modality: Modality
     recording_id: str
-    samples: list[DetectionSample]
-    feature_shape: tuple[int, ...]
+    samples: np.recarray
 
-    def validate(self) -> None:
-        prev = -math.inf
-        for i, sample in enumerate(self.samples):
-            if not math.isfinite(sample.timestamp) or sample.timestamp < 0:
-                raise ValidationError(
-                    f"sample {i}: timestamp {sample.timestamp} must be finite and non-negative"
-                )
-            if sample.timestamp < prev:
-                raise ValidationError(
-                    f"sample {i}: timestamp {sample.timestamp} out of order (previous {prev})"
-                )
-            prev = sample.timestamp
-            if tuple(sample.features.shape) != tuple(self.feature_shape):
-                raise ValidationError(
-                    f"sample {i}: feature shape {sample.features.shape} "
-                    f"!= recording shape {tuple(self.feature_shape)}"
-                )
+    @property
+    def feature_shape(self) -> tuple[int, ...]:
+        return self.samples.dtype["features"].shape
 
-
-@dataclass
-class FusedSample:
-    """One registered training/evaluation instance.
-
-    ``stacked`` is the thermal tensor (single-modality set) or the
-    thermal-then-optronic channel stack; ``radar`` is present only in
-    three-modality datasets. Timestamps, per-pair |dt| values and source
-    sample indices are kept for audits and are not persisted.
-    """
-
-    stacked: np.ndarray
-    radar: np.ndarray | None
-    label: Label
-    timestamps: dict[str, float] = field(default_factory=dict)
-    deltas: dict[str, float] = field(default_factory=dict)
-    source_indices: dict = field(default_factory=dict)
+    def validate(self, source=None) -> None:
+        check_records(self.samples, recording_dtype(self.feature_shape), True, source)
 
 
 @dataclass
 class FusedDataset:
     """Temporally registered samples for one modality set.
 
+    ``samples`` is a recarray of ``fused_dtype``, the file's record layout;
+    a sample's timestamp is its thermal contributor's. ``audit`` holds one
+    ``registration.AUDIT_DTYPE`` row per sample (source indices and |dt|
+    values) when ``fuse_dataset`` built the set; a read gives None.
     ``set_counts`` is registration accounting: for each modality set the
     source recordings can form, the sample count the same matching pass
-    gives it. ``fuse_dataset`` fills it; it is not persisted.
+    gives it. Neither is persisted.
     """
 
     modality_set: ModalitySet
-    samples: list[FusedSample]
+    samples: np.recarray
     provenance: list[str]
-    stacked_shape: tuple[int, ...]
-    radar_len: int
     set_counts: dict[ModalitySet, int] = field(default_factory=dict)
+    audit: np.ndarray | None = None
 
-    def validate(self) -> None:
-        for i, sample in enumerate(self.samples):
-            if tuple(sample.stacked.shape) != tuple(self.stacked_shape):
-                raise ValidationError(
-                    f"sample {i}: stacked shape {sample.stacked.shape} "
-                    f"!= dataset shape {tuple(self.stacked_shape)}"
-                )
-            got = 0 if sample.radar is None else sample.radar.size
-            if got != self.radar_len:
-                raise ValidationError(
-                    f"sample {i}: radar length {got} != dataset radar length {self.radar_len}"
-                )
+    @property
+    def stacked_shape(self) -> tuple[int, ...]:
+        return self.samples.dtype["stacked"].shape
+
+    @property
+    def radar_len(self) -> int:
+        names = self.samples.dtype.names
+        return self.samples.dtype["radar"].shape[0] if "radar" in names else 0
+
+    def validate(self, source=None) -> None:
+        dtype = fused_dtype(self.stacked_shape, self.radar_len)
+        check_records(self.samples, dtype, False, source)

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import FusedSample, Label, ModalitySet, ShapeProfile
+from .data import Label, ModalitySet, ShapeProfile
 from .errors import CompatibilityError, ConfigError, CorruptionError, FormatError, ShapeError
 from .msfr import BinaryReader
 from .ops import (
@@ -82,6 +82,8 @@ class ModelSpec:
     def validate(self) -> None:
         if self.conv_filters < 1 or self.dense_units < 1:
             raise ConfigError("conv_filters and dense_units must be positive")
+        if min(self.kernel) < 1:
+            raise ConfigError(f"kernel dims must be positive, got {self.kernel}")
         if not 0 <= self.dropout_rate < 1:
             raise ConfigError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
         if len(self.stacked_shape) != 3:
@@ -154,14 +156,9 @@ class Model:
 
     def params(self) -> dict[str, np.ndarray]:
         """Every parameter tensor by name, in PARAM_ORDER; each views ``theta``."""
-        return {
-            "conv_kernels": self.conv.kernels,
-            "conv_bias": self.conv.bias,
-            "dense1_weights": self.dense1.weights,
-            "dense1_bias": self.dense1.bias,
-            "output_weights": self.output.weights,
-            "output_bias": self.output.bias,
-        }
+        tensors = (self.conv.kernels, self.conv.bias, self.dense1.weights, self.dense1.bias,
+                   self.output.weights, self.output.bias)
+        return dict(zip(PARAM_ORDER, tensors))
 
     def set_params(self, values: dict[str, np.ndarray]) -> None:
         """Copy each named tensor into its view of ``theta``."""
@@ -200,19 +197,19 @@ def count_parameters(model: Model) -> int:
 
 
 def batch_arrays(
-    samples: list[FusedSample], dtype=np.float32
+    samples: np.ndarray, dtype=np.float32
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
-    """Stack fused samples into (stacked, radar-or-None, labels) arrays."""
-    if not samples:
+    """Aligned, C-contiguous (stacked, radar-or-None, labels) copies of fused records' columns.
+
+    The record fields are unaligned views of the packed records, so each is
+    copied explicitly rather than cast in place.
+    """
+    if len(samples) == 0:
         raise CompatibilityError("empty batch")
-    stacked = np.stack([s.stacked for s in samples]).astype(dtype, copy=False)
-    has_radar = samples[0].radar is not None
-    radar = (
-        np.stack([s.radar for s in samples]).astype(dtype, copy=False)
-        if has_radar
-        else None
-    )
-    labels = np.array([float(s.label) for s in samples], dtype=dtype)
+    stacked = np.array(samples["stacked"], dtype=dtype, order="C")
+    has_radar = "radar" in samples.dtype.names
+    radar = np.array(samples["radar"], dtype=dtype, order="C") if has_radar else None
+    labels = np.array(samples["label"], dtype=dtype)
     return stacked, radar, labels
 
 
@@ -262,14 +259,7 @@ def backward_pass(model: Model, cache, grad_p: np.ndarray) -> dict[str, np.ndarr
     dflat = dropout_backward(dflat, m1, rate)
     dz1 = relu_backward(dflat.reshape(z1.shape), z1)
     g_c_k, g_c_b = conv2d_param_grads(x, model.conv, dz1)
-    return {
-        "conv_kernels": g_c_k,
-        "conv_bias": g_c_b,
-        "dense1_weights": g_d1_w,
-        "dense1_bias": g_d1_b,
-        "output_weights": g_out_w,
-        "output_bias": g_out_b,
-    }
+    return dict(zip(PARAM_ORDER, (g_c_k, g_c_b, g_d1_w, g_d1_b, g_out_w, g_out_b)))
 
 
 def classify_probability(p: float) -> Label:

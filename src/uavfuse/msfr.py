@@ -8,14 +8,17 @@ Recording file, little-endian throughout:
     id_len   u16  followed by the UTF-8 recording id
     ndims    u8   followed by one u32 per dimension (per-sample feature shape)
     count    u32
-    per sample: timestamp f64, label u8 (1 UAV, 0 false alarm),
-                features as f32 values, row-major
+    count packed records of ``data.recording_dtype(shape)``: timestamp f64,
+    label u8 (1 UAV, 0 false alarm), features as f32 values, row-major
 
 Fused dataset file: same framing with modality byte 3, then a modality
 count u8 (1, 2 or 3), the provenance string in the id slot, and TWO shape
 blocks (stacked tensor, then radar vector; the radar block is ndims=1 with
-dim 0 when the dataset carries no radar channel). Each sample stores both
-payloads back to back.
+dim 0 when the dataset carries no radar channel). The records are
+``data.fused_dtype(stacked_shape, radar_len)``: both payloads back to back.
+
+The body of a file is the bytes of the in-memory recarray, so a read is one
+``np.frombuffer`` and a write one ``tobytes``.
 
 A dataset directory holds MSFR files plus ``manifest.tsv``: one record per
 line, tab-separated ``filename<TAB>kind<TAB>sample_count``.
@@ -30,13 +33,13 @@ from pathlib import Path
 import numpy as np
 
 from .data import (
-    DetectionSample,
     FusedDataset,
-    FusedSample,
-    Label,
     Modality,
     ModalitySet,
     Recording,
+    fused_payloads,
+    record_dtype,
+    record_size,
 )
 from .errors import CorruptionError, FormatError, ValidationError
 
@@ -60,22 +63,26 @@ def _id_block(text: str) -> bytes:
 class BinaryReader:
     """Offset-tracked parser of the MSFR and MSFW formats.
 
-    Any short read is corruption, and so is a non-finite float payload.
+    Any short read is corruption, and so is undecodable text or a
+    non-finite float payload.
     """
 
-    def __init__(self, buf: bytes):
-        self.buf = buf
+    def __init__(self, buf):
+        self.buf = buf  # bytes, or a uint8 array: records viewing it stay writable
         self.pos = 0
 
-    def take(self, n: int) -> bytes:
+    def skip(self, n: int) -> int:
+        """Advance past ``n`` bytes; return the offset they start at."""
         if self.pos + n > len(self.buf):
             raise CorruptionError(
                 f"file truncated: needed {n} bytes at offset {self.pos}, "
                 f"have {len(self.buf) - self.pos}"
             )
-        out = self.buf[self.pos : self.pos + n]
         self.pos += n
-        return out
+        return self.pos - n
+
+    def take(self, n: int) -> bytes:
+        return bytes(self.buf[self.skip(n) : self.pos])
 
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
@@ -86,7 +93,10 @@ class BinaryReader:
 
     def text(self) -> str:
         (n,) = self.unpack("<H")
-        return self.take(n).decode("utf-8")
+        try:
+            return self.take(n).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CorruptionError(f"text field is not UTF-8: {exc}") from None
 
     def modality_set(self) -> ModalitySet:
         (count,) = self.unpack("<B")
@@ -94,6 +104,20 @@ class BinaryReader:
             return ModalitySet.from_count(count)
         except ValueError as exc:
             raise CorruptionError(str(exc)) from None
+
+    def records(self, **payloads: tuple[int, ...]) -> np.recarray:
+        """A u32 count, then that many ``record_dtype(**payloads)`` records viewing the buffer.
+
+        The body size is checked in Python ints before numpy sees a stored
+        shape, which it may reject.
+        """
+        (count,) = self.unpack("<I")
+        start = self.skip(count * record_size(**payloads))
+        try:
+            records = np.frombuffer(self.buf, record_dtype(**payloads), count, start)
+            return records.view(np.recarray)
+        except ValueError as exc:
+            raise CorruptionError(f"payload shapes {payloads} form no record: {exc}") from None
 
     def floats(self, shape: tuple[int, ...], what: str) -> np.ndarray:
         """The next little-endian f32 array of ``shape``; ``what`` names it in errors."""
@@ -109,12 +133,6 @@ class BinaryReader:
             raise CorruptionError(
                 f"{len(self.buf) - self.pos} trailing bytes after declared payload"
             )
-
-
-def _label(byte: int) -> Label:
-    if byte not in (0, 1):
-        raise CorruptionError(f"label byte must be 0 or 1, got {byte}")
-    return Label(byte)
 
 
 def _check_header(reader: BinaryReader, expect_fused: bool) -> int:
@@ -138,91 +156,60 @@ def _check_header(reader: BinaryReader, expect_fused: bool) -> int:
     return modality_byte
 
 
-def write_recording(recording: Recording, destination) -> int:
-    """Serialize one recording; returns the byte count written."""
-    recording.validate()
-    parts = [
-        MAGIC,
-        struct.pack("<H", VERSION),
-        struct.pack("<B", int(recording.modality)),
-        _id_block(recording.recording_id),
-        _shape_block(tuple(recording.feature_shape)),
-        struct.pack("<I", len(recording.samples)),
-    ]
-    for sample in recording.samples:
-        parts.append(struct.pack("<dB", sample.timestamp, int(sample.label)))
-        parts.append(np.ascontiguousarray(sample.features, dtype="<f4").tobytes())
-    blob = b"".join(parts)
+def _write(destination, header: list[bytes], samples: np.ndarray) -> int:
+    """Write the header, the sample count and the records' bytes; return the byte count."""
+    blob = b"".join([*header, struct.pack("<I", len(samples)), samples.tobytes()])
     Path(destination).write_bytes(blob)
     return len(blob)
 
 
+def write_recording(recording: Recording, destination) -> int:
+    """Serialize one recording; returns the byte count written."""
+    recording.validate()
+    header = [MAGIC, struct.pack("<HB", VERSION, int(recording.modality)),
+              _id_block(recording.recording_id), _shape_block(recording.feature_shape)]
+    return _write(destination, header, recording.samples)
+
+
 def read_recording(source) -> Recording:
     """Parse and validate one recording file (exact inverse of write_recording)."""
-    reader = BinaryReader(Path(source).read_bytes())
+    reader = BinaryReader(np.fromfile(source, np.uint8))
     modality_byte = _check_header(reader, expect_fused=False)
     recording_id = reader.text()
-    shape = reader.shape()
-    (count,) = reader.unpack("<I")
-    samples = []
-    for i in range(count):
-        ts, label_byte = reader.unpack("<dB")
-        features = reader.floats(shape, f"{source}: sample {i}")
-        samples.append(DetectionSample(ts, _label(label_byte), features))
+    samples = reader.records(features=reader.shape())
     reader.done()
-    recording = Recording(Modality(modality_byte), recording_id, samples, shape)
-    recording.validate()
+    recording = Recording(Modality(modality_byte), recording_id, samples)
+    recording.validate(source)
     return recording
 
 
 def write_fused(dataset: FusedDataset, destination) -> int:
     """Serialize a fused dataset; returns the byte count written."""
     dataset.validate()
-    radar_shape = (dataset.radar_len,) if dataset.radar_len else (0,)
-    parts = [
+    header = [
         MAGIC,
-        struct.pack("<H", VERSION),
-        struct.pack("<BB", FUSED_MODALITY_BYTE, dataset.modality_set.count),
+        struct.pack("<HBB", VERSION, FUSED_MODALITY_BYTE, dataset.modality_set.count),
         _id_block(",".join(dataset.provenance)),
-        _shape_block(tuple(dataset.stacked_shape)),
-        _shape_block(radar_shape),
-        struct.pack("<I", len(dataset.samples)),
+        _shape_block(dataset.stacked_shape),
+        _shape_block((dataset.radar_len,)),
     ]
-    for sample in dataset.samples:
-        ts = sample.timestamps.get("thermal", sample.timestamps.get("fused", 0.0))
-        parts.append(struct.pack("<dB", ts, int(sample.label)))
-        parts.append(np.ascontiguousarray(sample.stacked, dtype="<f4").tobytes())
-        if dataset.radar_len:
-            parts.append(np.ascontiguousarray(sample.radar, dtype="<f4").tobytes())
-    blob = b"".join(parts)
-    Path(destination).write_bytes(blob)
-    return len(blob)
+    return _write(destination, header, dataset.samples)
 
 
 def read_fused(source) -> FusedDataset:
     """Parse and validate one fused dataset file."""
-    reader = BinaryReader(Path(source).read_bytes())
+    reader = BinaryReader(np.fromfile(source, np.uint8))
     _check_header(reader, expect_fused=True)
     modality_set = reader.modality_set()
     provenance_text = reader.text()
-    stacked_shape = reader.shape()
-    radar_shape = reader.shape()
+    stacked_shape, radar_shape = reader.shape(), reader.shape()
+    # a Python int: exact where an int64 product of stored dims would wrap
     radar_len = math.prod(radar_shape) if radar_shape else 0
-    (count,) = reader.unpack("<I")
-    samples = []
-    for i in range(count):
-        ts, label_byte = reader.unpack("<dB")
-        stacked = reader.floats(stacked_shape, f"{source}: sample {i} stacked payload")
-        radar = None
-        if radar_len:
-            radar = reader.floats((radar_len,), f"{source}: sample {i} radar payload")
-        samples.append(
-            FusedSample(stacked, radar, _label(label_byte), timestamps={"fused": ts})
-        )
+    samples = reader.records(**fused_payloads(stacked_shape, radar_len))
     reader.done()
     provenance = provenance_text.split(",") if provenance_text else []
-    dataset = FusedDataset(modality_set, samples, provenance, stacked_shape, radar_len)
-    dataset.validate()
+    dataset = FusedDataset(modality_set, samples, provenance)
+    dataset.validate(source)
     return dataset
 
 
@@ -239,11 +226,21 @@ def read_manifest(directory) -> list[tuple[str, str, int]]:
     if not path.is_file():
         raise FormatError(f"no {MANIFEST_NAME} in {directory}")
     entries = []
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path} is not UTF-8: {exc}") from None
+    for lineno, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
         fields = line.split("\t")
         if len(fields) != 3:
             raise FormatError(f"manifest line {lineno}: expected 3 tab-separated fields")
-        entries.append((fields[0], fields[1], int(fields[2])))
+        try:
+            count = int(fields[2])
+        except ValueError:
+            raise FormatError(
+                f"manifest line {lineno}: count {fields[2]!r} is not an integer"
+            ) from None
+        entries.append((fields[0], fields[1], count))
     return entries

@@ -13,12 +13,12 @@ sample count of every set.
 from __future__ import annotations
 
 import logging
-from bisect import bisect_left, bisect_right
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import FusedDataset, FusedSample, ModalitySet, Recording
+from .data import FusedDataset, ModalitySet, Recording, fused_dtype
 from .errors import ConfigError, ShapeError, ValidationError, check_finite_fields
 
 log = logging.getLogger(__name__)
@@ -37,12 +37,22 @@ class MatchConfig:
             raise ConfigError("tolerances must be non-negative")
 
 
-def _check_sorted(samples, name: str) -> list[float]:
-    times = [s.timestamp for s in samples]
-    for i in range(1, len(times)):
-        if times[i] < times[i - 1]:
-            raise ValidationError(f"stream {name}: sample {i} out of order")
-    return times
+AUDIT_DTYPE = np.dtype(
+    [
+        ("recording", "<i8"),  # index into the dataset's provenance
+        ("thermal", "<i8"),  # source sample index per modality; -1 if it does not contribute
+        ("optronic", "<i8"),
+        ("radar", "<i8"),
+        ("optronic_dt", "<f8"),  # |dt| to the thermal contributor; 0 if absent
+        ("radar_dt", "<f8"),
+    ]
+)
+
+
+def _check_sorted(times: np.ndarray, name: str) -> None:
+    bad = np.flatnonzero(times[1:] < times[:-1])
+    if bad.size:
+        raise ValidationError(f"stream {name}: sample {bad[0] + 1} out of order")
 
 
 def match_streams(
@@ -51,66 +61,80 @@ def match_streams(
     tolerance: float,
     label_constrained: bool = True,
     one_to_one: bool = True,
-) -> list[tuple[int, int]]:
+) -> np.ndarray:
     """Pair samples of two time-sorted streams by timestamp proximity.
 
-    Candidate pairs (i, j) with |t_a[i] - t_b[j]| <= tolerance (and equal
-    labels when constrained) are visited by ascending |dt|, ties broken by
-    smaller t_a, then smaller j; a pair is accepted iff both endpoints are
-    still unmatched. With one_to_one off, every a-sample instead takes its
-    closest eligible b-sample, allowing reuse. Returns index pairs sorted
-    by the a-index.
+    ``a`` and ``b`` are record arrays with ``timestamp`` and ``label``
+    fields. Candidate pairs (i, j) with |t_a[i] - t_b[j]| <= tolerance (and
+    equal labels when constrained) are visited by ascending |dt|, ties
+    broken by smaller t_a, then smaller j, then smaller i; a pair is
+    accepted iff both endpoints are still unmatched. With one_to_one off,
+    every a-sample instead takes its closest eligible b-sample (ties to the
+    smaller j), allowing reuse. Returns a (k, 2) array of (i, j) index
+    pairs sorted by i.
     """
-    ta = _check_sorted(a, "a")
-    tb = _check_sorted(b, "b")
-    candidates = []
-    for i, t in enumerate(ta):
-        lo = bisect_left(tb, t - tolerance)
-        hi = bisect_right(tb, t + tolerance)
-        for j in range(lo, hi):
-            if label_constrained and a[i].label != b[j].label:
-                continue
-            candidates.append((abs(t - tb[j]), t, j, i))
+    ta, tb = a["timestamp"], b["timestamp"]
+    _check_sorted(ta, "a")
+    _check_sorted(tb, "b")
+    # t_a ± tolerance is rounded; two ulps wider, the window holds every |dt| <= tolerance
+    reach = tolerance + 2 * np.spacing(np.abs(ta) + tolerance)
+    lo = np.searchsorted(tb, ta - reach, side="left")
+    hi = np.searchsorted(tb, ta + reach, side="right")
+    width = np.maximum(hi - lo, 0)
+    i = np.repeat(np.arange(len(ta)), width)
+    j = np.arange(len(i)) - np.repeat(np.cumsum(width) - width - lo, width)
+    dt = np.abs(ta[i] - tb[j])
+    keep = dt <= tolerance
+    if label_constrained:
+        keep &= a["label"][i] == b["label"][j]
+    i, j, dt = i[keep], j[keep], dt[keep]
 
     if not one_to_one:
-        best: dict[int, tuple] = {}
-        for key in candidates:
-            i = key[3]
-            if i not in best or (key[0], key[2]) < (best[i][0], best[i][2]):
-                best[i] = key
-        return sorted((i, key[2]) for i, key in best.items())
+        order = np.lexsort((j, dt, i))
+        order = order[np.diff(i[order], prepend=-1) != 0]  # the first candidate of each i
+        return np.stack([i[order], j[order]], axis=1)
 
-    candidates.sort()
-    used_a: set[int] = set()
-    used_b: set[int] = set()
-    matches = []
-    for _, _, j, i in candidates:
-        if i in used_a or j in used_b:
-            continue
-        used_a.add(i)
-        used_b.add(j)
-        matches.append((i, j))
-    matches.sort()
-    return matches
+    used_a, used_b = bytearray(len(ta)), bytearray(len(tb))
+    accepted = []
+    order = np.lexsort((i, j, ta[i], dt))
+    for k, ik, jk in zip(order.tolist(), i[order].tolist(), j[order].tolist()):
+        if not (used_a[ik] or used_b[jk]):
+            used_a[ik] = used_b[jk] = 1
+            accepted.append(k)
+    order = np.array(accepted, dtype=np.intp)
+    order = order[np.argsort(i[order], kind="stable")]
+    return np.stack([i[order], j[order]], axis=1)
 
 
 def stack_features(thermal: np.ndarray, optronic: np.ndarray) -> np.ndarray:
-    """Concatenate two spatially aligned maps along the channel axis, thermal first."""
-    if thermal.ndim != 3 or optronic.ndim != 3:
+    """Concatenate spatially aligned maps along the channel axis, thermal first.
+
+    Takes two (H, W, C) maps or two (n, H, W, C) blocks of n maps each.
+    """
+    if thermal.ndim not in (3, 4) or optronic.ndim != thermal.ndim:
         raise ShapeError(
-            f"stacking needs (H, W, C) maps, got {thermal.shape} and {optronic.shape}"
+            f"stacking needs (H, W, C) maps or (n, H, W, C) blocks, "
+            f"got {thermal.shape} and {optronic.shape}"
         )
-    if thermal.shape[0] != optronic.shape[0]:
-        raise ShapeError(
-            f"height mismatch: {thermal.shape[0]} != {optronic.shape[0]}"
-        )
-    if thermal.shape[1] != optronic.shape[1]:
-        raise ShapeError(f"width mismatch: {thermal.shape[1]} != {optronic.shape[1]}")
-    return np.concatenate([thermal, optronic], axis=2)
+    if thermal.shape[:-3] != optronic.shape[:-3]:
+        raise ShapeError(f"block size mismatch: {thermal.shape[0]} != {optronic.shape[0]}")
+    for axis, name in ((-3, "height"), (-2, "width")):
+        if thermal.shape[axis] != optronic.shape[axis]:
+            got = (thermal.shape[axis], optronic.shape[axis])
+            raise ShapeError(f"{name} mismatch: {got[0]} != {got[1]}")
+    return np.concatenate([thermal, optronic], axis=-1)
 
 
 def _by_id(recordings) -> dict[str, Recording]:
     return {rec.recording_id: rec for rec in recordings or []}
+
+
+def _feature_shape(by_id: dict[str, Recording], name: str) -> tuple[int, ...] | None:
+    """The one feature shape of a modality's recordings; None when there are none."""
+    shapes = {rec.feature_shape for rec in by_id.values()}
+    if len(shapes) > 1:
+        raise ValidationError(f"{name} recordings disagree on feature shape: {sorted(shapes)}")
+    return shapes.pop() if shapes else None
 
 
 def fuse_dataset(
@@ -139,65 +163,48 @@ def fuse_dataset(
     if not thermal_by_id:
         raise ValidationError("no thermal recordings to fuse")
 
-    first_thermal = next(iter(thermal_by_id.values()))
+    th_shape = _feature_shape(thermal_by_id, "thermal")
+    opt_shape = _feature_shape(optronic_by_id, "optronic")
+    radar_shape = _feature_shape(radar_by_id, "radar")
     if modality_set is ModalitySet.THERMAL:
-        stacked_shape = tuple(first_thermal.feature_shape)
+        stacked_shape = th_shape
+    elif opt_shape is None:
+        raise ValidationError("no optronic recordings to fuse")
     else:
-        if not optronic_by_id:
-            raise ValidationError("no optronic recordings to fuse")
-        opt_shape = tuple(next(iter(optronic_by_id.values())).feature_shape)
-        th_shape = tuple(first_thermal.feature_shape)
-        stacked_shape = th_shape[:2] + (th_shape[2] + opt_shape[2],)
-    radar_len = 0
-    if modality_set.has_radar and radar_by_id:
-        radar_len = int(np.prod(next(iter(radar_by_id.values())).feature_shape))
+        empty = [np.zeros((0,) + shape, np.float32) for shape in (th_shape, opt_shape)]
+        stacked_shape = stack_features(*empty).shape[1:]
+    radar_len = math.prod(radar_shape) if modality_set.has_radar and radar_shape else 0
 
     two, three = ModalitySet.THERMAL_OPTRONIC, ModalitySet.THERMAL_OPTRONIC_RADAR
-    counts = {ModalitySet.THERMAL: 0}
-    if optronic_by_id:
-        counts[two] = 0
-        if radar_by_id:
-            counts[three] = 0
-    samples: list[FusedSample] = []
-    provenance: list[str] = []
+    # the sets the recordings can form: thermal, then with optronic, then with radar
+    formable = 1 + bool(optronic_by_id) * (1 + bool(radar_by_id))
+    counts = dict.fromkeys(list(ModalitySet)[:formable], 0)
+    # per contributing recording: its id, its thermal, optronic and radar records
+    # (None where a modality does not contribute) and the source rows of each sample
+    kept = []
     for rec_id in sorted(thermal_by_id):
-        t_rec = thermal_by_id[rec_id]
-        counts[ModalitySet.THERMAL] += len(t_rec.samples)
+        t = thermal_by_id[rec_id].samples
+        counts[ModalitySet.THERMAL] += len(t)
         if modality_set is ModalitySet.THERMAL:
-            provenance.append(rec_id)
-            for i, s in enumerate(t_rec.samples):
-                samples.append(
-                    FusedSample(
-                        stacked=s.features,
-                        radar=None,
-                        label=s.label,
-                        timestamps={"thermal": s.timestamp},
-                        source_indices={"recording": rec_id, "thermal": i},
-                    )
-                )
+            kept.append((rec_id, t, None, None, np.arange(len(t)), None, None))
 
         o_rec = optronic_by_id.get(rec_id)
         if o_rec is None:
             if modality_set.has_optronic:
                 log.warning("recording %s: no optronic counterpart, skipped", rec_id)
             continue
-        pairs = match_streams(
-            t_rec.samples,
-            o_rec.samples,
-            cfg.frame_tolerance,
-            cfg.label_constrained,
-            cfg.one_to_one,
-        )
+        o = o_rec.samples
+        pairs = match_streams(t, o, cfg.frame_tolerance, cfg.label_constrained, cfg.one_to_one)
         counts[two] += len(pairs)
 
         r_rec = radar_by_id.get(rec_id)
         if r_rec is not None:
+            # the matched pairs, keyed by their thermal timestamp and label
+            keys = np.rec.fromarrays(
+                [t.timestamp[pairs[:, 0]], t.label[pairs[:, 0]]], names="timestamp,label"
+            )
             radar_pairs = match_streams(
-                [t_rec.samples[i] for i, _ in pairs],
-                r_rec.samples,
-                cfg.radar_tolerance,
-                cfg.label_constrained,
-                cfg.one_to_one,
+                keys, r_rec.samples, cfg.radar_tolerance, cfg.label_constrained, cfg.one_to_one
             )
             counts[three] += len(radar_pairs)
         elif modality_set.has_radar:
@@ -205,35 +212,34 @@ def fuse_dataset(
             continue
 
         if modality_set is two:
-            kept = [(i, j, None) for i, j in pairs]
+            kept.append((rec_id, t, o, None, pairs[:, 0], pairs[:, 1], None))
         elif modality_set is three:
-            kept = [pairs[k] + (m,) for k, m in radar_pairs]
-        else:
-            continue
-        for i, j, m in kept:
-            tsamp, osamp = t_rec.samples[i], o_rec.samples[j]
-            sample = FusedSample(
-                stacked=stack_features(tsamp.features, osamp.features),
-                radar=None,
-                label=tsamp.label,
-                timestamps={"thermal": tsamp.timestamp, "optronic": osamp.timestamp},
-                deltas={"thermal_optronic": abs(tsamp.timestamp - osamp.timestamp)},
-                source_indices={"recording": rec_id, "thermal": i, "optronic": j},
-            )
-            if m is not None:
-                rs = r_rec.samples[m]
-                sample.radar = rs.features.reshape(-1)
-                sample.timestamps["radar"] = rs.timestamp
-                sample.deltas["stacked_radar"] = abs(tsamp.timestamp - rs.timestamp)
-                sample.source_indices["radar"] = m
-            samples.append(sample)
-        provenance.append(rec_id)
+            k, m = radar_pairs[:, 0], radar_pairs[:, 1]
+            kept.append((rec_id, t, o, r_rec.samples, pairs[k, 0], pairs[k, 1], m))
 
-    dataset = FusedDataset(
-        modality_set, samples, provenance, stacked_shape, radar_len, counts
-    )
-    dataset.validate()
-    return dataset
+    n = sum(len(part[4]) for part in kept)
+    samples = np.recarray(n, fused_dtype(stacked_shape, radar_len))
+    audit = np.zeros(n, AUDIT_DTYPE)
+    lo = 0
+    for recording, (_, t, o, r, i, j, m) in enumerate(kept):
+        rows = slice(lo, lo + len(i))
+        lo = rows.stop
+        samples.timestamp[rows], samples.label[rows] = t.timestamp[i], t.label[i]
+        stacked = t.features[i] if o is None else stack_features(t.features[i], o.features[j])
+        samples.stacked[rows] = stacked
+        if r is not None:
+            samples.radar[rows] = r.features[m].reshape(len(m), radar_len)
+        part = audit[rows]
+        part["recording"], part["thermal"] = recording, i
+        for name, src, idx in (("optronic", o, j), ("radar", r, m)):
+            if src is None:
+                part[name] = -1
+            else:
+                part[name] = idx
+                part[f"{name}_dt"] = np.abs(t.timestamp[i] - src.timestamp[idx])
+
+    provenance = [rec_id for rec_id, *_ in kept]
+    return FusedDataset(modality_set, samples, provenance, counts, audit)
 
 
 def audit_fused_dataset(
@@ -245,37 +251,42 @@ def audit_fused_dataset(
 ) -> None:
     """Re-verify construction guarantees; raises ValidationError on any breach.
 
-    Checks recorded |dt| values against the tolerances and, per recording,
-    that no source sample index was consumed twice. When the source
-    recordings are supplied, contributor labels and timestamps are re-read
-    and compared against the fused samples.
+    Checks the audit's |dt| columns against the tolerances and, per
+    recording, that no source sample index was consumed twice. When the
+    source recordings are supplied, contributor labels and timestamps are
+    re-read and compared against the fused samples. A dataset read from a
+    file has no audit columns and passes.
     """
-    sources = {"thermal": _by_id(thermal), "optronic": _by_id(optronic), "radar": _by_id(radar)}
-    used: dict[tuple, set[int]] = {}
-    for n, sample in enumerate(dataset.samples):
-        if sample.deltas.get("thermal_optronic", 0.0) > cfg.frame_tolerance:
-            raise ValidationError(f"fused sample {n}: frame delta exceeds tolerance")
-        if sample.deltas.get("stacked_radar", 0.0) > cfg.radar_tolerance:
-            raise ValidationError(f"fused sample {n}: radar delta exceeds tolerance")
-        rec_id = sample.source_indices.get("recording")
-        for modality in ("thermal", "optronic", "radar"):
-            idx = sample.source_indices.get(modality)
-            if idx is None:
+    audit = dataset.audit
+    if audit is None:
+        return
+    rows = np.arange(len(audit))
+    _breach(rows, audit["optronic_dt"] > cfg.frame_tolerance, "frame delta exceeds tolerance")
+    _breach(rows, audit["radar_dt"] > cfg.radar_tolerance, "radar delta exceeds tolerance")
+    fused_t, fused_labels = dataset.samples.timestamp, dataset.samples.label
+    recording = audit["recording"]
+    for modality, recs in (("thermal", thermal), ("optronic", optronic), ("radar", radar)):
+        idx = audit[modality]
+        rows = np.flatnonzero(idx >= 0)
+        keys = np.stack([recording[rows], idx[rows]], axis=1)
+        _, first = np.unique(keys, axis=0, return_index=True)
+        reused = np.setdiff1d(np.arange(len(rows)), first)
+        if reused.size:
+            n = rows[reused[0]]
+            where = f"{modality} sample {idx[n]} of {dataset.provenance[recording[n]]}"
+            raise ValidationError(f"fused sample {n}: {where} used twice")
+        for k, rec in enumerate(map(_by_id(recs).get, dataset.provenance)):
+            if rec is None:
                 continue
-            slot = used.setdefault((rec_id, modality), set())
-            if idx in slot:
-                raise ValidationError(
-                    f"fused sample {n}: {modality} sample {idx} of {rec_id} used twice"
-                )
-            slot.add(idx)
-            rec = sources[modality].get(rec_id)
-            if rec is not None:
-                src = rec.samples[idx]
-                if src.label != sample.label:
-                    raise ValidationError(
-                        f"fused sample {n}: {modality} contributor label disagrees"
-                    )
-                if src.timestamp != sample.timestamps.get(modality):
-                    raise ValidationError(
-                        f"fused sample {n}: {modality} contributor timestamp disagrees"
-                    )
+            mine = rows[recording[rows] == k]
+            src_t, src_labels = rec.samples.timestamp[idx[mine]], rec.samples.label[idx[mine]]
+            dt = 0.0 if modality == "thermal" else audit[f"{modality}_dt"][mine]
+            what = f"{modality} contributor"
+            _breach(mine, src_labels != fused_labels[mine], f"{what} label disagrees")
+            _breach(mine, np.abs(fused_t[mine] - src_t) != dt, f"{what} timestamp disagrees")
+
+
+def _breach(rows: np.ndarray, bad: np.ndarray, what: str) -> None:
+    """Raise naming the first of the fused samples ``rows`` that ``bad`` flags."""
+    if bad.any():
+        raise ValidationError(f"fused sample {rows[np.argmax(bad)]}: {what}")

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import DetectionSample, Label, Modality, Recording, ShapeProfile
+from .data import Modality, Recording, ShapeProfile, recording_dtype
 from .errors import ConfigError, check_finite_fields
 from .rng import Rng
 
@@ -82,22 +82,6 @@ def _pattern(root: Rng, modality: Modality, shape: tuple[int, ...]) -> np.ndarra
     return u / np.linalg.norm(u)
 
 
-def _separation(config: SynthConfig, modality: Modality) -> float:
-    return {
-        Modality.THERMAL: config.thermal_separation,
-        Modality.OPTRONIC: config.optronic_separation,
-        Modality.RADAR: config.radar_separation,
-    }[modality]
-
-
-def _dropout(config: SynthConfig, modality: Modality) -> float:
-    return {
-        Modality.THERMAL: config.thermal_dropout,
-        Modality.OPTRONIC: config.optronic_dropout,
-        Modality.RADAR: config.radar_dropout,
-    }[modality]
-
-
 def generate_synthetic_dataset(config: SynthConfig) -> dict[Modality, list[Recording]]:
     """One recording per modality per recording index, fully seed-determined."""
     config.validate()
@@ -113,7 +97,9 @@ def generate_synthetic_dataset(config: SynthConfig) -> dict[Modality, list[Recor
         is_uav = rng.uniform(n) < config.uav_fraction
         frame_jitter = (rng.uniform(n) * 2 - 1) * config.timestamp_jitter
         radar_jitter = (rng.uniform(n) * 2 - 1) * config.timestamp_jitter
-        dropped = {m: rng.uniform(n) < _dropout(config, m) for m in Modality}
+        dropped = {
+            m: rng.uniform(n) < getattr(config, f"{m.name.lower()}_dropout") for m in Modality
+        }
 
         base = np.arange(n, dtype=np.float64) / config.frame_rate
         frame_t = np.clip(base + frame_jitter, 0.0, None)
@@ -127,22 +113,16 @@ def generate_synthetic_dataset(config: SynthConfig) -> dict[Modality, list[Recor
         rec_id = f"rec{r:03d}"
         for modality in Modality:
             shape = profile.shape_for(modality)
-            noise = rng.normal((n,) + shape)
-            mean = _separation(config, modality) * patterns[modality]
-            feats = (
-                signs.reshape((n,) + (1,) * len(shape)) * mean
-                + config.noise_sigma * noise
-            ).astype(np.float32)
             times = radar_t if modality is Modality.RADAR else frame_t
             keep = np.flatnonzero(~dropped[modality])
             order = keep[np.argsort(times[keep], kind="stable")]
-            samples = [
-                DetectionSample(
-                    float(times[k]),
-                    Label.UAV if is_uav[k] else Label.FALSE_ALARM,
-                    feats[k],
-                )
-                for k in order
-            ]
-            out[modality].append(Recording(modality, rec_id, samples, shape))
+            mean = getattr(config, f"{modality.name.lower()}_separation") * patterns[modality]
+            # sign * mean + sigma * noise for the kept events, in place: IEEE products
+            # and sums commute, so the bits are the same; the records round them to f32
+            features = rng.normal((n,) + shape)[order]
+            features *= config.noise_sigma
+            features += signs[order].reshape((-1,) + (1,) * len(shape)) * mean
+            columns = [times[order], is_uav[order], features]
+            samples = np.rec.fromarrays(columns, dtype=recording_dtype(shape))
+            out[modality].append(Recording(modality, rec_id, samples))
     return out

@@ -39,8 +39,8 @@ class TrainConfig:
         check_finite_fields(self)
         if not 0 < self.val_fraction < 1:
             raise ConfigError(f"val_fraction must be in (0, 1), got {self.val_fraction}")
-        if self.patience < 1 or self.patience > self.max_epochs:
-            raise ConfigError("patience must be in [1, max_epochs]")
+        if self.patience < 1:
+            raise ConfigError(f"patience must be positive, got {self.patience}")
         if self.batch_size < 1 or self.max_epochs < 1:
             raise ConfigError("batch_size and max_epochs must be positive")
         if self.lr0 < 0 or self.decay < 0:
@@ -97,7 +97,7 @@ def train(model: Model, dataset: FusedDataset, cfg: TrainConfig) -> tuple[Model,
     epoch's.
     """
     cfg.validate()
-    if not dataset.samples:
+    if len(dataset.samples) == 0:
         raise TrainingError("dataset is empty")
     x, r, y = batch_arrays(dataset.samples, dtype=model.theta.dtype)
 

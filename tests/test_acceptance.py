@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from test_registration import brute_force_match
+from test_registration import brute_force_match, pairs, stream
 
 from uavfuse.cli import main
 from uavfuse.data import Label, Modality, ModalitySet, Recording, ShapeProfile
@@ -170,23 +170,25 @@ def test_criterion_2_gradient_suite():
 def test_criterion_4_registration_correctness():
     """Oracle equivalence, construction audits, and count monotonicity."""
     rng = Rng(4096)
-    from uavfuse.data import DetectionSample
 
     for trial in range(200):
         na, nb = int(rng.uniform() * 12), int(rng.uniform() * 12)
-        mk = lambda n: sorted(
-            (
-                DetectionSample(
-                    round(float(rng.uniform()) * 12) * 0.25,
-                    Label.UAV if rng.uniform() < 0.5 else Label.FALSE_ALARM,
-                    np.zeros(1, np.float32),
-                )
-                for _ in range(n)
-            ),
-            key=lambda s: s.timestamp,
-        )
+
+        def mk(n):
+            drawn = sorted(
+                (
+                    (
+                        round(float(rng.uniform()) * 12) * 0.25,
+                        Label.UAV if rng.uniform() < 0.5 else Label.FALSE_ALARM,
+                    )
+                    for _ in range(n)
+                ),
+                key=lambda s: s[0],
+            )
+            return stream([t for t, _ in drawn], [label for _, label in drawn])
+
         a, b = mk(na), mk(nb)
-        assert match_streams(a, b, 0.5) == brute_force_match(a, b, 0.5), trial
+        assert pairs(match_streams(a, b, 0.5)) == brute_force_match(a, b, 0.5), trial
 
     tiny = ShapeProfile("tiny", (2, 2, 2), (2, 2, 1), (3,))
     match_cfg = MatchConfig()
@@ -254,20 +256,17 @@ def test_criterion_6_determinism(tmp_path):
 
 def test_criterion_7_format_round_trips(tmp_path):
     """write -> read -> write is byte-identical for every format."""
-    from uavfuse.data import DetectionSample
-
     rng = Rng(77)
     recordings = [
-        Recording(Modality.RADAR, "empty", [], (3,)),
+        Recording(Modality.RADAR, "empty", stream([], [], np.zeros((0, 3)))),
         Recording(
             Modality.THERMAL,
             "r0",
-            [
-                DetectionSample(0.5 * i, Label.UAV if i % 2 else Label.FALSE_ALARM,
-                                rng.normal((2, 2, 2)).astype(np.float32))
-                for i in range(6)
-            ],
-            (2, 2, 2),
+            stream(
+                0.5 * np.arange(6),
+                [Label.UAV if i % 2 else Label.FALSE_ALARM for i in range(6)],
+                np.stack([rng.normal((2, 2, 2)) for _ in range(6)]),
+            ),
         ),
     ]
     for k, rec in enumerate(recordings):

@@ -25,3 +25,43 @@ def test_tracer_finds_every_target(monkeypatch):
     finally:
         t.uninstall()
     assert uavfuse.registration.fuse_dataset is original
+
+
+def test_data_layer_hooks_see_the_calls(monkeypatch, tmp_path):
+    # A hook that breaks on the sample layout, or a span no longer called,
+    # would read 0 in the benchmark instead of failing; here it fails.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracer
+
+    import uavfuse as uf
+
+    tiny = uf.ShapeProfile("tiny", (3, 3, 2), (3, 3, 1), (4,))
+    three = uf.ModalitySet.THERMAL_OPTRONIC_RADAR
+    with tracer.Tracer() as t:
+        data = uf.generate_synthetic_dataset(
+            uf.SynthConfig(recordings_per_modality=2, samples_per_recording=30,
+                           shape_profile=tiny, seed=1)
+        )
+        uf.write_recording(data[uf.Modality.RADAR][0], tmp_path / "r.msfr")
+        uf.read_recording(tmp_path / "r.msfr")
+        fused = uf.fuse_dataset(*(data[m] for m in uf.Modality), three)
+        uf.write_fused(fused, tmp_path / "f.msfr")
+        uf.model.batch_arrays(uf.read_fused(tmp_path / "f.msfr").samples)
+    metrics = t.metrics()
+    for span in (
+        "synth.generate_synthetic_dataset",
+        "msfr.write_recording",
+        "msfr.read_recording",
+        "registration.fuse_dataset",
+        "msfr.write_fused",
+        "msfr.read_fused",
+        "model.batch_arrays",
+        "registration.match_streams",
+        "registration.stack_features",
+    ):
+        assert t.spans[span].calls > 0, span
+    feature_bytes = sum(rec.samples.features.nbytes for recs in data.values() for rec in recs)
+    assert metrics["synth.generate_synthetic_dataset.mb"] == feature_bytes / 1e6 > 0
+    assert 0 < metrics["registration.match_ratio"] <= 1
+    errors = {name: value for name, value in metrics.items() if name.endswith(".errors")}
+    assert set(errors.values()) == {0}, errors

@@ -13,7 +13,7 @@ from uavfuse.cli import main
 from uavfuse.config import load_run_config
 from uavfuse.data import ModalitySet, ShapeProfile
 from uavfuse.model import ModelSpec, build_model, save_weights
-from uavfuse.msfr import read_fused, read_manifest, read_recording, write_fused, write_manifest
+from uavfuse.msfr import read_fused, read_manifest, read_recording, write_manifest
 from uavfuse.registration import fuse_dataset
 from uavfuse.rng import Rng
 
@@ -89,6 +89,38 @@ def test_non_finite_generator_value_exits_2(tmp_path, capsys, line):
     assert main(["generate", "--config", str(cfg), "--out", str(out)]) == 2
     key = line.split(" = ")[0]
     assert f"{key} must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+_COMMAND_ARGS = {
+    "generate": [],
+    "register": ["--data", "missing"],
+    "train": ["--data", "missing"],
+    "evaluate": ["--model", "missing", "--data", "missing"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_COMMAND_ARGS))
+@pytest.mark.parametrize(
+    "line",
+    [
+        "uav_fraction = 1.5",  # generator
+        "frame_tolerance = nan",  # registration
+        "lr0 = nan",  # training
+        "patience = 0",
+        "conv_filters = 0",  # model
+        "dense_units = -2",
+        "kernel_size = 0",
+        "kernel_size = 8",  # larger than the 7x7 input
+        "dropout_rate = 1.0",
+    ],
+)
+def test_every_command_rejects_a_bad_key_before_any_output(tmp_path, capsys, command, line):
+    cfg = write_config(tmp_path, f"profile = reduced\n{line}\n")
+    out = tmp_path / "o"
+    argv = [command, "--config", str(cfg), "--out", str(out), *_COMMAND_ARGS[command]]
+    assert main(argv) == 2
+    assert "config error" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -179,6 +211,35 @@ class TestRegister:
         assert code == 3
         err = capsys.readouterr().err
         assert "radar" in err and "rec000" in err and "rec001" in err
+
+    def test_non_utf8_recording_id_exits_3(self, generated, capsys):
+        cfg, data = generated
+        path = data / "rec001_optronic.msfr"
+        path.write_bytes(path.read_bytes().replace(b"rec001", b"rec\xff01", 1))
+        code = main(["register", "--config", str(cfg), "--data", str(data),
+                     "--out", str(data.parent / "f")])
+        assert code == 3
+        assert "text field is not UTF-8" in capsys.readouterr().err
+
+    def test_non_integer_manifest_count_exits_3(self, generated, capsys):
+        cfg, data = generated
+        entries = read_manifest(data)
+        lines = [f"{n}\t{k}\t{'twelve' if i == 2 else c}\n" for i, (n, k, c) in enumerate(entries)]
+        (data / "manifest.tsv").write_text("".join(lines), encoding="utf-8")
+        code = main(["register", "--config", str(cfg), "--data", str(data),
+                     "--out", str(data.parent / "f")])
+        assert code == 3
+        assert "manifest line 3: count 'twelve' is not an integer" in capsys.readouterr().err
+
+    def test_manifest_count_disagreeing_with_the_file_exits_3(self, generated, capsys):
+        cfg, data = generated
+        entries = read_manifest(data)
+        name, kind, count = entries[0]
+        write_manifest(data, [(name, kind, 999)] + entries[1:])
+        code = main(["register", "--config", str(cfg), "--data", str(data),
+                     "--out", str(data.parent / "f")])
+        assert code == 3
+        assert f"{name}: {count} samples, but the manifest lists 999" in capsys.readouterr().err
 
     def test_holdout_writes_train_and_test_splits(self, generated):
         cfg, data = generated
@@ -456,7 +517,9 @@ def test_evaluate_nan_feature_exits_3(fused, tmp_path, capsys):
     dataset = read_fused(data)
     dataset.samples[5].stacked[0, 0, 0] = np.nan
     bad = tmp_path / "nan.msfr"
-    write_fused(dataset, bad)
+    # the writer rejects the NaN, so put the records' bytes behind the file's header
+    raw = data.read_bytes()
+    bad.write_bytes(raw[: len(raw) - dataset.samples.nbytes] + dataset.samples.tobytes())
     code = main(
         ["evaluate", "--config", str(cfg), "--model", str(weights), "--data", str(bad),
          "--out", str(tmp_path / "e")]
@@ -464,6 +527,16 @@ def test_evaluate_nan_feature_exits_3(fused, tmp_path, capsys):
     assert code == 3
     assert "nan.msfr: sample 5 stacked payload holds non-finite" in capsys.readouterr().err
     assert not (tmp_path / "e" / "evaluation.txt").exists()
+
+
+def test_non_utf8_provenance_exits_3(fused, tmp_path, capsys):
+    cfg, data = fused
+    bad = tmp_path / "bad.msfr"
+    bad.write_bytes(data.read_bytes().replace(b"rec000", b"rec\xff00", 1))
+    code = main(["train", "--config", str(cfg), "--data", str(bad), "--out", str(tmp_path / "m")])
+    assert code == 3
+    assert "text field is not UTF-8" in capsys.readouterr().err
+    assert not (tmp_path / "m").exists()
 
 
 def test_console_entry_point_runs(tmp_path):

@@ -169,6 +169,19 @@ def eval_probabilities(model, samples, batch_size=64):
     return evaluate_probabilities(model, x, r, batch_size)
 
 
+def test_batch_arrays_copies_the_record_columns():
+    ds = tiny_dataset()
+    x, r, y = batch_arrays(ds.samples[:7])
+    for array in (x, r, y):
+        assert array.flags.aligned and array.flags.c_contiguous
+        assert not np.shares_memory(array, ds.samples)
+    assert np.array_equal(x, ds.samples.stacked[:7])
+    assert np.array_equal(r, ds.samples.radar[:7])
+    assert np.array_equal(y, ds.samples.label[:7])
+    x1, r1, _ = batch_arrays(tiny_dataset(ModalitySet.THERMAL).samples[:3])
+    assert x1.shape == (3, 4, 4, 2) and r1 is None
+
+
 class TestForward:
     def test_eval_is_deterministic(self):
         model = build_model(tiny_spec(), Rng(1))
@@ -189,8 +202,8 @@ class TestForward:
         samples = tiny_dataset().samples[:6]
         batched = eval_probabilities(model, samples)
         assert np.array_equal(eval_probabilities(model, samples, batch_size=4), batched)
-        for k, s in enumerate(samples):
-            single = eval_probabilities(model, [s])[0]
+        for k in range(len(samples)):
+            single = eval_probabilities(model, samples[k : k + 1])[0]
             assert abs(single - batched[k]) < 1e-6
 
     def test_probabilities_strictly_inside_unit_interval(self):

@@ -4,17 +4,19 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from uavfuse.data import (
-    DetectionSample,
     Label,
     Modality,
     ModalitySet,
     Recording,
     ShapeProfile,
+    recording_dtype,
 )
 from uavfuse.errors import ShapeError, ValidationError
-from uavfuse.msfr import write_fused
+from uavfuse.msfr import read_fused, write_fused
 from uavfuse.registration import (
     MatchConfig,
     audit_fused_dataset,
@@ -31,8 +33,18 @@ UAV = Label.UAV
 FA = Label.FALSE_ALARM
 
 
-def ds(t, label=UAV, shape=(1,)):
-    return DetectionSample(t, label, np.zeros(shape, np.float32))
+def stream(times, labels=None, features=None):
+    """Recording records of the given columns; labels default to UAV, features to zeros."""
+    n = len(times)
+    labels = [UAV] * n if labels is None else labels
+    features = np.zeros((n, 1)) if features is None else features
+    columns = [np.asarray(times, np.float64), np.asarray(labels, np.uint8), features]
+    return np.rec.fromarrays(columns, dtype=recording_dtype(np.shape(features)[1:]))
+
+
+def pairs(matched):
+    """match_streams' (k, 2) index array as a list of (i, j) tuples."""
+    return [tuple(p) for p in matched.tolist()]
 
 
 def brute_force_match(a, b, tolerance, label_constrained=True, one_to_one=True):
@@ -40,12 +52,12 @@ def brute_force_match(a, b, tolerance, label_constrained=True, one_to_one=True):
     cands = []
     for i in range(len(a)):
         for j in range(len(b)):
-            dt = abs(a[i].timestamp - b[j].timestamp)
+            dt = abs(a.timestamp[i] - b.timestamp[j])
             if dt > tolerance:
                 continue
-            if label_constrained and a[i].label != b[j].label:
+            if label_constrained and a.label[i] != b.label[j]:
                 continue
-            cands.append((dt, a[i].timestamp, j, i))
+            cands.append((dt, a.timestamp[i], j, i))
     cands.sort()
     if not one_to_one:
         best = {}
@@ -64,26 +76,37 @@ def brute_force_match(a, b, tolerance, label_constrained=True, one_to_one=True):
 
 class TestMatchStreams:
     def test_identical_streams_pair_exactly(self):
-        a = [ds(0.0), ds(1.0, FA), ds(2.5)]
-        pairs = match_streams(a, list(a), tolerance=0.5)
-        assert pairs == [(0, 0), (1, 1), (2, 2)]
+        a = stream([0.0, 1.0, 2.5], [UAV, FA, UAV])
+        assert pairs(match_streams(a, a.copy(), tolerance=0.5)) == [(0, 0), (1, 1), (2, 2)]
 
     def test_empty_side_gives_no_pairs(self):
-        a = [ds(0.0)]
-        assert match_streams(a, [], 1.0) == []
-        assert match_streams([], a, 1.0) == []
+        a = stream([0.0])
+        assert pairs(match_streams(a, stream([]), 1.0)) == []
+        assert pairs(match_streams(stream([]), a, 1.0)) == []
 
     def test_label_constraint_hand_case(self):
-        a = [ds(0.5, UAV), ds(1.0, UAV)]
-        b = [ds(0.3, UAV), ds(0.6, FA)]
-        assert match_streams(a, b, tolerance=0.5, label_constrained=True) == [(0, 0)]
+        a = stream([0.5, 1.0], [UAV, UAV])
+        b = stream([0.3, 0.6], [UAV, FA])
+        assert pairs(match_streams(a, b, tolerance=0.5, label_constrained=True)) == [(0, 0)]
+
+    def test_the_tolerance_bounds_the_rounded_dt(self):
+        # 0.30000000000000004 lies inside the float window 0.1 + 0.2, but
+        # |dt| = 0.20000000000000004 exceeds 0.2, which the audit would flag
+        a, b = stream([0.1]), stream([0.30000000000000004])
+        assert pairs(match_streams(a, b, 0.2)) == brute_force_match(a, b, 0.2) == []
+        assert pairs(match_streams(b, a, 0.2)) == []
+        # and here |dt| rounds to the tolerance although t_b lies below the
+        # float window t_a - tolerance
+        a, b, tol = stream([1.5811093383823338]), stream([0.504286180248341]), 1.0768231581339927
+        assert b.timestamp[0] < a.timestamp[0] - tol
+        assert pairs(match_streams(a, b, tol)) == brute_force_match(a, b, tol) == [(0, 0)]
 
     def test_unsorted_input_names_first_offender(self):
-        a = [ds(1.0), ds(0.5)]
+        a = stream([1.0, 0.5])
         with pytest.raises(ValidationError, match="sample 1"):
-            match_streams(a, [], 1.0)
+            match_streams(a, stream([]), 1.0)
         with pytest.raises(ValidationError, match="stream b"):
-            match_streams([], a, 1.0)
+            match_streams(stream([]), a, 1.0)
 
     @pytest.mark.parametrize("label_constrained", [True, False])
     @pytest.mark.parametrize("one_to_one", [True, False])
@@ -95,27 +118,84 @@ class TestMatchStreams:
             na = int(rng.uniform() * 12)
             nb = int(rng.uniform() * 12)
             # coarse grid timestamps force plenty of exact ties
-            a = [
-                ds(round(float(rng.uniform()) * 12) * 0.25, UAV if rng.uniform() < 0.5 else FA)
+            a = sorted((
+                (round(float(rng.uniform()) * 12) * 0.25, UAV if rng.uniform() < 0.5 else FA)
                 for _ in range(na)
-            ]
-            b = [
-                ds(round(float(rng.uniform()) * 12) * 0.25, UAV if rng.uniform() < 0.5 else FA)
+            ), key=lambda s: s[0])
+            b = sorted((
+                (round(float(rng.uniform()) * 12) * 0.25, UAV if rng.uniform() < 0.5 else FA)
                 for _ in range(nb)
-            ]
-            a.sort(key=lambda s: s.timestamp)
-            b.sort(key=lambda s: s.timestamp)
-            got = match_streams(a, b, 0.5, label_constrained, one_to_one)
+            ), key=lambda s: s[0])
+            a, b = (stream([t for t, _ in s], [label for _, label in s]) for s in (a, b))
+            got = pairs(match_streams(a, b, 0.5, label_constrained, one_to_one))
             want = brute_force_match(a, b, 0.5, label_constrained, one_to_one)
             assert got == want, f"trial {trial}"
 
     def test_one_to_one_never_reuses_indices(self):
         rng = Rng(4)
-        a = sorted([ds(float(rng.uniform()) * 3) for _ in range(30)], key=lambda s: s.timestamp)
-        b = sorted([ds(float(rng.uniform()) * 3) for _ in range(10)], key=lambda s: s.timestamp)
-        pairs = match_streams(a, b, 1.0)
-        assert len({i for i, _ in pairs}) == len(pairs)
-        assert len({j for _, j in pairs}) == len(pairs)
+        a = stream(sorted(float(rng.uniform()) * 3 for _ in range(30)))
+        b = stream(sorted(float(rng.uniform()) * 3 for _ in range(10)))
+        matched = pairs(match_streams(a, b, 1.0))
+        assert len({i for i, _ in matched}) == len(matched)
+        assert len({j for _, j in matched}) == len(matched)
+
+
+# Small streams: timestamps on a coarse grid (duplicates and exact |dt| ties)
+# or anywhere in a short span, where |dt| can miss the tolerance by one ulp.
+_GRID_TIMES = st.integers(0, 12).map(lambda k: k * 0.25)
+_ANY_TIMES = st.floats(0, 5, allow_nan=False)
+_TIMES = st.one_of(_GRID_TIMES, _ANY_TIMES)
+_TOLERANCES = st.one_of(st.sampled_from([0.0, 0.2, 0.25, 0.5, 1.0]), st.floats(0, 2))
+
+
+@st.composite
+def _streams(draw, times):
+    n = draw(st.integers(0, 8))
+    t = sorted(draw(st.lists(times, min_size=n, max_size=n)))
+    return stream(t, draw(st.lists(st.sampled_from(Label), min_size=n, max_size=n)))
+
+
+def _eligible(a, b, i, j, tolerance, label_constrained):
+    """The candidate rule: |dt| within tolerance, labels equal when constrained."""
+    within = abs(a.timestamp[i] - b.timestamp[j]) <= tolerance
+    return within and (not label_constrained or a.label[i] == b.label[j])
+
+
+class TestMatchStreamsProperties:
+    @given(_streams(_TIMES), _streams(_TIMES), _TOLERANCES, st.booleans(), st.booleans())
+    def test_equals_brute_force_with_ties(self, a, b, tolerance, label_constrained, one_to_one):
+        got = pairs(match_streams(a, b, tolerance, label_constrained, one_to_one))
+        assert got == brute_force_match(a, b, tolerance, label_constrained, one_to_one)
+
+    @given(_streams(_TIMES), _streams(_TIMES), _TOLERANCES, st.booleans())
+    def test_one_to_one_within_tolerance_and_label_constrained(
+        self, a, b, tolerance, label_constrained
+    ):
+        got = pairs(match_streams(a, b, tolerance, label_constrained))
+        assert [i for i, _ in got] == sorted({i for i, _ in got})
+        assert len({j for _, j in got}) == len(got)
+        for i, j in got:
+            assert _eligible(a, b, i, j, tolerance, label_constrained)
+        # greedy acceptance leaves no eligible pair with both ends free
+        free_a = set(range(len(a))) - {i for i, _ in got}
+        free_b = set(range(len(b))) - {j for _, j in got}
+        assert not any(
+            _eligible(a, b, i, j, tolerance, label_constrained) for i in free_a for j in free_b
+        )
+
+    @given(_streams(_TIMES), _streams(_TIMES), _TOLERANCES, st.booleans())
+    def test_reuse_takes_the_nearest_eligible_sample(self, a, b, tolerance, label_constrained):
+        got = dict(pairs(match_streams(a, b, tolerance, label_constrained, one_to_one=False)))
+        for i in range(len(a)):
+            eligible = [
+                (abs(a.timestamp[i] - b.timestamp[j]), j)
+                for j in range(len(b))
+                if _eligible(a, b, i, j, tolerance, label_constrained)
+            ]
+            if eligible:
+                assert got[i] == min(eligible)[1]  # nearest; ties go to the smaller j
+            else:
+                assert i not in got
 
 
 class TestStackFeatures:
@@ -139,6 +219,16 @@ class TestStackFeatures:
                 assert out[i, j, 0] == t[i, j, 0]
                 assert out[i, j, 1] == o[i, j, 0]
 
+    def test_blocks_stack_per_map(self):
+        t = Rng(6).normal((5, 3, 3, 2))
+        o = Rng(7).normal((5, 3, 3, 1))
+        out = stack_features(t, o)
+        assert out.shape == (5, 3, 3, 3)
+        for k in range(5):
+            assert np.array_equal(out[k], stack_features(t[k], o[k]))
+        with pytest.raises(ShapeError, match="block size"):
+            stack_features(t, o[:4])
+
     def test_spatial_mismatch_rejected(self):
         with pytest.raises(ShapeError, match="height"):
             stack_features(np.zeros((3, 2, 1)), np.zeros((2, 2, 1)))
@@ -150,26 +240,21 @@ def _hand_recordings(radar_superset=True):
     """Three perfectly aligned streams; radar optionally has extra samples."""
     times = [0.0, 1.0, 2.0, 3.0]
     labels = [UAV, FA, UAV, FA]
+    column = np.reshape(times, (-1, 1, 1, 1))
     thermal = Recording(
-        Modality.THERMAL,
-        "rec000",
-        [DetectionSample(t, l, np.full((2, 2, 2), t, np.float32)) for t, l in zip(times, labels)],
-        (2, 2, 2),
+        Modality.THERMAL, "rec000", stream(times, labels, np.broadcast_to(column, (4, 2, 2, 2)))
     )
     optronic = Recording(
-        Modality.OPTRONIC,
-        "rec000",
-        [DetectionSample(t, l, np.full((2, 2, 1), -t, np.float32)) for t, l in zip(times, labels)],
-        (2, 2, 1),
+        Modality.OPTRONIC, "rec000", stream(times, labels, np.broadcast_to(-column, (4, 2, 2, 1)))
     )
     rtimes = times + ([0.4, 1.6] if radar_superset else [])
     rlabels = labels + ([UAV, FA] if radar_superset else [])
     order = np.argsort(rtimes, kind="stable")
+    rt = np.asarray(rtimes)[order]
     radar = Recording(
         Modality.RADAR,
         "rec000",
-        [DetectionSample(rtimes[k], rlabels[k], np.full(3, rtimes[k], np.float32)) for k in order],
-        (3,),
+        stream(rt, np.asarray(rlabels)[order], np.broadcast_to(rt[:, None], (len(rt), 3))),
     )
     return thermal, optronic, radar
 
@@ -182,31 +267,32 @@ class TestFuseDataset:
         three = fuse_dataset([t], [o], [r], ModalitySet.THERMAL_OPTRONIC_RADAR)
         assert len(one.samples) == len(two.samples) == len(three.samples) == 4
         # exact-time matches carry zero deltas and the right payloads
-        for s in three.samples:
-            assert s.deltas["thermal_optronic"] == 0.0
-            assert s.deltas["stacked_radar"] == 0.0
-            assert s.stacked.shape == (2, 2, 3)
-            assert s.radar.shape == (3,)
-            assert s.radar[0] == s.timestamps["radar"]
+        assert np.all(three.audit["optronic_dt"] == 0.0)
+        assert np.all(three.audit["radar_dt"] == 0.0)
+        assert three.samples.stacked.shape[1:] == (2, 2, 3)
+        assert three.samples.radar.shape[1:] == (3,)
+        radar_t = r.samples.timestamp[three.audit["radar"]]
+        assert np.array_equal(three.samples.radar[:, 0], radar_t)
 
     def test_stacking_order_thermal_first(self):
         t, o, r = _hand_recordings()
         two = fuse_dataset([t], [o], [r], ModalitySet.THERMAL_OPTRONIC)
         s = two.samples[1]
-        assert np.all(s.stacked[:, :, :2] == s.timestamps["thermal"])
-        assert np.all(s.stacked[:, :, 2] == -s.timestamps["optronic"])
+        optronic_t = o.samples.timestamp[two.audit["optronic"][1]]
+        assert np.all(s.stacked[:, :, :2] == s.timestamp)
+        assert np.all(s.stacked[:, :, 2] == -optronic_t)
 
     def test_empty_radar_recording_empties_only_three(self):
         t, o, _ = _hand_recordings()
-        empty_radar = Recording(Modality.RADAR, "rec000", [], (3,))
+        empty_radar = Recording(Modality.RADAR, "rec000", stream([], [], np.zeros((0, 3))))
         two = fuse_dataset([t], [o], [empty_radar], ModalitySet.THERMAL_OPTRONIC)
         three = fuse_dataset([t], [o], [empty_radar], ModalitySet.THERMAL_OPTRONIC_RADAR)
         assert len(two.samples) == 4
-        assert three.samples == []
+        assert len(three.samples) == 0
 
     def test_missing_counterpart_recording_skipped_with_warning(self, caplog):
         t, o, r = _hand_recordings()
-        lone = Recording(Modality.THERMAL, "rec999", list(t.samples), (2, 2, 2))
+        lone = Recording(Modality.THERMAL, "rec999", t.samples.copy())
         with caplog.at_level(logging.WARNING):
             two = fuse_dataset([t, lone], [o], [r], ModalitySet.THERMAL_OPTRONIC)
         assert "rec999" in caplog.text
@@ -217,9 +303,8 @@ class TestFuseDataset:
         t, _, _ = _hand_recordings()
         one = fuse_dataset([t], None, None, ModalitySet.THERMAL)
         assert len(one.samples) == len(t.samples)
-        for i, s in enumerate(one.samples):
-            assert np.array_equal(s.stacked, t.samples[i].features)
-            assert s.radar is None
+        assert np.array_equal(one.samples.stacked, t.samples.features)
+        assert "radar" not in one.samples.dtype.names
 
     def test_generated_data_counts_decrease_across_modality_sets(self):
         cfg = SynthConfig(
@@ -267,14 +352,42 @@ class TestFuseDataset:
         t, o, r = _hand_recordings()
         match_cfg = MatchConfig()
         fused = fuse_dataset([t], [o], [r], ModalitySet.THERMAL_OPTRONIC_RADAR, match_cfg)
-        fused.samples[0].deltas["stacked_radar"] = 9.0
+        fused.audit["radar_dt"][0] = 9.0
         with pytest.raises(ValidationError, match="radar delta"):
             audit_fused_dataset(fused, match_cfg)
+
+    @pytest.mark.parametrize("field", ["label", "timestamp"])
+    def test_audit_catches_a_disagreeing_contributor(self, field):
+        t, o, r = _hand_recordings()
+        match_cfg = MatchConfig()
+        fused = fuse_dataset([t], [o], [r], ModalitySet.THERMAL_OPTRONIC_RADAR, match_cfg)
+        audit_fused_dataset(fused, match_cfg, [t], [o], [r])
+        if field == "label":
+            r.samples.label[fused.audit["radar"][2]] ^= 1
+        else:
+            o.samples.timestamp[fused.audit["optronic"][2]] += 0.01
+        contributor = "radar" if field == "label" else "optronic"
+        with pytest.raises(ValidationError, match=f"sample 2: {contributor} contributor {field}"):
+            audit_fused_dataset(fused, match_cfg, [t], [o], [r])
+
+    def test_audit_passes_a_read_dataset(self, tmp_path):
+        t, o, r = _hand_recordings()
+        fused = fuse_dataset([t], [o], [r], ModalitySet.THERMAL_OPTRONIC_RADAR)
+        write_fused(fused, tmp_path / "f.msfr")
+        back = read_fused(tmp_path / "f.msfr")
+        assert back.audit is None
+        audit_fused_dataset(back, MatchConfig(), [t], [o], [r])
+
+    def test_disagreeing_feature_shapes_rejected(self):
+        t, o, r = _hand_recordings()
+        other = Recording(Modality.OPTRONIC, "rec001", stream([0.0], [UAV], np.zeros((1, 2, 2, 2))))
+        with pytest.raises(ValidationError, match="optronic recordings disagree on feature shape"):
+            fuse_dataset([t], [o, other], [r], ModalitySet.THERMAL_OPTRONIC)
 
     def test_audit_catches_reused_source_index(self):
         t, o, r = _hand_recordings()
         match_cfg = MatchConfig()
         fused = fuse_dataset([t], [o], [r], ModalitySet.THERMAL_OPTRONIC, match_cfg)
-        fused.samples[1].source_indices["thermal"] = 0
+        fused.audit["thermal"][1] = 0
         with pytest.raises(ValidationError, match="used twice"):
             audit_fused_dataset(fused, match_cfg)
