@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, load_run_config
+from .config import RunConfig, format_float as _fmt, load_run_config
 from .data import Modality
 from .errors import (
     CompatibilityError,
@@ -44,13 +44,7 @@ from .metrics import (
     roc_csv,
     roc_curve,
 )
-from .model import (
-    Model,
-    batch_arrays,
-    build_model,
-    load_weights,
-    save_weights,
-)
+from .model import batch_arrays, build_model, load_weights, save_weights
 from .msfr import (
     read_fused,
     read_manifest,
@@ -62,19 +56,11 @@ from .msfr import (
 from .registration import fuse_dataset
 from .rng import Rng
 from .synth import generate_synthetic_dataset
-from .training import (
-    evaluate_probabilities,
-    train,
-    validation_split_indices,
-)
+from .training import evaluate_probabilities, train
 
 log = logging.getLogger("uavfuse")
 
 _KINDS = {m: m.name.lower() for m in Modality}
-
-
-def _fmt(value: float) -> str:
-    return f"{value:.9g}"
 
 
 def cmd_generate(cfg: RunConfig, out_dir: Path) -> int:
@@ -169,21 +155,13 @@ def _fused_path(data: Path, cfg: RunConfig) -> Path:
     raise DataError(f"no fused dataset at {data} (looked for {candidate.name})")
 
 
-def _val_weighted_f1(model: Model, dataset, train_cfg) -> float:
-    x, r, y = batch_arrays(dataset.samples)
-    _, val_idx = validation_split_indices(len(y), train_cfg)
-    rv = None if r is None else r[val_idx]
-    p = evaluate_probabilities(model, x[val_idx], rv, train_cfg.batch_size)
-    return classification_report(confusion_at_threshold(y[val_idx], p)).weighted_f1
-
-
-def _training_report_text(seed: int, report, val_f1: float) -> str:
+def _training_report_text(seed: int, report) -> str:
     lines = [
         f"seed = {seed}",
         f"stopped_epoch = {report.stopped_epoch}",
         f"best_epoch = {report.best_epoch}",
         f"weights_digest = {report.weights_digest}",
-        f"val_weighted_f1 = {_fmt(val_f1)}",
+        f"val_weighted_f1 = {_fmt(report.val_weighted_f1)}",
         "epoch\ttrain_loss\ttrain_accuracy\tval_loss\tval_accuracy",
     ]
     for e in range(len(report.train_loss)):
@@ -202,18 +180,16 @@ def cmd_train(cfg: RunConfig, data: Path, out_dir: Path) -> int:
     f1s = []
     for r in range(cfg.repeats):
         seed = cfg.seed + r
-        train_cfg = cfg.train_config(seed)
         model = build_model(spec, Rng(seed).spawn("init"))
-        trained, report = train(model, dataset, train_cfg)
-        val_f1 = _val_weighted_f1(trained, dataset, train_cfg)
-        f1s.append(val_f1)
+        trained, report = train(model, dataset, cfg.train_config(seed))
+        f1s.append(report.val_weighted_f1)
         save_weights(trained, out_dir / f"model_{r:03d}.msfw")
         (out_dir / f"report_{r:03d}.txt").write_text(
-            _training_report_text(seed, report, val_f1), encoding="utf-8"
+            _training_report_text(seed, report), encoding="utf-8"
         )
         print(
             f"repeat {r} (seed {seed}): stopped at epoch {report.stopped_epoch}, "
-            f"best epoch {report.best_epoch}, validation weighted F1 {_fmt(val_f1)}"
+            f"best epoch {report.best_epoch}, validation weighted F1 {_fmt(f1s[-1])}"
         )
     print(f"mean validation weighted F1 over {cfg.repeats} run(s): {_fmt(float(np.mean(f1s)))}")
     return 0

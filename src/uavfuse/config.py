@@ -28,6 +28,11 @@ _SECTIONS = ("synth", "match", "train")  # the RunConfig fields that hold sub-co
 _NOT_KEYS = ("seed", "shape_profile")  # sub-config fields the run-wide keys set
 
 
+def format_float(value: float) -> str:
+    """The text form of a float in every document a command writes."""
+    return f"{value:.9g}"
+
+
 def _parse_bool(text: str) -> bool:
     if text == "true":
         return True
@@ -112,7 +117,7 @@ class RunConfig:
             if isinstance(value, bool):
                 text = "true" if value else "false"
             elif isinstance(value, float):
-                text = f"{value:.9g}"
+                text = format_float(value)
             else:
                 text = str(value)
             out.append(f"{key} = {text}\n")
@@ -128,8 +133,12 @@ _PARSERS = {bool: _parse_bool, int: int, float: float, str: str}
 
 def parse_config_file(path) -> dict[str, str]:
     """Raw key -> text mapping from a ``key = value`` file."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
     raw = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue

@@ -20,7 +20,7 @@ import numpy as np
 
 from .data import Label, ModalitySet, ShapeProfile
 from .errors import CompatibilityError, ConfigError, CorruptionError, FormatError, ShapeError
-from .msfr import BinaryReader
+from .msfr import BinaryReader, shape_block
 from .ops import (
     TRAIN_DTYPE,
     ConvParams,
@@ -40,6 +40,9 @@ from .rng import Rng
 
 WEIGHTS_MAGIC = b"MSFW"
 WEIGHTS_VERSION = 1
+# spec fields after the modality count and stacked shape: radar_len,
+# conv_filters, kernel height, kernel width, dense_units, dropout_rate
+SPEC_TAIL = "<IIIIId"
 
 PARAM_ORDER = (
     "conv_kernels",
@@ -268,18 +271,11 @@ def classify_probability(p: float) -> Label:
 
 
 def _spec_bytes(spec: ModelSpec) -> bytes:
-    dims = tuple(spec.stacked_shape)
-    return b"".join(
-        [
-            struct.pack("<B", spec.modality_set.count),
-            struct.pack("<B", len(dims)),
-            struct.pack(f"<{len(dims)}I", *dims),
-            struct.pack("<I", spec.radar_len),
-            struct.pack("<I", spec.conv_filters),
-            struct.pack("<II", *spec.kernel),
-            struct.pack("<I", spec.dense_units),
-            struct.pack("<d", spec.dropout_rate),
-        ]
+    tail = (spec.radar_len, spec.conv_filters, *spec.kernel, spec.dense_units, spec.dropout_rate)
+    return (
+        struct.pack("<B", spec.modality_set.count)
+        + shape_block(spec.stacked_shape)
+        + struct.pack(SPEC_TAIL, *tail)
     )
 
 
@@ -287,8 +283,7 @@ def serialize_model(model: Model) -> bytes:
     """MSFW bytes: magic, version, spec fields, then tensors in fixed order."""
     parts = [WEIGHTS_MAGIC, struct.pack("<H", WEIGHTS_VERSION), _spec_bytes(model.spec)]
     for arr in model.params().values():
-        parts.append(struct.pack("<B", arr.ndim))
-        parts.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
+        parts.append(shape_block(arr.shape))
         parts.append(np.ascontiguousarray(arr, dtype="<f4").tobytes())
     return b"".join(parts)
 
@@ -308,11 +303,7 @@ def load_weights(source) -> Model:
         raise FormatError(f"unsupported weights version {version}")
     modality_set = reader.modality_set()
     stacked_shape = reader.shape()
-    (radar_len,) = reader.unpack("<I")
-    (conv_filters,) = reader.unpack("<I")
-    kh, kw = reader.unpack("<II")
-    (dense_units,) = reader.unpack("<I")
-    (dropout_rate,) = reader.unpack("<d")
+    radar_len, conv_filters, kh, kw, dense_units, dropout_rate = reader.unpack(SPEC_TAIL)
     spec = ModelSpec(
         modality_set, stacked_shape, radar_len, conv_filters, (kh, kw),
         dense_units, dropout_rate,

@@ -49,7 +49,8 @@ FUSED_MODALITY_BYTE = 3
 MANIFEST_NAME = "manifest.tsv"
 
 
-def _shape_block(shape: tuple[int, ...]) -> bytes:
+def shape_block(shape: tuple[int, ...]) -> bytes:
+    """A shape as MSFR and MSFW files store it: ndims u8, then one u32 per dimension."""
     return struct.pack("<B", len(shape)) + struct.pack(f"<{len(shape)}I", *shape)
 
 
@@ -167,7 +168,7 @@ def write_recording(recording: Recording, destination) -> int:
     """Serialize one recording; returns the byte count written."""
     recording.validate()
     header = [MAGIC, struct.pack("<HB", VERSION, int(recording.modality)),
-              _id_block(recording.recording_id), _shape_block(recording.feature_shape)]
+              _id_block(recording.recording_id), shape_block(recording.feature_shape)]
     return _write(destination, header, recording.samples)
 
 
@@ -190,8 +191,8 @@ def write_fused(dataset: FusedDataset, destination) -> int:
         MAGIC,
         struct.pack("<HBB", VERSION, FUSED_MODALITY_BYTE, dataset.modality_set.count),
         _id_block(",".join(dataset.provenance)),
-        _shape_block(dataset.stacked_shape),
-        _shape_block((dataset.radar_len,)),
+        shape_block(dataset.stacked_shape),
+        shape_block((dataset.radar_len,)),
     ]
     return _write(destination, header, dataset.samples)
 

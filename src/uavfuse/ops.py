@@ -24,7 +24,6 @@ from .errors import ConfigError, NumericFault, ShapeError
 from .rng import Rng
 
 TRAIN_DTYPE = np.float32
-CHECK_DTYPE = np.float64
 
 BCE_EPS = 1e-7
 

@@ -173,6 +173,8 @@ def fuse_dataset(
     else:
         empty = [np.zeros((0,) + shape, np.float32) for shape in (th_shape, opt_shape)]
         stacked_shape = stack_features(*empty).shape[1:]
+    if modality_set.has_radar and radar_shape is None:
+        raise ValidationError("no radar recordings to fuse")
     radar_len = math.prod(radar_shape) if modality_set.has_radar and radar_shape else 0
 
     two, three = ModalitySet.THERMAL_OPTRONIC, ModalitySet.THERMAL_OPTRONIC_RADAR

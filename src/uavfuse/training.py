@@ -16,12 +16,10 @@ import numpy as np
 
 from .data import FusedDataset
 from .errors import ConfigError, NumericFault, TrainingError, check_finite_fields
+from .metrics import classification_report, confusion_at_threshold
 from .model import PARAM_ORDER, Model, backward_pass, batch_arrays, weights_digest, _forward
 from .ops import bce_loss, rmsprop_update
 from .rng import Rng
-
-RMSPROP_RHO = 0.9
-RMSPROP_EPS = 1e-7
 
 
 @dataclass
@@ -57,19 +55,13 @@ class TrainReport:
     stopped_epoch: int = 0
     best_epoch: int = 0
     weights_digest: str = ""
+    val_weighted_f1: float = 0.0  # of the returned model, on the validation split
 
 
 def split_sizes(n: int, val_fraction: float) -> tuple[int, int]:
     """Training split size is floor((1 - val_fraction) * n); the rest validates."""
     train_n = math.floor((1.0 - val_fraction) * n)
     return train_n, n - train_n
-
-
-def validation_split_indices(n: int, cfg: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
-    """The seed-determined (train, validation) index split used by train()."""
-    perm = Rng(cfg.seed).spawn("split").permutation(n)
-    train_n, _ = split_sizes(n, cfg.val_fraction)
-    return perm[:train_n], perm[train_n:]
 
 
 def evaluate_probabilities(model: Model, x, r, batch_size: int = 64) -> np.ndarray:
@@ -94,7 +86,8 @@ def train(model: Model, dataset: FusedDataset, cfg: TrainConfig) -> tuple[Model,
     iterates mini-batches (the final short batch is trained on), applies one
     RMSprop step per batch, and early-stops on non-improving validation
     loss. With restore_best the returned parameters are the best-validation
-    epoch's.
+    epoch's, otherwise the last epoch's; the report's val_weighted_f1 is
+    that epoch's.
     """
     cfg.validate()
     if len(dataset.samples) == 0:
@@ -102,12 +95,13 @@ def train(model: Model, dataset: FusedDataset, cfg: TrainConfig) -> tuple[Model,
     x, r, y = batch_arrays(dataset.samples, dtype=model.theta.dtype)
 
     rng = Rng(cfg.seed)
-    train_idx, val_idx = validation_split_indices(len(y), cfg)
-    train_n, val_n = len(train_idx), len(val_idx)
+    train_n, val_n = split_sizes(len(y), cfg.val_fraction)
     if train_n < 1 or val_n < 1:
         raise TrainingError(
             f"{len(y)} samples leave an empty split at val_fraction={cfg.val_fraction}"
         )
+    perm = rng.spawn("split").permutation(len(y))
+    train_idx, val_idx = perm[:train_n], perm[train_n:]
     if len(np.unique(y[train_idx])) < 2:
         raise TrainingError("training split contains a single class")
 
@@ -128,7 +122,7 @@ def train(model: Model, dataset: FusedDataset, cfg: TrainConfig) -> tuple[Model,
     report = TrainReport()
     best_val = math.inf
     best_epoch = 0
-    best_theta = None
+    best_theta = best_p_val = None
     since_improve = 0
     stopped = cfg.max_epochs
 
@@ -146,7 +140,7 @@ def train(model: Model, dataset: FusedDataset, cfg: TrainConfig) -> tuple[Model,
             grads = backward_pass(model, cache, grad_p)
             np.concatenate([grads[name].reshape(-1) for name in PARAM_ORDER], out=grad)
             lr = cfg.lr0 / (1.0 + cfg.decay * step)
-            rmsprop_update(theta, grad, mean_square, lr, RMSPROP_RHO, RMSPROP_EPS)
+            rmsprop_update(theta, grad, mean_square, lr)
             step += 1
             loss_sum += loss * len(idx)
             correct += int(np.sum((p > 0.5) == (y[idx] > 0.5)))
@@ -164,7 +158,7 @@ def train(model: Model, dataset: FusedDataset, cfg: TrainConfig) -> tuple[Model,
         if val_loss < best_val:
             best_val = val_loss
             best_epoch = epoch
-            best_theta = theta.copy()
+            best_theta, best_p_val = theta.copy(), p_val
             since_improve = 0
         else:
             since_improve += 1
@@ -172,10 +166,13 @@ def train(model: Model, dataset: FusedDataset, cfg: TrainConfig) -> tuple[Model,
                 stopped = epoch
                 break
 
-    if cfg.restore_best and best_theta is not None:
+    if cfg.restore_best:
         theta[:] = best_theta
+        p_val = best_p_val
 
     report.stopped_epoch = stopped
     report.best_epoch = best_epoch
     report.weights_digest = weights_digest(model)
+    cm = confusion_at_threshold(y_val, p_val)
+    report.val_weighted_f1 = classification_report(cm).weighted_f1
     return model, report

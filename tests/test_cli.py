@@ -71,6 +71,15 @@ def test_bad_config_value_exits_2(tmp_path, capsys):
     assert "seed" in capsys.readouterr().err
 
 
+def test_non_utf8_config_file_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"profile = reduced\n# caf\xe9\n")
+    out = tmp_path / "o"
+    assert main(["generate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "line",
     [
@@ -482,6 +491,22 @@ def test_golden_evaluation_digest(tmp_path):
     ) == 0
     digest = hashlib.sha256((out / "evaluation.txt").read_bytes()).hexdigest()
     assert digest == "fabe4151837e9c199818ab7041065b034fa2332d92a9b3f2996cd562c3ad6c0e"
+
+
+def test_golden_training_report_digest(tmp_path):
+    # Pinned bytes of report_000.txt from the golden evaluation run's train
+    # stage: per-epoch series, best and stopped epochs and validation F1.
+    cfg = write_config(
+        tmp_path,
+        "profile = reduced\nrecordings_per_modality = 2\nsamples_per_recording = 40\n"
+        "seed = 3\nlr0 = 0.001\nmax_epochs = 3\npatience = 3\n",
+    )
+    data, fused_dir, models = (tmp_path / n for n in ("d", "f", "m"))
+    assert main(["generate", "--config", str(cfg), "--out", str(data)]) == 0
+    assert main(["register", "--config", str(cfg), "--data", str(data), "--out", str(fused_dir)]) == 0
+    assert main(["train", "--config", str(cfg), "--data", str(fused_dir), "--out", str(models)]) == 0
+    digest = hashlib.sha256((models / "report_000.txt").read_bytes()).hexdigest()
+    assert digest == "85888efd1e667a884f147a94cf98da69c5246ce5c9e8d0a2074a0306df380755"
 
 
 def test_evaluate_nan_weights_exits_3(fused, tmp_path):

@@ -15,6 +15,7 @@ from uavfuse.errors import (
     ShapeError,
     TrainingError,
 )
+from uavfuse.metrics import classification_report, confusion_at_threshold
 from uavfuse.model import (
     PARAM_ORDER,
     WEIGHTS_MAGIC,
@@ -385,6 +386,29 @@ class TestTraining:
         p = evaluate_probabilities(trained, x[val_idx], rv, cfg.batch_size)
         val_loss, _ = bce_loss(p, y[val_idx])
         assert abs(val_loss - min(report.val_loss)) < 1e-9
+
+    def test_val_weighted_f1_is_the_returned_models_on_the_validation_split(self):
+        # Oracle: rebuild the seed's validation split and score the returned
+        # model on it. The run early-stops after its best epoch, and the best
+        # and last epochs score differently, so restore_best true and false
+        # must each report the F1 of the weights they return.
+        ds = tiny_dataset(noise_sigma=3.0)
+        model = build_model(tiny_spec(), Rng(16))
+        f1s = []
+        for restore_best in (True, False):
+            cfg = TrainConfig(lr0=1e-2, max_epochs=25, patience=2, seed=1, restore_best=restore_best)
+            trained, report = train(model, ds, cfg)
+            assert report.best_epoch < report.stopped_epoch < cfg.max_epochs
+            x, r, y = batch_arrays(ds.samples)
+            perm = Rng(cfg.seed).spawn("split").permutation(len(y))
+            train_n, _ = split_sizes(len(y), cfg.val_fraction)
+            val_idx = perm[train_n:]
+            rv = None if r is None else r[val_idx]
+            p = evaluate_probabilities(trained, x[val_idx], rv, cfg.batch_size)
+            want = classification_report(confusion_at_threshold(y[val_idx], p)).weighted_f1
+            assert report.val_weighted_f1 == want
+            f1s.append(want)
+        assert f1s[0] != f1s[1]
 
     def test_training_loss_non_increasing_early_on_separable_data(self):
         ds = tiny_dataset(noise_sigma=0.1)

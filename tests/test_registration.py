@@ -290,6 +290,14 @@ class TestFuseDataset:
         assert len(two.samples) == 4
         assert len(three.samples) == 0
 
+    def test_no_recordings_of_a_needed_modality_rejected(self):
+        t, o, _ = _hand_recordings()
+        with pytest.raises(ValidationError, match="no optronic recordings to fuse"):
+            fuse_dataset([t], [], [], ModalitySet.THERMAL_OPTRONIC)
+        with pytest.raises(ValidationError, match="no radar recordings to fuse"):
+            fuse_dataset([t], [o], [], ModalitySet.THERMAL_OPTRONIC_RADAR)
+        assert len(fuse_dataset([t], [o], [], ModalitySet.THERMAL_OPTRONIC).samples) == 4
+
     def test_missing_counterpart_recording_skipped_with_warning(self, caplog):
         t, o, r = _hand_recordings()
         lone = Recording(Modality.THERMAL, "rec999", t.samples.copy())
