@@ -137,6 +137,8 @@ def parse_config_file(path) -> dict[str, str]:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file: {exc}") from None
     raw = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()

@@ -27,10 +27,12 @@ from .ops import (
     DenseParams,
     conv2d_forward,
     conv2d_param_grads,
+    conv_windows,
     dense_backward,
     dense_forward,
     dropout_apply,
     dropout_backward,
+    dropout_keep,
     relu,
     relu_backward,
     sigmoid,
@@ -263,6 +265,105 @@ def backward_pass(model: Model, cache, grad_p: np.ndarray) -> dict[str, np.ndarr
     dz1 = relu_backward(dflat.reshape(z1.shape), z1)
     g_c_k, g_c_b = conv2d_param_grads(x, model.conv, dz1)
     return dict(zip(PARAM_ORDER, (g_c_k, g_c_b, g_d1_w, g_d1_b, g_out_w, g_out_b)))
+
+
+class TrainStep:
+    """Preallocated buffers for train-mode steps of one model at one batch size.
+
+    ``forward`` gathers a batch and runs the network with dropout;
+    ``backward`` then writes the loss gradient into ``grad``, a flat vector
+    laid out like ``theta`` (``grads`` holds its per-tensor views). Each
+    product is the one ``_forward`` and ``backward_pass`` make, on the same
+    operand shapes, written into a buffer instead of a new array, so a step
+    gives their bits for the same generator state. The patch matrix is built
+    once per step and read by the conv forward and its kernel gradient.
+    Shapes are checked by the caller, once per run.
+    """
+
+    def __init__(self, model: Model, batch_size: int, grad: np.ndarray):
+        spec, dt = model.spec, model.theta.dtype
+        b, flat, c_out = batch_size, spec.flatten_width, spec.conv_filters
+        self.model, self.grads = model, Model(spec, grad)
+        self.rate = spec.dropout_rate
+        self.scale = dt.type(1.0 / (1.0 - self.rate))
+        self.x = np.empty((b, *spec.stacked_shape), dt)
+        self._windows = conv_windows(self.x, *spec.kernel)
+        self.patches = np.empty(self._windows.shape, dt)
+        self.z1 = np.empty((b, *spec.conv_out_shape), dt)  # ReLU'd in place
+        self.h = np.empty((b, spec.dense1_in), dt)  # dropped-out conv features, then radar
+        self.z2 = np.empty((b, spec.dense_units), dt)  # ReLU'd in place
+        self.d2 = np.empty_like(self.z2) if self.rate else self.z2  # rate 0: the identity
+        self.z3 = np.empty((b, 1), dt)
+        # dropout scales (1/(1-rate) where kept, 0 where dropped); keep flags, then ReLU masks
+        self.s1, self.s2 = np.empty((b, flat), dt), np.empty_like(self.z2)
+        self.flags1, self.flags2 = np.empty((b, flat), bool), np.empty(self.z2.shape, bool)
+        self.dh = np.empty_like(self.h)
+        self.dz2 = np.empty_like(self.z2)
+        self.dz1 = np.empty_like(self.z1)
+        self.p = None
+        # 2-D views for the products and the per-layer element-wise steps
+        self._k = model.conv.kernels.reshape(-1, c_out)
+        self._gk = self.grads.conv.kernels.reshape(-1, c_out)
+        self._p = self.patches.reshape(-1, len(self._k))
+        self._z1, self._a1 = self.z1.reshape(-1, c_out), self.z1.reshape(b, flat)
+        self._dz1, self._dflat = self.dz1.reshape(-1, c_out), self.dz1.reshape(b, flat)
+        self._h1, self._hr = self.h[:, :flat], self.h[:, flat:]
+        self._dh1 = self.dh[:, :flat]  # the radar columns get no gradient path
+
+    def forward(self, x: np.ndarray, r: np.ndarray | None, idx: np.ndarray, rng: Rng) -> np.ndarray:
+        """Train-mode UAV probabilities of the batch ``x[idx]``, ``r[idx]``."""
+        m = self.model
+        # idx holds row numbers of x (train() takes them from a permutation),
+        # so "clip" never clamps; "raise" would gather through a temporary
+        np.take(x, idx, axis=0, out=self.x, mode="clip")
+        np.copyto(self.patches, self._windows)
+        np.dot(self._p, self._k, out=self._z1)
+        np.add(self._z1, m.conv.bias, out=self._z1)
+        np.maximum(self._z1, 0, out=self._z1)
+        self._dropout(rng, self._a1, self.flags1, self.s1, self._h1)
+        if r is not None:
+            np.take(r, idx, axis=0, out=self._hr, mode="clip")
+        np.matmul(self.h, m.dense1.weights, out=self.z2)
+        np.add(self.z2, m.dense1.bias, out=self.z2)
+        np.maximum(self.z2, 0, out=self.z2)
+        self._dropout(rng, self.z2, self.flags2, self.s2, self.d2)
+        np.matmul(self.d2, m.output.weights, out=self.z3)
+        np.add(self.z3, m.output.bias, out=self.z3)
+        self.p = sigmoid(self.z3)[:, 0]
+        return self.p
+
+    def backward(self, grad_p: np.ndarray) -> None:
+        """Write dL/dtheta into ``grad``, given dL/dp for the last forward batch."""
+        m, g = self.model, self.grads
+        dz3 = sigmoid_backward(grad_p.reshape(-1, 1), self.p.reshape(-1, 1))
+        np.matmul(dz3, m.output.weights.T, out=self.dz2)
+        np.matmul(self.d2.T, dz3, out=g.output.weights)
+        np.sum(dz3, axis=0, out=g.output.bias)
+        self._dropout_relu_backward(self.dz2, self.s2, self.z2, self.flags2, self.dz2)
+        np.matmul(self.dz2, m.dense1.weights.T, out=self.dh)
+        np.matmul(self.h.T, self.dz2, out=g.dense1.weights)
+        np.sum(self.dz2, axis=0, out=g.dense1.bias)
+        self._dropout_relu_backward(self._dh1, self.s1, self._a1, self.flags1, self._dflat)
+        np.sum(self.dz1, axis=(0, 1, 2), out=g.conv.bias)
+        np.dot(self._p.T, self._dz1, out=self._gk)
+
+    def _dropout(self, rng, a, flags, scale, out) -> None:
+        if not self.rate:
+            if out is not a:
+                np.copyto(out, a)
+            return
+        dropout_keep(rng, self.rate, flags)
+        np.multiply(flags, self.scale, out=scale)
+        np.multiply(a, scale, out=out)
+
+    def _dropout_relu_backward(self, upstream, scale, a, flags, out) -> None:
+        """out = upstream * scale * (a > 0), in that order; a > 0 exactly where z > 0."""
+        if self.rate:
+            np.multiply(upstream, scale, out=out)
+        elif out is not upstream:
+            np.copyto(out, upstream)
+        np.greater(a, 0, out=flags)
+        np.multiply(out, flags, out=out)
 
 
 def classify_probability(p: float) -> Label:

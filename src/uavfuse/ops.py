@@ -3,9 +3,11 @@
 Valid 2-D convolution, fully connected layers, ReLU, sigmoid, inverted
 dropout, binary cross entropy and an RMSprop update, each with an exact
 analytic backward pass, plus a central-difference gradient checker. Every
-function except rmsprop_update, which updates its parameter and
-mean-square arrays in place, is pure: it never mutates its inputs. Identical
-inputs (including generator state) give bit-identical outputs.
+function is pure, never mutating its inputs, except rmsprop_update, which
+updates its parameter and mean-square arrays in place, and dropout_keep,
+which fills the bool array it is given. Training runs the same products in
+the preallocated buffers of model.TrainStep. Identical inputs (including
+generator state) give bit-identical outputs.
 
 Layout conventions: feature maps are (H, W, C) row-major, kernels are
 (kh, kw, C_in, C_out), dense weights are (n_in, n_out). Spatial functions
@@ -76,15 +78,19 @@ def _check_conv_shapes(x: np.ndarray, params: ConvParams) -> None:
         raise ShapeError(f"input width {w} smaller than kernel width {kw}")
 
 
-def _patches(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
-    """Sliding valid windows, shape (..., H', W', kh, kw, C), C-contiguous."""
+def conv_windows(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
+    """Read-only view of the sliding valid windows, shape (..., H', W', kh, kw, C)."""
     *lead, h, w, c = x.shape
     # a window step moves one row or column, exactly as an output step does
-    win = as_strided(
+    return as_strided(
         x, (*lead, h - kh + 1, w - kw + 1, kh, kw, c), x.strides[:-1] + x.strides[-3:],
         writeable=False,
     )
-    return np.ascontiguousarray(win)
+
+
+def _patches(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
+    """The sliding valid windows as a C-contiguous copy."""
+    return np.ascontiguousarray(conv_windows(x, kh, kw))
 
 
 def conv2d_forward(x: np.ndarray, params: ConvParams) -> np.ndarray:
@@ -217,13 +223,23 @@ def dropout_apply(
         return x, np.ones(x.shape, dtype=bool)
     if rng is None:
         raise ConfigError("train-mode dropout requires an Rng")
-    # rng.uniform(shape) >= rate on the raw words: a uniform is m * 2^-53 for
-    # the 53-bit integer m = word >> 11, so it is >= rate exactly when
-    # m >= ceil(rate * 2^53). Same words, same order, no float conversion.
-    threshold = np.uint64(math.ceil(float(rate) * 2.0**53))
-    keep = (rng.u64(x.size) >> np.uint64(11) >= threshold).reshape(x.shape)
+    keep = np.empty(x.shape, dtype=bool)
+    dropout_keep(rng, rate, keep)
     scale = x.dtype.type(1.0 / (1.0 - rate))
     return x * (keep.astype(x.dtype) * scale), keep
+
+
+def dropout_keep(rng: Rng, rate: float, out: np.ndarray) -> None:
+    """Fill the C-contiguous bool array ``out`` with train-mode dropout's keep flags.
+
+    A flag is rng.uniform() >= rate, taken on the raw words: a uniform is
+    m * 2^-53 for the 53-bit integer m = word >> 11, so it is >= rate exactly
+    when m >= ceil(rate * 2^53). Same words, same order, no float conversion.
+    """
+    threshold = np.uint64(math.ceil(float(rate) * 2.0**53))
+    words = rng.u64(out.size)
+    np.right_shift(words, np.uint64(11), out=words)
+    np.greater_equal(words, threshold, out=out.reshape(-1))
 
 
 def dropout_backward(

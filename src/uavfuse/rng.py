@@ -20,6 +20,9 @@ _MIX2 = 0x94D049BB133111EB
 # One scaled 53-bit mantissa per uniform double.
 _U53 = 2.0 ** -53
 
+# shift counts of one xoshiro256++ step
+_17, _19, _23, _41, _45 = (np.uint64(k) for k in (17, 19, 23, 41, 45))
+
 
 def splitmix64(seed: int, n: int) -> np.ndarray:
     """First ``n`` outputs of the splitmix64 stream started at ``seed``."""
@@ -42,10 +45,6 @@ def derive_seed(seed: int, label: str) -> int:
     return int(splitmix64((seed & _MASK) ^ _fnv1a64(label), 2)[1])
 
 
-def _rotl(x: np.ndarray, k: int) -> np.ndarray:
-    return (x << np.uint64(k)) | (x >> np.uint64(64 - k))
-
-
 class Rng:
     """xoshiro256++ stream with vectorized lanes.
 
@@ -59,51 +58,52 @@ class Rng:
     def __init__(self, seed: int):
         self.seed = seed & _MASK
         words = splitmix64(self.seed, 4 * self.LANES)
-        s = words.reshape(self.LANES, 4).T.copy()
-        self._s0, self._s1, self._s2, self._s3 = s[0], s[1], s[2], s[3]
-        self._buf = np.empty(0, dtype=np.uint64)
-        self._pos = 0
+        # the lane states, one row per state word s0..s3; two rows of step temporaries
+        self._s = words.reshape(self.LANES, 4).T.copy()
+        self._tmp = np.empty((2, self.LANES), dtype=np.uint64)
+        # the unread tail of the last block stepped only in part
+        self._buf = np.empty(self.LANES, dtype=np.uint64)
+        self._pos = self.LANES
 
     def spawn(self, label: str) -> "Rng":
         """Independent generator for a named purpose, derived from the seed."""
         return Rng(derive_seed(self.seed, label))
 
-    def _step(self) -> np.ndarray:
-        s0, s1, s2, s3 = self._s0, self._s1, self._s2, self._s3
-        out = _rotl(s0 + s3, 23) + s0
-        t = s1 << np.uint64(17)
+    def _step(self, out: np.ndarray) -> None:
+        """Advance every lane one step in place, writing its word into ``out``."""
+        s0, s1, s2, s3 = self._s
+        a, b = self._tmp
+        np.add(s0, s3, out=a)
+        np.left_shift(a, _23, out=b)  # out = rotl(s0 + s3, 23) + s0
+        np.right_shift(a, _41, out=a)
+        np.bitwise_or(a, b, out=a)
+        np.add(a, s0, out=out)
+        np.left_shift(s1, _17, out=b)  # t = s1 << 17
         s2 ^= s0
         s3 ^= s1
         s1 ^= s2
         s0 ^= s3
-        s2 ^= t
-        self._s0, self._s1, self._s2, self._s3 = s0, s1, s2, _rotl(s3, 45)
-        return out
+        s2 ^= b
+        np.left_shift(s3, _45, out=a)  # s3 = rotl(s3, 45)
+        np.right_shift(s3, _19, out=s3)
+        np.bitwise_or(s3, a, out=s3)
 
     def u64(self, n: int) -> np.ndarray:
-        """Next ``n`` raw 64-bit words of the stream."""
+        """Next ``n`` raw 64-bit words of the stream, in a new array."""
         if n < 0:
             raise ValueError("draw count must be non-negative")
-        parts = []
-        avail = self._buf[self._pos:]
-        if avail.size:
-            take = avail[:n]
-            parts.append(take)
-            self._pos += take.size
-            n -= take.size
-        while n > 0:
-            block = self._step()
-            if n >= block.size:
-                parts.append(block)
-                n -= block.size
-            else:
-                self._buf = block
-                self._pos = n
-                parts.append(block[:n])
-                n = 0
-        if len(parts) == 1:
-            return parts[0].copy()
-        return np.concatenate(parts) if parts else np.empty(0, dtype=np.uint64)
+        out = np.empty(n, dtype=np.uint64)
+        lo = min(n, self.LANES - self._pos)
+        out[:lo] = self._buf[self._pos : self._pos + lo]
+        self._pos += lo
+        while n - lo >= self.LANES:
+            self._step(out[lo : lo + self.LANES])
+            lo += self.LANES
+        if lo < n:
+            self._step(self._buf)
+            self._pos = n - lo
+            out[lo:] = self._buf[: self._pos]
+        return out
 
     def uniform(self, shape=()) -> np.ndarray:
         """Doubles in [0, 1), one 53-bit mantissa per value."""

@@ -17,7 +17,7 @@ import numpy as np
 from .data import FusedDataset
 from .errors import ConfigError, NumericFault, TrainingError, check_finite_fields
 from .metrics import classification_report, confusion_at_threshold
-from .model import PARAM_ORDER, Model, backward_pass, batch_arrays, weights_digest, _forward
+from .model import Model, TrainStep, batch_arrays, weights_digest, _check_batch, _forward
 from .ops import bce_loss, rmsprop_update
 from .rng import Rng
 
@@ -93,6 +93,7 @@ def train(model: Model, dataset: FusedDataset, cfg: TrainConfig) -> tuple[Model,
     if len(dataset.samples) == 0:
         raise TrainingError("dataset is empty")
     x, r, y = batch_arrays(dataset.samples, dtype=model.theta.dtype)
+    _check_batch(model, x, r)
 
     rng = Rng(cfg.seed)
     train_n, val_n = split_sizes(len(y), cfg.val_fraction)
@@ -109,11 +110,14 @@ def train(model: Model, dataset: FusedDataset, cfg: TrainConfig) -> tuple[Model,
     dropout_rng = rng.spawn("dropout")
 
     # The model's tensors view its one flat vector, so one in-place RMSprop
-    # pass per step updates all of them.
+    # pass per step updates all of them. One workspace per batch size that
+    # occurs: the full one and the short last batch.
     model = model.clone()
     theta = model.theta
     mean_square = np.zeros_like(theta)
     grad = np.empty_like(theta)
+    sizes = {min(cfg.batch_size, train_n), train_n % cfg.batch_size} - {0}
+    workspaces = {n: TrainStep(model, n, grad) for n in sizes}
     step = 0
 
     x_val, y_val = x[val_idx], y[val_idx]
@@ -132,13 +136,12 @@ def train(model: Model, dataset: FusedDataset, cfg: TrainConfig) -> tuple[Model,
         correct = 0
         for s in range(0, train_n, cfg.batch_size):
             idx = order[s : s + cfg.batch_size]
-            rb = None if r is None else r[idx]
-            p, cache = _forward(model, x[idx], rb, "train", dropout_rng)
+            ws = workspaces[len(idx)]
+            p = ws.forward(x, r, idx, dropout_rng)
             loss, grad_p = bce_loss(p, y[idx])
             if not math.isfinite(loss):
                 raise NumericFault(f"non-finite training loss at epoch {epoch}")
-            grads = backward_pass(model, cache, grad_p)
-            np.concatenate([grads[name].reshape(-1) for name in PARAM_ORDER], out=grad)
+            ws.backward(grad_p)
             lr = cfg.lr0 / (1.0 + cfg.decay * step)
             rmsprop_update(theta, grad, mean_square, lr)
             step += 1

@@ -80,6 +80,16 @@ def test_non_utf8_config_file_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name", ["nope.cfg", "a_directory"])
+def test_unreadable_config_path_exits_2(tmp_path, capsys, name):
+    (tmp_path / "a_directory").mkdir()
+    out = tmp_path / "o"
+    assert main(["generate", "--config", str(tmp_path / name), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and name in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "line",
     [

@@ -22,6 +22,7 @@ from uavfuse.model import (
     WEIGHTS_VERSION,
     Model,
     ModelSpec,
+    TrainStep,
     backward_pass,
     batch_arrays,
     build_model,
@@ -34,11 +35,10 @@ from uavfuse.model import (
     _forward,
     _spec_bytes,
 )
-from uavfuse.ops import bce_loss, grad_check
+from uavfuse.ops import bce_loss, grad_check, rmsprop_update
 from uavfuse.registration import fuse_dataset
 from uavfuse.rng import Rng
 from uavfuse.synth import SynthConfig, generate_synthetic_dataset
-from uavfuse import training
 from uavfuse.training import TrainConfig, evaluate_probabilities, split_sizes, train
 
 TINY = ShapeProfile("tiny", (4, 4, 2), (4, 4, 1), (8,))
@@ -485,18 +485,83 @@ class TestTraining:
             for other in trained.params().values():
                 assert not np.shares_memory(value, other), name
 
+    @pytest.mark.parametrize(
+        "model_set, data_set",
+        [
+            (ModalitySet.THERMAL_OPTRONIC_RADAR, ModalitySet.THERMAL_OPTRONIC),
+            (ModalitySet.THERMAL_OPTRONIC, ModalitySet.THERMAL_OPTRONIC_RADAR),
+            (ModalitySet.THERMAL, ModalitySet.THERMAL_OPTRONIC),
+        ],
+    )
+    def test_dataset_that_does_not_fit_the_model_rejected(self, model_set, data_set):
+        model = build_model(tiny_spec(model_set), Rng(26))
+        with pytest.raises(CompatibilityError):
+            train(model, tiny_dataset(data_set), TrainConfig(max_epochs=1, patience=1))
+
     def test_non_finite_gradient_faults_and_leaves_the_input_alone(self, monkeypatch):
         # a finite loss with an infinite gradient in the last tensor, so the
         # fault comes from the optimizer's own check
-        def inf_backward(model, cache, grad_p):
-            grads = backward_pass(model, cache, grad_p)
-            grads["output_bias"] = np.full_like(grads["output_bias"], np.inf)
-            return grads
+        backward = TrainStep.backward
 
-        monkeypatch.setattr(training, "backward_pass", inf_backward)
+        def inf_backward(self, grad_p):
+            backward(self, grad_p)
+            self.grads.output.bias[...] = np.inf
+
+        monkeypatch.setattr(TrainStep, "backward", inf_backward)
         ds = tiny_dataset()
         model = build_model(tiny_spec(), Rng(25))
         before = weights_digest(model)
         with pytest.raises(NumericFault, match="gradient"):
             train(model, ds, TrainConfig(max_epochs=2, patience=2, seed=1))
         assert weights_digest(model) == before
+
+
+def _bits(a):
+    return np.asarray(a).tobytes()
+
+
+class TestTrainStep:
+    """A workspace step against the allocating path it replaced in train()."""
+
+    @staticmethod
+    def _oracle_step(model, x, r, y, idx, rng):
+        rb = None if r is None else r[idx]
+        p, cache = _forward(model, x[idx], rb, "train", rng)
+        loss, grad_p = bce_loss(p, y[idx])
+        grads = backward_pass(model, cache, grad_p)
+        return p, loss, np.concatenate([grads[name].reshape(-1) for name in PARAM_ORDER])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("dropout", [0.0, 0.5])
+    @pytest.mark.parametrize("batch_size", [1, 7, 12])
+    @pytest.mark.parametrize("modality_set", list(ModalitySet))
+    def test_bit_identical_to_forward_and_backward_pass(
+        self, modality_set, batch_size, dropout, dtype
+    ):
+        ds = tiny_dataset(modality_set)
+        x, r, y = batch_arrays(ds.samples, dtype=dtype)
+        assert (r is not None) == modality_set.has_radar
+        oracle = build_model(tiny_spec(modality_set, dropout), Rng(30), dtype)
+        model = oracle.clone()
+        grad = np.empty_like(model.theta)
+        ms_oracle, ms = np.zeros_like(grad), np.zeros_like(grad)
+        rng_oracle, rng = Rng(31), Rng(31)
+        # 31 samples: batch 7 and 12 end on a short batch, 4 and 7 samples long
+        order = Rng(32).permutation(len(y))[:31]
+        workspaces = {}
+        for epoch in range(2):
+            for s in range(0, len(order), batch_size):
+                idx = order[s : s + batch_size]
+                p_o, loss_o, grad_o = self._oracle_step(oracle, x, r, y, idx, rng_oracle)
+                ws = workspaces.setdefault(len(idx), TrainStep(model, len(idx), grad))
+                p = ws.forward(x, r, idx, rng)
+                loss, grad_p = bce_loss(p, y[idx])
+                ws.backward(grad_p)
+                assert _bits(p) == _bits(p_o)
+                assert loss == loss_o
+                assert _bits(grad) == _bits(grad_o)
+                rmsprop_update(oracle.theta, grad_o, ms_oracle, 1e-2)
+                rmsprop_update(model.theta, grad, ms, 1e-2)
+                assert _bits(model.theta) == _bits(oracle.theta)
+        assert sorted(workspaces) == sorted({batch_size, 31 % batch_size} - {0})
+        assert _bits(rng.u64(5)) == _bits(rng_oracle.u64(5))

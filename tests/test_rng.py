@@ -1,6 +1,8 @@
 """Generator correctness: scalar reference oracle, determinism, distributions."""
 
 import numpy as np
+from hypothesis import given
+from hypothesis import strategies as st
 
 from uavfuse.rng import Rng, derive_seed, splitmix64
 
@@ -108,3 +110,86 @@ def test_spawn_streams_are_stable_and_distinct():
     assert not np.array_equal(a1, b)
     assert derive_seed(11, "init") != derive_seed(11, "dropout")
     assert derive_seed(11, "init") != derive_seed(12, "init")
+
+
+class _AllocatingRng(Rng):
+    """Oracle: the generator as it was before its steps ran in place.
+
+    Each step allocates its temporaries and its block of words, and a draw
+    concatenates the blocks it reads. ``uniform``, ``normal`` and
+    ``permutation`` are inherited, so they read this ``u64``.
+    """
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        s = splitmix64(self.seed, 4 * self.LANES).reshape(self.LANES, 4).T.copy()
+        self._s0, self._s1, self._s2, self._s3 = s[0], s[1], s[2], s[3]
+        self._block = np.empty(0, dtype=np.uint64)
+        self._read = 0
+
+    @staticmethod
+    def _rotl(x, k):
+        return (x << np.uint64(k)) | (x >> np.uint64(64 - k))
+
+    def _allocating_step(self):
+        s0, s1, s2, s3 = self._s0, self._s1, self._s2, self._s3
+        out = self._rotl(s0 + s3, 23) + s0
+        t = s1 << np.uint64(17)
+        s2 ^= s0
+        s3 ^= s1
+        s1 ^= s2
+        s0 ^= s3
+        s2 ^= t
+        self._s0, self._s1, self._s2, self._s3 = s0, s1, s2, self._rotl(s3, 45)
+        return out
+
+    def u64(self, n):
+        parts = []
+        avail = self._block[self._read:]
+        if avail.size:
+            take = avail[:n]
+            parts.append(take)
+            self._read += take.size
+            n -= take.size
+        while n > 0:
+            block = self._allocating_step()
+            if n >= block.size:
+                parts.append(block)
+                n -= block.size
+            else:
+                self._block = block
+                self._read = n
+                parts.append(block[:n])
+                n = 0
+        if len(parts) == 1:
+            return parts[0].copy()
+        return np.concatenate(parts) if parts else np.empty(0, dtype=np.uint64)
+
+
+SIZES = st.sampled_from([0, 1, 2, 1023, 1024, 1025, 2047, 4800, 70_000]) | st.integers(0, 5000)
+DRAWS = st.lists(
+    st.tuples(st.sampled_from(["u64", "uniform", "normal", "permutation"]), SIZES),
+    min_size=1,
+    max_size=8,
+)
+
+
+@given(seed=st.integers(0, 2**64 - 1), draws=DRAWS)
+def test_in_place_steps_match_the_allocating_oracle(seed, draws):
+    rng, oracle = Rng(seed), _AllocatingRng(seed)
+    for kind, n in draws:
+        n = min(n, 5000) if kind == "permutation" else n
+        got, want = getattr(rng, kind)(n), getattr(oracle, kind)(n)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (kind, n)
+
+
+def test_draws_own_their_memory():
+    for n in (1, 1023, 1024, 1025, 4800):
+        rng, twin = Rng(4), Rng(4)
+        words, _ = rng.u64(n), twin.u64(n)
+        assert words.flags.owndata
+        for state in (rng._s, rng._tmp, rng._buf):
+            assert not np.shares_memory(words, state)
+        words[:] = 0
+        assert np.array_equal(rng.u64(3000), twin.u64(3000))
+        assert np.array_equal(rng.uniform(5), twin.uniform(5))
