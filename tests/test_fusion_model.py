@@ -549,11 +549,13 @@ class TestTrainStep:
         # 31 samples: batch 7 and 12 end on a short batch, 4 and 7 samples long
         order = Rng(32).permutation(len(y))[:31]
         workspaces = {}
-        for epoch in range(2):
+        for _ in range(2):
             for s in range(0, len(order), batch_size):
                 idx = order[s : s + batch_size]
                 p_o, loss_o, grad_o = self._oracle_step(oracle, x, r, y, idx, rng_oracle)
-                ws = workspaces.setdefault(len(idx), TrainStep(model, len(idx), grad))
+                if len(idx) not in workspaces:
+                    workspaces[len(idx)] = TrainStep(model, len(idx), grad)
+                ws = workspaces[len(idx)]
                 p = ws.forward(x, r, idx, rng)
                 loss, grad_p = bce_loss(p, y[idx])
                 ws.backward(grad_p)
