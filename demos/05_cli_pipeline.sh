@@ -4,7 +4,7 @@
 # train two seeds, and evaluate both on the test split.
 set -e
 
-ROOT="$(mktemp -d /tmp/uavfuse-demo-XXXXXX)"
+ROOT="$(mktemp -d "${TMPDIR:-/tmp}/uavfuse-demo-XXXXXX")"
 CFG="$ROOT/run.cfg"
 
 cat > "$CFG" <<'EOF'

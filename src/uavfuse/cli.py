@@ -26,8 +26,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, format_float as _fmt, load_run_config
-from .data import Modality
+from .config import RunConfig, load_run_config
+from .data import Modality, ModalitySet
 from .errors import (
     CompatibilityError,
     ConfigError,
@@ -56,6 +56,7 @@ from .msfr import (
 from .registration import fuse_dataset
 from .rng import Rng
 from .synth import generate_synthetic_dataset
+from .text import format_value, key_value_lines
 from .training import evaluate_probabilities, train
 
 log = logging.getLogger("uavfuse")
@@ -116,7 +117,7 @@ def cmd_register(cfg: RunConfig, data_dir: Path, out_dir: Path) -> int:
     if not thermal:
         raise DataError(f"no thermal recordings listed in {data_dir}")
 
-    for modality in list(Modality)[: cfg.modality_set.count]:
+    for modality in cfg.modality_set.modalities:
         if not recordings[modality]:
             ids = sorted(r.recording_id for r in thermal)
             raise DataError(
@@ -156,20 +157,19 @@ def _fused_path(data: Path, cfg: RunConfig) -> Path:
 
 
 def _training_report_text(seed: int, report) -> str:
-    lines = [
-        f"seed = {seed}",
-        f"stopped_epoch = {report.stopped_epoch}",
-        f"best_epoch = {report.best_epoch}",
-        f"weights_digest = {report.weights_digest}",
-        f"val_weighted_f1 = {_fmt(report.val_weighted_f1)}",
-        "epoch\ttrain_loss\ttrain_accuracy\tval_loss\tval_accuracy",
-    ]
-    for e in range(len(report.train_loss)):
-        lines.append(
-            f"{e + 1}\t{_fmt(report.train_loss[e])}\t{_fmt(report.train_accuracy[e])}"
-            f"\t{_fmt(report.val_loss[e])}\t{_fmt(report.val_accuracy[e])}"
-        )
-    return "\n".join(lines) + "\n"
+    head = key_value_lines(
+        {
+            "seed": seed,
+            "stopped_epoch": report.stopped_epoch,
+            "best_epoch": report.best_epoch,
+            "weights_digest": report.weights_digest,
+            "val_weighted_f1": report.val_weighted_f1,
+        }
+    )
+    series = (report.train_loss, report.train_accuracy, report.val_loss, report.val_accuracy)
+    rows = ["epoch\ttrain_loss\ttrain_accuracy\tval_loss\tval_accuracy"]
+    rows += ["\t".join(map(format_value, (e, *row))) for e, row in enumerate(zip(*series), 1)]
+    return head + "\n".join(rows) + "\n"
 
 
 def cmd_train(cfg: RunConfig, data: Path, out_dir: Path) -> int:
@@ -189,9 +189,10 @@ def cmd_train(cfg: RunConfig, data: Path, out_dir: Path) -> int:
         )
         print(
             f"repeat {r} (seed {seed}): stopped at epoch {report.stopped_epoch}, "
-            f"best epoch {report.best_epoch}, validation weighted F1 {_fmt(f1s[-1])}"
+            f"best epoch {report.best_epoch}, validation weighted F1 {format_value(f1s[-1])}"
         )
-    print(f"mean validation weighted F1 over {cfg.repeats} run(s): {_fmt(float(np.mean(f1s)))}")
+    mean_f1 = format_value(float(np.mean(f1s)))
+    print(f"mean validation weighted F1 over {cfg.repeats} run(s): {mean_f1}")
     return 0
 
 
@@ -211,12 +212,12 @@ def cmd_evaluate(cfg: RunConfig, model_path: Path, data: Path, out_dir: Path) ->
     out_dir.mkdir(parents=True, exist_ok=True)
     cfg.write_resolved(out_dir)
 
-    doc = [
-        f"dataset_digest = {hashlib.sha256(fused_file.read_bytes()).hexdigest()}",
-        f"dataset_samples = {len(dataset.samples)}",
-        f"modality_set = {dataset.modality_set.value}",
-        f"models = {','.join(f.name for f in model_files)}",
-    ]
+    doc = {
+        "dataset_digest": hashlib.sha256(fused_file.read_bytes()).hexdigest(),
+        "dataset_samples": len(dataset.samples),
+        "modality_set": dataset.modality_set.value,
+        "models": [f.name for f in model_files],
+    }
     blocks = []
     f1s = []
     for path in model_files:
@@ -227,37 +228,35 @@ def cmd_evaluate(cfg: RunConfig, model_path: Path, data: Path, out_dir: Path) ->
         curve = roc_curve(y, p)
         f1s.append(report.weighted_f1)
         (out_dir / f"roc_{path.stem}.csv").write_text(roc_csv(curve), encoding="utf-8")
-        blocks.extend(
-            [
-                f"[{path.name}]",
-                f"weights_digest = {hashlib.sha256(path.read_bytes()).hexdigest()}",
-                f"tn = {cm.tn}",
-                f"fp = {cm.fp}",
-                f"fn = {cm.fn}",
-                f"tp = {cm.tp}",
-                f"fa_precision = {_fmt(report.false_alarm.precision)}",
-                f"fa_recall = {_fmt(report.false_alarm.recall)}",
-                f"fa_f1 = {_fmt(report.false_alarm.f1)}",
-                f"uav_precision = {_fmt(report.uav.precision)}",
-                f"uav_recall = {_fmt(report.uav.recall)}",
-                f"uav_f1 = {_fmt(report.uav.f1)}",
-                f"weighted_precision = {_fmt(report.weighted_precision)}",
-                f"weighted_recall = {_fmt(report.weighted_recall)}",
-                f"weighted_f1 = {_fmt(report.weighted_f1)}",
-                f"accuracy = {_fmt(report.accuracy)}",
-                f"auc = {_fmt(curve.auc)}",
-            ]
-        )
+        block = {
+            "weights_digest": hashlib.sha256(path.read_bytes()).hexdigest(),
+            "tn": cm.tn,
+            "fp": cm.fp,
+            "fn": cm.fn,
+            "tp": cm.tp,
+            "fa_precision": report.false_alarm.precision,
+            "fa_recall": report.false_alarm.recall,
+            "fa_f1": report.false_alarm.f1,
+            "uav_precision": report.uav.precision,
+            "uav_recall": report.uav.recall,
+            "uav_f1": report.uav.f1,
+            "weighted_precision": report.weighted_precision,
+            "weighted_recall": report.weighted_recall,
+            "weighted_f1": report.weighted_f1,
+            "accuracy": report.accuracy,
+            "auc": curve.auc,
+        }
+        blocks.append(f"[{path.name}]\n" + key_value_lines(block))
         print(f"== {path.name} ==")
         print(render_confusion(cm))
         print(render_report(report))
-        print(f"AUC: {_fmt(curve.auc)}")
+        print(f"AUC: {format_value(curve.auc)}")
 
-    doc.append(f"per_seed_f1 = {','.join(_fmt(v) for v in f1s)}")
-    doc.append(f"mean_f1 = {_fmt(float(np.mean(f1s)))}")
-    doc.extend(blocks)
-    (out_dir / "evaluation.txt").write_text("\n".join(doc) + "\n", encoding="utf-8")
-    print(f"mean weighted F1 over {len(f1s)} model(s): {_fmt(float(np.mean(f1s)))}")
+    doc["per_seed_f1"] = f1s
+    doc["mean_f1"] = float(np.mean(f1s))
+    text = key_value_lines(doc) + "".join(blocks)
+    (out_dir / "evaluation.txt").write_text(text, encoding="utf-8")
+    print(f"mean weighted F1 over {len(f1s)} model(s): {format_value(doc['mean_f1'])}")
     return 0
 
 
@@ -272,7 +271,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", type=Path, help="key = value configuration file")
         p.add_argument("--seed", type=int)
         p.add_argument("--profile", choices=["paper", "reduced"])
-        p.add_argument("--modalities", choices=["one", "two", "three"])
+        p.add_argument("--modalities", choices=[s.value for s in ModalitySet])
         p.add_argument("--repeats", type=int)
         p.add_argument("--out", type=Path, required=True, help="output directory")
 

@@ -21,16 +21,12 @@ from .errors import ConfigError
 from .model import ModelSpec
 from .registration import MatchConfig
 from .synth import SynthConfig
+from .text import key_value_lines
 from .training import TrainConfig
 
 RESOLVED_NAME = "resolved_config.txt"
 _SECTIONS = ("synth", "match", "train")  # the RunConfig fields that hold sub-configs
 _NOT_KEYS = ("seed", "shape_profile")  # sub-config fields the run-wide keys set
-
-
-def format_float(value: float) -> str:
-    """The text form of a float in every document a command writes."""
-    return f"{value:.9g}"
 
 
 def _parse_bool(text: str) -> bool:
@@ -49,11 +45,11 @@ class RunConfig:
     seed: int = 0
     repeats: int = 1
     holdout_recordings: int = 0
-    # model; conv_filters/dense_units of -1 resolve per profile (512 paper, 16/32 reduced)
+    # model; conv_filters/dense_units of -1 resolve per profile (ModelSpec's, or 16/32 reduced)
     conv_filters: int = -1
     dense_units: int = -1
-    kernel_size: int = 3
-    dropout_rate: float = 0.5
+    kernel_size: int = ModelSpec.kernel[0]
+    dropout_rate: float = ModelSpec.dropout_rate
     # generator, registration and training keys, with their defaults
     synth: SynthConfig = field(default_factory=SynthConfig)
     match: MatchConfig = field(default_factory=MatchConfig)
@@ -70,7 +66,7 @@ class RunConfig:
     def resolve(self) -> None:
         if self.profile not in ("paper", "reduced"):
             raise ConfigError(f"profile must be paper or reduced, got {self.profile!r}")
-        if self.modalities not in ("one", "two", "three"):
+        if self.modalities not in [s.value for s in ModalitySet]:
             raise ConfigError(
                 f"modalities must be one, two or three, got {self.modalities!r}"
             )
@@ -79,14 +75,14 @@ class RunConfig:
         if self.holdout_recordings < 0:
             raise ConfigError("holdout_recordings must be non-negative")
         if self.conv_filters == -1:
-            self.conv_filters = 512 if self.profile == "paper" else 16
+            self.conv_filters = ModelSpec.conv_filters if self.profile == "paper" else 16
         if self.dense_units == -1:
-            self.dense_units = 512 if self.profile == "paper" else 32
+            self.dense_units = ModelSpec.dense_units if self.profile == "paper" else 32
         # every key is checked here, before any command writes output
         for section in _SECTIONS:
             getattr(self, section).validate()
-        mset, profile = self.modality_set, self.shape_profile
-        self.model_spec(mset, profile.input_shape(mset), profile.radar_len(mset)).validate()
+        mset = self.modality_set
+        self.model_spec(mset, *self.shape_profile.network_input(mset)).validate()
 
     def model_spec(self, modality_set: ModalitySet, stacked_shape, radar_len: int) -> ModelSpec:
         """The model keys as a spec for inputs of the given shapes."""
@@ -111,17 +107,8 @@ class RunConfig:
         return replace(self.train, seed=seed)
 
     def resolved_lines(self) -> str:
-        out = []
-        for key, owner in sorted(self._key_owners().items()):
-            value = getattr(owner, key)
-            if isinstance(value, bool):
-                text = "true" if value else "false"
-            elif isinstance(value, float):
-                text = format_float(value)
-            else:
-                text = str(value)
-            out.append(f"{key} = {text}\n")
-        return "".join(out)
+        owners = sorted(self._key_owners().items())
+        return key_value_lines({key: getattr(owner, key) for key, owner in owners})
 
     def write_resolved(self, out_dir) -> None:
         Path(out_dir).mkdir(parents=True, exist_ok=True)

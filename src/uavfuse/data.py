@@ -36,21 +36,42 @@ class ModalitySet(enum.Enum):
 
     @classmethod
     def from_count(cls, count: int) -> "ModalitySet":
-        if not 1 <= count <= 3:
-            raise ValueError(f"modality count must be 1..3, got {count}")
+        if not 1 <= count <= len(cls):
+            raise ValueError(f"modality count must be 1..{len(cls)}, got {count}")
         return list(cls)[count - 1]
 
     @property
     def count(self) -> int:
-        return {"one": 1, "two": 2, "three": 3}[self.value]
+        return list(ModalitySet).index(self) + 1
+
+    @property
+    def modalities(self) -> tuple[Modality, ...]:
+        """The fused sensors: the first ``count`` of thermal, optronic, radar."""
+        return tuple(Modality)[: self.count]
 
     @property
     def has_optronic(self) -> bool:
-        return self.count >= 2
+        return Modality.OPTRONIC in self.modalities
 
     @property
     def has_radar(self) -> bool:
-        return self.count >= 3
+        return Modality.RADAR in self.modalities
+
+
+def network_input(modality_set: ModalitySet, thermal, optronic, radar) -> tuple[tuple, int]:
+    """The fusion network's input for per-modality feature shapes: (stacked_shape, radar_len).
+
+    The one-modality set takes the thermal map alone; the others stack the
+    thermal and optronic (H, W, C) maps along the channel axis, thermal
+    first; the three-modality set adds the flattened radar vector. A shape
+    the set does not use may be None.
+    """
+    if not modality_set.has_optronic:
+        return tuple(thermal), 0
+    if len(thermal) != 3 or len(optronic) != 3 or thermal[:2] != optronic[:2]:
+        raise ShapeError(f"cannot stack thermal {thermal} and optronic {optronic} maps")
+    stacked = tuple(thermal[:2]) + (thermal[2] + optronic[2],)
+    return stacked, math.prod(radar) if modality_set.has_radar else 0
 
 
 @dataclass(frozen=True)
@@ -81,20 +102,9 @@ class ShapeProfile:
     def shape_for(self, modality: Modality) -> tuple[int, ...]:
         return getattr(self, modality.name.lower())
 
-    @property
-    def stacked(self) -> tuple[int, ...]:
-        """Thermal and optronic stacked along the channel axis."""
-        if self.thermal[:2] != self.optronic[:2]:
-            raise ShapeError(
-                f"thermal spatial dims {self.thermal[:2]} != optronic {self.optronic[:2]}"
-            )
-        return self.thermal[:2] + (self.thermal[2] + self.optronic[2],)
-
-    def input_shape(self, modality_set: ModalitySet) -> tuple[int, ...]:
-        return self.thermal if modality_set is ModalitySet.THERMAL else self.stacked
-
-    def radar_len(self, modality_set: ModalitySet) -> int:
-        return int(np.prod(self.radar)) if modality_set.has_radar else 0
+    def network_input(self, modality_set: ModalitySet) -> tuple[tuple[int, ...], int]:
+        """``network_input`` for this profile's shapes."""
+        return network_input(modality_set, self.thermal, self.optronic, self.radar)
 
 
 _HEAD = np.dtype([("timestamp", "<f8"), ("label", "u1")])

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError, ValidationError
+from .text import format_value
 
 
 @dataclass(frozen=True)
@@ -143,54 +144,34 @@ def roc_curve(labels, probabilities) -> RocCurve:
     return RocCurve(tuple(points), auc)
 
 
+def _table(rows) -> str:
+    """Right-aligned columns, two spaces apart."""
+    widths = [max(len(r[c]) for r in rows) for c in range(len(rows[0]))]
+    return "\n".join("  ".join(cell.rjust(w) for cell, w in zip(row, widths)) for row in rows)
+
+
 def render_confusion(cm: ConfusionMatrix) -> str:
     """Two-by-two count table, true classes as rows."""
-    rows = [
-        ("", "pred FA (0)", "pred UAV (1)"),
-        ("true FA (0)", str(cm.tn), str(cm.fp)),
-        ("true UAV (1)", str(cm.fn), str(cm.tp)),
-    ]
-    widths = [max(len(r[c]) for r in rows) for c in range(3)]
-    return "\n".join(
-        "  ".join(cell.rjust(w) for cell, w in zip(row, widths)) for row in rows
+    return _table(
+        [
+            ("", "pred FA (0)", "pred UAV (1)"),
+            ("true FA (0)", str(cm.tn), str(cm.fp)),
+            ("true UAV (1)", str(cm.fn), str(cm.tp)),
+        ]
     )
 
 
 def render_report(report: ClassificationReport) -> str:
     """Aligned per-class table with weighted averages and accuracy."""
-    rows = [
-        ("", "precision", "recall", "f1-score", "support"),
-        (
-            "FA (0)",
-            f"{report.false_alarm.precision:.2f}",
-            f"{report.false_alarm.recall:.2f}",
-            f"{report.false_alarm.f1:.2f}",
-            str(report.false_alarm.support),
-        ),
-        (
-            "UAV (1)",
-            f"{report.uav.precision:.2f}",
-            f"{report.uav.recall:.2f}",
-            f"{report.uav.f1:.2f}",
-            str(report.uav.support),
-        ),
-        (
-            "weighted avg",
-            f"{report.weighted_precision:.2f}",
-            f"{report.weighted_recall:.2f}",
-            f"{report.weighted_f1:.2f}",
-            str(report.total),
-        ),
-        ("accuracy", "", "", f"{report.accuracy:.2f}", str(report.total)),
-    ]
-    widths = [max(len(r[c]) for r in rows) for c in range(5)]
-    return "\n".join(
-        "  ".join(cell.rjust(w) for cell, w in zip(row, widths)) for row in rows
-    )
+    rows = [("", "precision", "recall", "f1-score", "support")]
+    for name, m in (("FA (0)", report.false_alarm), ("UAV (1)", report.uav)):
+        rows.append((name, f"{m.precision:.2f}", f"{m.recall:.2f}", f"{m.f1:.2f}", str(m.support)))
+    weighted = (report.weighted_precision, report.weighted_recall, report.weighted_f1)
+    rows.append(("weighted avg", *(f"{v:.2f}" for v in weighted), str(report.total)))
+    rows.append(("accuracy", "", "", f"{report.accuracy:.2f}", str(report.total)))
+    return _table(rows)
 
 
 def roc_csv(curve: RocCurve) -> str:
-    """CSV export: header ``fpr,tpr``, one point per line, 9 significant digits."""
-    lines = ["fpr,tpr"]
-    lines.extend(f"{fpr:.9g},{tpr:.9g}" for fpr, tpr in curve.points)
-    return "\n".join(lines) + "\n"
+    """CSV export: header ``fpr,tpr``, then one point per line in the document value format."""
+    return "fpr,tpr\n" + "".join(f"{format_value(point)}\n" for point in curve.points)

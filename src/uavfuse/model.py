@@ -67,22 +67,9 @@ class ModelSpec:
     dropout_rate: float = 0.5
 
     @classmethod
-    def for_profile(
-        cls,
-        modality_set: ModalitySet,
-        profile: ShapeProfile,
-        conv_filters: int = 512,
-        dense_units: int = 512,
-        dropout_rate: float = 0.5,
-    ) -> "ModelSpec":
-        return cls(
-            modality_set=modality_set,
-            stacked_shape=profile.input_shape(modality_set),
-            radar_len=profile.radar_len(modality_set),
-            conv_filters=conv_filters,
-            dense_units=dense_units,
-            dropout_rate=dropout_rate,
-        )
+    def for_profile(cls, modality_set: ModalitySet, profile: ShapeProfile, **sizes) -> "ModelSpec":
+        """A spec for the profile's input shapes; ``sizes`` override the layer-size defaults."""
+        return cls(modality_set, *profile.network_input(modality_set), **sizes)
 
     def validate(self) -> None:
         if self.conv_filters < 1 or self.dense_units < 1:
@@ -409,7 +396,10 @@ def load_weights(source) -> Model:
         modality_set, stacked_shape, radar_len, conv_filters, (kh, kw),
         dense_units, dropout_rate,
     )
-    spec.validate()
+    try:
+        spec.validate()
+    except ConfigError as exc:
+        raise CorruptionError(f"{source}: stored spec is out of range: {exc}") from None
     # Read every tensor before the vector is allocated: a hostile spec with
     # huge dimensions then fails on the short payload, not on the allocation.
     tensors = []

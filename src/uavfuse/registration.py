@@ -13,12 +13,11 @@ sample count of every set.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import FusedDataset, ModalitySet, Recording, fused_dtype
+from .data import FusedDataset, Modality, ModalitySet, Recording, fused_dtype, network_input
 from .errors import ConfigError, ShapeError, ValidationError, check_finite_fields
 
 log = logging.getLogger(__name__)
@@ -125,15 +124,26 @@ def stack_features(thermal: np.ndarray, optronic: np.ndarray) -> np.ndarray:
     return np.concatenate([thermal, optronic], axis=-1)
 
 
-def _by_id(recordings) -> dict[str, Recording]:
-    return {rec.recording_id: rec for rec in recordings or []}
+def _by_id(recordings, name: str) -> dict[str, Recording]:
+    """A modality's recordings by id; two recordings with one id are rejected."""
+    by_id = {}
+    for rec in recordings or []:
+        if rec.recording_id in by_id:
+            raise ValidationError(f"two {name} recordings have the id {rec.recording_id!r}")
+        by_id[rec.recording_id] = rec
+    return by_id
 
 
-def _feature_shape(by_id: dict[str, Recording], name: str) -> tuple[int, ...] | None:
-    """The one feature shape of a modality's recordings; None when there are none."""
+def _feature_shape(by_id: dict[str, Recording], name: str, used: bool) -> tuple[int, ...] | None:
+    """The one feature shape of a modality's recordings; None when there are none.
+
+    A modality the requested set fuses (``used``) must have recordings.
+    """
     shapes = {rec.feature_shape for rec in by_id.values()}
     if len(shapes) > 1:
         raise ValidationError(f"{name} recordings disagree on feature shape: {sorted(shapes)}")
+    if not shapes and used:
+        raise ValidationError(f"no {name} recordings to fuse")
     return shapes.pop() if shapes else None
 
 
@@ -152,30 +162,19 @@ def fuse_dataset(
     counts the samples of every modality set the recordings can form into
     ``set_counts``; only the samples of ``modality_set`` are stacked. The
     three-modality set drops pairs without a radar match. Recordings
-    without a counterpart are skipped with a warning. Sample counts obey
+    without a counterpart are skipped with a warning; two recordings of one
+    modality with the same id are rejected. Sample counts obey
     |three| <= |two| <= |one|.
     """
     cfg = cfg or MatchConfig()
     cfg.validate()
-    thermal_by_id = _by_id(thermal)
-    optronic_by_id = _by_id(optronic)
-    radar_by_id = _by_id(radar)
-    if not thermal_by_id:
-        raise ValidationError("no thermal recordings to fuse")
-
-    th_shape = _feature_shape(thermal_by_id, "thermal")
-    opt_shape = _feature_shape(optronic_by_id, "optronic")
-    radar_shape = _feature_shape(radar_by_id, "radar")
-    if modality_set is ModalitySet.THERMAL:
-        stacked_shape = th_shape
-    elif opt_shape is None:
-        raise ValidationError("no optronic recordings to fuse")
-    else:
-        empty = [np.zeros((0,) + shape, np.float32) for shape in (th_shape, opt_shape)]
-        stacked_shape = stack_features(*empty).shape[1:]
-    if modality_set.has_radar and radar_shape is None:
-        raise ValidationError("no radar recordings to fuse")
-    radar_len = math.prod(radar_shape) if modality_set.has_radar and radar_shape else 0
+    by_id, shapes = [], []
+    for modality, recordings in zip(Modality, (thermal, optronic, radar)):
+        name = modality.name.lower()
+        by_id.append(_by_id(recordings, name))
+        shapes.append(_feature_shape(by_id[-1], name, modality in modality_set.modalities))
+    thermal_by_id, optronic_by_id, radar_by_id = by_id
+    stacked_shape, radar_len = network_input(modality_set, *shapes)
 
     two, three = ModalitySet.THERMAL_OPTRONIC, ModalitySet.THERMAL_OPTRONIC_RADAR
     # the sets the recordings can form: thermal, then with optronic, then with radar
@@ -277,7 +276,7 @@ def audit_fused_dataset(
             n = rows[reused[0]]
             where = f"{modality} sample {idx[n]} of {dataset.provenance[recording[n]]}"
             raise ValidationError(f"fused sample {n}: {where} used twice")
-        for k, rec in enumerate(map(_by_id(recs).get, dataset.provenance)):
+        for k, rec in enumerate(map(_by_id(recs, modality).get, dataset.provenance)):
             if rec is None:
                 continue
             mine = rows[recording[rows] == k]

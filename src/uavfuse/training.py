@@ -15,7 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import FusedDataset
-from .errors import ConfigError, NumericFault, TrainingError, check_finite_fields
+from .errors import (
+    CompatibilityError, ConfigError, NumericFault, TrainingError, check_finite_fields
+)
 from .metrics import classification_report, confusion_at_threshold
 from .model import Model, TrainStep, batch_arrays, weights_digest, _check_batch, _forward
 from .ops import bce_loss, rmsprop_update
@@ -71,6 +73,10 @@ def evaluate_probabilities(model: Model, x, r, batch_size: int = 64) -> np.ndarr
     run in chunks of ``batch_size`` to bound peak memory. Pair it with
     ``classify_probability`` for hard labels.
     """
+    if x.shape[0] == 0:
+        raise CompatibilityError("empty batch")
+    if batch_size < 1:
+        raise ConfigError(f"batch_size must be positive, got {batch_size}")
     out = []
     for s in range(0, x.shape[0], batch_size):
         rb = None if r is None else r[s : s + batch_size]

@@ -260,6 +260,19 @@ class TestRegister:
         assert code == 3
         assert f"{name}: {count} samples, but the manifest lists 999" in capsys.readouterr().err
 
+    def test_two_recordings_with_one_id_exit_3(self, generated, capsys):
+        cfg, data = generated
+        # a second thermal file that holds rec000 again
+        copy = data / "rec000b_thermal.msfr"
+        copy.write_bytes((data / "rec000_thermal.msfr").read_bytes())
+        count = len(read_recording(copy).samples)
+        write_manifest(data, read_manifest(data) + [(copy.name, "thermal", count)])
+        out = data.parent / "fused"
+        code = main(["register", "--config", str(cfg), "--data", str(data), "--out", str(out)])
+        assert code == 3
+        assert "two thermal recordings have the id 'rec000'" in capsys.readouterr().err
+        assert not list(out.rglob("*.msfr"))
+
     def test_holdout_writes_train_and_test_splits(self, generated):
         cfg, data = generated
         out = data.parent / "split"
@@ -503,6 +516,25 @@ def test_golden_evaluation_digest(tmp_path):
     assert digest == "fabe4151837e9c199818ab7041065b034fa2332d92a9b3f2996cd562c3ad6c0e"
 
 
+def test_golden_roc_csv_digest(tmp_path):
+    # Pinned bytes of roc_model_000.csv from the golden evaluation run.
+    cfg = write_config(
+        tmp_path,
+        "profile = reduced\nrecordings_per_modality = 2\nsamples_per_recording = 40\n"
+        "seed = 3\nlr0 = 0.001\nmax_epochs = 3\npatience = 3\n",
+    )
+    data, fused_dir, models, out = (tmp_path / n for n in ("d", "f", "m", "e"))
+    assert main(["generate", "--config", str(cfg), "--out", str(data)]) == 0
+    assert main(["register", "--config", str(cfg), "--data", str(data), "--out", str(fused_dir)]) == 0
+    assert main(["train", "--config", str(cfg), "--data", str(fused_dir), "--out", str(models)]) == 0
+    assert main(
+        ["evaluate", "--config", str(cfg), "--model", str(models),
+         "--data", str(fused_dir), "--out", str(out)]
+    ) == 0
+    digest = hashlib.sha256((out / "roc_model_000.csv").read_bytes()).hexdigest()
+    assert digest == "15d56540d4e4c02f165058998399bd0b68ec053b757275b12d42fe4c967a8fe4"
+
+
 def test_golden_training_report_digest(tmp_path):
     # Pinned bytes of report_000.txt from the golden evaluation run's train
     # stage: per-epoch series, best and stopped epochs and validation F1.
@@ -539,6 +571,26 @@ def test_evaluate_nan_weights_exits_3(fused, tmp_path):
     )
     assert proc.returncode == 3, proc.stderr
     assert "non-finite" in proc.stderr
+    assert not (tmp_path / "e" / "evaluation.txt").exists()
+
+
+@pytest.mark.parametrize("field,value", [("dropout_rate", np.nan), ("conv_filters", 0)])
+def test_evaluate_out_of_range_weights_spec_exits_3(fused, tmp_path, capsys, field, value):
+    cfg, data = fused
+    spec = ModelSpec.for_profile(
+        ModalitySet.THERMAL_OPTRONIC_RADAR, ShapeProfile.reduced(), conv_filters=16, dense_units=32
+    )
+    model = build_model(spec, Rng(0))
+    setattr(model.spec, field, value)
+    weights = tmp_path / "bad.msfw"
+    save_weights(model, weights)
+    code = main(
+        ["evaluate", "--config", str(cfg), "--model", str(weights), "--data", str(data),
+         "--out", str(tmp_path / "e")]
+    )
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and f"bad.msfw: stored spec is out of range: {field}" in err
     assert not (tmp_path / "e" / "evaluation.txt").exists()
 
 

@@ -196,6 +196,14 @@ def _random_fused(modality_set, radar_len):
     return FusedDataset(modality_set, samples, ["rec000", "rec001"])
 
 
+@pytest.mark.parametrize("modality_set", list(ModalitySet))
+def test_the_count_names_the_set(modality_set):
+    # the count is the modality byte of fused and weights files
+    assert ModalitySet.from_count(modality_set.count) is modality_set
+    assert len(modality_set.modalities) == modality_set.count
+    assert modality_set.modalities == tuple(Modality)[: modality_set.count]
+
+
 class TestFusedRoundTrip:
 
     @pytest.mark.parametrize(

@@ -192,6 +192,19 @@ class TestForward:
         p2 = eval_probabilities(model, batch)
         assert np.array_equal(p1, p2)
 
+    def test_empty_batch_is_incompatible(self):
+        model = build_model(tiny_spec(), Rng(1))
+        x, r, _ = batch_arrays(tiny_dataset().samples[:3])
+        with pytest.raises(CompatibilityError, match="empty batch"):
+            evaluate_probabilities(model, x[:0], r[:0])
+
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_non_positive_batch_size_is_a_config_error(self, batch_size):
+        model = build_model(tiny_spec(), Rng(1))
+        x, r, _ = batch_arrays(tiny_dataset().samples[:3])
+        with pytest.raises(ConfigError, match="batch_size must be positive"):
+            evaluate_probabilities(model, x, r, batch_size)
+
     def test_zero_weights_give_half_probability(self):
         model = build_model(tiny_spec(), Rng(1))
         model.set_params({k: np.zeros_like(v) for k, v in model.params().items()})
@@ -299,6 +312,17 @@ class TestPersistence:
         struct.pack_into("<H", raw, 4, 42)
         path.write_bytes(bytes(raw))
         with pytest.raises(FormatError, match="version"):
+            load_weights(path)
+
+    @pytest.mark.parametrize("field,value", [("dropout_rate", np.nan), ("conv_filters", 0)])
+    def test_out_of_range_stored_spec_is_corruption(self, tmp_path, field, value):
+        # the loader validates the stored spec: a bad value is a fault of the
+        # file, not of the run's configuration
+        model = build_model(tiny_spec(), Rng(11))
+        setattr(model.spec, field, value)
+        path = tmp_path / "m.msfw"
+        save_weights(model, path)
+        with pytest.raises(CorruptionError, match=f"m.msfw: stored spec is out of range: {field}"):
             load_weights(path)
 
     def test_digest_tracks_content(self):

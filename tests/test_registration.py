@@ -290,6 +290,30 @@ class TestFuseDataset:
         assert len(two.samples) == 4
         assert len(three.samples) == 0
 
+    @pytest.mark.parametrize("modality", list(Modality))
+    def test_two_recordings_with_one_id_rejected(self, modality):
+        streams = [[rec] for rec in _hand_recordings()]
+        streams[modality] *= 2
+        name = modality.name.lower()
+        for modality_set in ModalitySet:
+            with pytest.raises(ValidationError, match=f"two {name} recordings have the id 'rec000'"):
+                fuse_dataset(*streams, modality_set)
+
+    @pytest.mark.parametrize("modality_set", list(ModalitySet))
+    def test_fused_shapes_are_the_network_input(self, modality_set):
+        data = generate_synthetic_dataset(
+            SynthConfig(recordings_per_modality=1, samples_per_recording=5, shape_profile=TINY)
+        )
+        fused = fuse_dataset(*(data[m] for m in Modality), modality_set)
+        assert (fused.stacked_shape, fused.radar_len) == TINY.network_input(modality_set)
+
+    def test_maps_that_cannot_stack_rejected(self):
+        profile = ShapeProfile("odd", (2, 2, 2), (3, 2, 1), (3,))
+        assert profile.network_input(ModalitySet.THERMAL) == ((2, 2, 2), 0)
+        for modality_set in (ModalitySet.THERMAL_OPTRONIC, ModalitySet.THERMAL_OPTRONIC_RADAR):
+            with pytest.raises(ShapeError, match="cannot stack"):
+                profile.network_input(modality_set)
+
     def test_no_recordings_of_a_needed_modality_rejected(self):
         t, o, _ = _hand_recordings()
         with pytest.raises(ValidationError, match="no optronic recordings to fuse"):
