@@ -6,6 +6,12 @@ and exits 0 on success. Exit codes: 2 config error, 3 missing or invalid
 data, 4 training precondition failure, 5 model/data incompatibility,
 1 unexpected fault.
 
+A command reads, checks and computes everything before it writes, so a
+failure leaves no output directory; ``RunConfig.write_resolved`` makes it.
+``train`` checks the model spec first, then writes each repeat's weights
+and report as that repeat finishes: the first makes the directory, and a
+later failure keeps the earlier repeats' files.
+
 ``evaluate`` writes ``evaluation.txt``, a machine-readable ``key = value``
 document: ``dataset_digest``, ``dataset_samples``, ``modality_set``,
 ``models``, ``per_seed_f1`` (comma-separated), ``mean_f1``, then one
@@ -66,7 +72,7 @@ _KINDS = {m: m.name.lower() for m in Modality}
 
 def cmd_generate(cfg: RunConfig, out_dir: Path) -> int:
     data = generate_synthetic_dataset(cfg.synth_config())
-    out_dir.mkdir(parents=True, exist_ok=True)
+    cfg.write_resolved(out_dir)
     entries = []
     for modality in Modality:
         for rec in data[modality]:
@@ -75,7 +81,6 @@ def cmd_generate(cfg: RunConfig, out_dir: Path) -> int:
             entries.append((name, _KINDS[modality], len(rec.samples)))
     entries.sort()
     write_manifest(out_dir, entries)
-    cfg.write_resolved(out_dir)
     total = sum(count for _, _, count in entries)
     print(
         f"wrote {cfg.synth.recordings_per_modality} recording(s) per modality, "
@@ -97,53 +102,34 @@ def _load_recordings(data_dir: Path) -> dict[Modality, list]:
     return {m: by_kind[_KINDS[m]] for m in Modality}
 
 
-def _write_fused_split(
-    cfg: RunConfig, split: str, split_dir: Path, thermal, optronic, radar
-) -> None:
-    split_dir.mkdir(parents=True, exist_ok=True)
-    fused = fuse_dataset(thermal, optronic, radar, cfg.modality_set, cfg.match)
-    name = f"fused_{cfg.modalities}.msfr"
-    write_fused(fused, split_dir / name)
-    write_manifest(split_dir, [(name, "fused", len(fused.samples))])
-    cfg.write_resolved(split_dir)
-    counts = " ".join(f"{s.value}={n}" for s, n in fused.set_counts.items())
-    print(f"counts[{split}]: {counts}")
-    print(f"wrote {name} to {split_dir}")
-
-
 def cmd_register(cfg: RunConfig, data_dir: Path, out_dir: Path) -> int:
     recordings = _load_recordings(data_dir)
-    thermal = recordings[Modality.THERMAL]
-    if not thermal:
-        raise DataError(f"no thermal recordings listed in {data_dir}")
-
-    for modality in cfg.modality_set.modalities:
-        if not recordings[modality]:
-            ids = sorted(r.recording_id for r in thermal)
-            raise DataError(
-                f"no {_KINDS[modality]} recordings for modality set "
-                f"'{cfg.modalities}'; unmatched recording ids: {', '.join(ids)}"
-            )
-
     holdout = cfg.holdout_recordings
-    ids = sorted({r.recording_id for r in thermal})
+    ids = sorted({r.recording_id for r in recordings[Modality.THERMAL]})
     if holdout >= len(ids) and holdout > 0:
         raise DataError(
             f"holdout_recordings={holdout} leaves no training recordings (have {len(ids)})"
         )
+    # each split: its directory and the recording ids it fuses
+    every = {r.recording_id for recs in recordings.values() for r in recs}
+    splits = {"all": (out_dir, every)} if holdout == 0 else {
+        "train": (out_dir / "train", set(ids[:-holdout])),
+        "test": (out_dir / "test", set(ids[-holdout:])),
+    }
+    fused = {}
+    for split, (split_dir, chosen) in splits.items():
+        parts = ([r for r in recordings[m] if r.recording_id in chosen] for m in Modality)
+        fused[split] = split_dir, fuse_dataset(*parts, cfg.modality_set, cfg.match)
 
-    def pick(recs, chosen):
-        return [r for r in recs if r.recording_id in chosen]
-
-    out_dir.mkdir(parents=True, exist_ok=True)
     cfg.write_resolved(out_dir)
-    if holdout == 0:
-        _write_fused_split(cfg, "all", out_dir, *(recordings[m] for m in Modality))
-    else:
-        train_ids, test_ids = set(ids[:-holdout]), set(ids[-holdout:])
-        for split, chosen in (("train", train_ids), ("test", test_ids)):
-            parts = [pick(recordings[m], chosen) for m in Modality]
-            _write_fused_split(cfg, split, out_dir / split, *parts)
+    name = f"fused_{cfg.modalities}.msfr"
+    for split, (split_dir, dataset) in fused.items():
+        cfg.write_resolved(split_dir)
+        write_fused(dataset, split_dir / name)
+        write_manifest(split_dir, [(name, "fused", len(dataset.samples))])
+        counts = " ".join(f"{s.value}={n}" for s, n in dataset.set_counts.items())
+        print(f"counts[{split}]: {counts}")
+        print(f"wrote {name} to {split_dir}")
     return 0
 
 
@@ -175,14 +161,15 @@ def _training_report_text(seed: int, report) -> str:
 def cmd_train(cfg: RunConfig, data: Path, out_dir: Path) -> int:
     dataset = read_fused(_fused_path(data, cfg))
     spec = cfg.model_spec(dataset.modality_set, dataset.stacked_shape, dataset.radar_len)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    cfg.write_resolved(out_dir)
+    spec.validate()
     f1s = []
     for r in range(cfg.repeats):
         seed = cfg.seed + r
         model = build_model(spec, Rng(seed).spawn("init"))
         trained, report = train(model, dataset, cfg.train_config(seed))
         f1s.append(report.val_weighted_f1)
+        if r == 0:  # the first finished repeat makes the directory
+            cfg.write_resolved(out_dir)
         save_weights(trained, out_dir / f"model_{r:03d}.msfw")
         (out_dir / f"report_{r:03d}.txt").write_text(
             _training_report_text(seed, report), encoding="utf-8"
@@ -209,27 +196,30 @@ def cmd_evaluate(cfg: RunConfig, model_path: Path, data: Path, out_dir: Path) ->
         model_files = [model_path]
 
     x, r, y = batch_arrays(dataset.samples)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    cfg.write_resolved(out_dir)
-
-    doc = {
-        "dataset_digest": hashlib.sha256(fused_file.read_bytes()).hexdigest(),
-        "dataset_samples": len(dataset.samples),
-        "modality_set": dataset.modality_set.value,
-        "models": [f.name for f in model_files],
-    }
-    blocks = []
-    f1s = []
+    scored, f1s = [], []
     for path in model_files:
         model = load_weights(path)
         p = evaluate_probabilities(model, x, r, cfg.train.batch_size)
         cm = confusion_at_threshold(y, p)
         report = classification_report(cm)
-        curve = roc_curve(y, p)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        scored.append((path, digest, cm, report, roc_curve(y, p)))
         f1s.append(report.weighted_f1)
+    doc = {
+        "dataset_digest": hashlib.sha256(fused_file.read_bytes()).hexdigest(),
+        "dataset_samples": len(dataset.samples),
+        "modality_set": dataset.modality_set.value,
+        "models": [f.name for f in model_files],
+        "per_seed_f1": f1s,
+        "mean_f1": float(np.mean(f1s)),
+    }
+
+    cfg.write_resolved(out_dir)
+    blocks = []
+    for path, digest, cm, report, curve in scored:
         (out_dir / f"roc_{path.stem}.csv").write_text(roc_csv(curve), encoding="utf-8")
         block = {
-            "weights_digest": hashlib.sha256(path.read_bytes()).hexdigest(),
+            "weights_digest": digest,
             "tn": cm.tn,
             "fp": cm.fp,
             "fn": cm.fn,
@@ -252,8 +242,6 @@ def cmd_evaluate(cfg: RunConfig, model_path: Path, data: Path, out_dir: Path) ->
         print(render_report(report))
         print(f"AUC: {format_value(curve.auc)}")
 
-    doc["per_seed_f1"] = f1s
-    doc["mean_f1"] = float(np.mean(f1s))
     text = key_value_lines(doc) + "".join(blocks)
     (out_dir / "evaluation.txt").write_text(text, encoding="utf-8")
     print(f"mean weighted F1 over {len(f1s)} model(s): {format_value(doc['mean_f1'])}")

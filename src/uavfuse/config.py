@@ -111,6 +111,7 @@ class RunConfig:
         return key_value_lines({key: getattr(owner, key) for key, owner in owners})
 
     def write_resolved(self, out_dir) -> None:
+        """Echo the keys into ``out_dir``; the one place the CLI makes an output directory."""
         Path(out_dir).mkdir(parents=True, exist_ok=True)
         (Path(out_dir) / RESOLVED_NAME).write_text(self.resolved_lines(), encoding="utf-8")
 

@@ -18,7 +18,7 @@ dim 0 when the dataset carries no radar channel). The records are
 ``data.fused_dtype(stacked_shape, radar_len)``: both payloads back to back.
 
 The body of a file is the bytes of the in-memory recarray, so a read is one
-``np.frombuffer`` and a write one ``tobytes``.
+``np.frombuffer`` and a write streams the array with one ``tofile``.
 
 A dataset directory holds MSFR files plus ``manifest.tsv``: one record per
 line, tab-separated ``filename<TAB>kind<TAB>sample_count``.
@@ -158,10 +158,11 @@ def _check_header(reader: BinaryReader, expect_fused: bool) -> int:
 
 
 def _write(destination, header: list[bytes], samples: np.ndarray) -> int:
-    """Write the header, the sample count and the records' bytes; return the byte count."""
-    blob = b"".join([*header, struct.pack("<I", len(samples)), samples.tobytes()])
-    Path(destination).write_bytes(blob)
-    return len(blob)
+    """Write the header and the sample count, then stream the records; return the byte count."""
+    with open(destination, "wb") as f:
+        f.write(b"".join([*header, struct.pack("<I", len(samples))]))
+        samples.tofile(f)
+        return f.tell()
 
 
 def write_recording(recording: Recording, destination) -> int:

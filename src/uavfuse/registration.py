@@ -134,16 +134,11 @@ def _by_id(recordings, name: str) -> dict[str, Recording]:
     return by_id
 
 
-def _feature_shape(by_id: dict[str, Recording], name: str, used: bool) -> tuple[int, ...] | None:
-    """The one feature shape of a modality's recordings; None when there are none.
-
-    A modality the requested set fuses (``used``) must have recordings.
-    """
+def _feature_shape(by_id: dict[str, Recording], name: str) -> tuple[int, ...] | None:
+    """The one feature shape of a modality's recordings; None when there are none."""
     shapes = {rec.feature_shape for rec in by_id.values()}
     if len(shapes) > 1:
         raise ValidationError(f"{name} recordings disagree on feature shape: {sorted(shapes)}")
-    if not shapes and used:
-        raise ValidationError(f"no {name} recordings to fuse")
     return shapes.pop() if shapes else None
 
 
@@ -162,8 +157,9 @@ def fuse_dataset(
     counts the samples of every modality set the recordings can form into
     ``set_counts``; only the samples of ``modality_set`` are stacked. The
     three-modality set drops pairs without a radar match. Recordings
-    without a counterpart are skipped with a warning; two recordings of one
-    modality with the same id are rejected. Sample counts obey
+    without a counterpart are skipped with a warning. A fused modality
+    without recordings, two recordings of one modality with the same id and
+    maps that cannot stack are rejected. Sample counts obey
     |three| <= |two| <= |one|.
     """
     cfg = cfg or MatchConfig()
@@ -172,9 +168,16 @@ def fuse_dataset(
     for modality, recordings in zip(Modality, (thermal, optronic, radar)):
         name = modality.name.lower()
         by_id.append(_by_id(recordings, name))
-        shapes.append(_feature_shape(by_id[-1], name, modality in modality_set.modalities))
+        shapes.append(_feature_shape(by_id[-1], name))
+        if shapes[-1] is None and modality in modality_set.modalities:
+            unmatched = ", ".join(sorted(by_id[0]))
+            ids = f"; unmatched recording ids: {unmatched}" if unmatched else ""
+            raise ValidationError(f"no {name} recordings to fuse{ids}")
     thermal_by_id, optronic_by_id, radar_by_id = by_id
-    stacked_shape, radar_len = network_input(modality_set, *shapes)
+    try:
+        stacked_shape, radar_len = network_input(modality_set, *shapes)
+    except ShapeError as exc:  # the shapes came from the recordings: invalid data
+        raise ValidationError(str(exc)) from None
 
     two, three = ModalitySet.THERMAL_OPTRONIC, ModalitySet.THERMAL_OPTRONIC_RADAR
     # the sets the recordings can form: thermal, then with optronic, then with radar

@@ -11,9 +11,25 @@ import pytest
 from uavfuse import registration
 from uavfuse.cli import main
 from uavfuse.config import load_run_config
-from uavfuse.data import ModalitySet, ShapeProfile
+from uavfuse import cli
+from uavfuse.data import (
+    FusedDataset,
+    ModalitySet,
+    Recording,
+    ShapeProfile,
+    fused_dtype,
+    recording_dtype,
+)
+from uavfuse.errors import TrainingError
 from uavfuse.model import ModelSpec, build_model, save_weights
-from uavfuse.msfr import read_fused, read_manifest, read_recording, write_manifest
+from uavfuse.msfr import (
+    read_fused,
+    read_manifest,
+    read_recording,
+    write_fused,
+    write_manifest,
+    write_recording,
+)
 from uavfuse.registration import fuse_dataset
 from uavfuse.rng import Rng
 
@@ -271,7 +287,36 @@ class TestRegister:
         code = main(["register", "--config", str(cfg), "--data", str(data), "--out", str(out)])
         assert code == 3
         assert "two thermal recordings have the id 'rec000'" in capsys.readouterr().err
-        assert not list(out.rglob("*.msfr"))
+        assert not out.exists()
+
+    def test_held_out_recording_without_radar_exits_3(self, generated, capsys):
+        # the train split fuses; the test split (rec001) has no radar
+        cfg, data = generated
+        write_manifest(data, [e for e in read_manifest(data) if e[0] != "rec001_radar.msfr"])
+        out = data.parent / "split"
+        code = main(["register", "--config", str(cfg), "--data", str(data), "--out", str(out),
+                     "--holdout", "1"])
+        assert code == 3
+        assert "no radar recordings to fuse; unmatched recording ids: rec001" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("modalities", ["two", "three"])
+    def test_maps_that_cannot_stack_exit_3(self, generated, capsys, modalities):
+        cfg, data = generated
+        for name, kind, count in read_manifest(data):
+            if kind == "optronic":
+                rec = read_recording(data / name)
+                samples = np.recarray(count, recording_dtype((6, 6, 16)))
+                samples.timestamp, samples.label = rec.samples.timestamp, rec.samples.label
+                samples.features = 0
+                write_recording(Recording(rec.modality, rec.recording_id, samples), data / name)
+        out = data.parent / "fused"
+        code = main(["register", "--config", str(cfg), "--data", str(data), "--out", str(out),
+                     "--modalities", modalities])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "data error: cannot stack thermal (7, 7, 32) and optronic (6, 6, 16) maps" in err
+        assert not out.exists()
 
     def test_holdout_writes_train_and_test_splits(self, generated):
         cfg, data = generated
@@ -397,6 +442,41 @@ class TestTrain:
         )
         assert code == 4
         assert "single class" in capsys.readouterr().err
+        assert not (tmp_path / "m").exists()
+
+    def test_a_later_repeat_failing_keeps_the_earlier_repeats(self, fused, tmp_path, monkeypatch):
+        cfg, data = fused
+        real_train, calls = cli.train, []
+
+        def train_once(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise TrainingError("training split contains a single class")
+            return real_train(*args)
+
+        monkeypatch.setattr(cli, "train", train_once)
+        out = tmp_path / "m"
+        argv = ["train", "--config", str(cfg), "--data", str(data), "--out", str(out), "--repeats", "3"]
+        assert main(argv) == 4
+        assert sorted(p.name for p in out.iterdir()) == [
+            "model_000.msfw", "report_000.txt", "resolved_config.txt"
+        ]
+
+    def test_maps_smaller_than_the_kernel_exit_2(self, fused, tmp_path, capsys):
+        # the profile's 7x7 maps pass the config check; the dataset's 2x2 maps do not
+        cfg, data = fused
+        small = read_fused(data)
+        samples = np.recarray(len(small.samples), fused_dtype((2, 2, 48), small.radar_len))
+        samples.timestamp, samples.label, samples.radar = (
+            small.samples.timestamp, small.samples.label, small.samples.radar
+        )
+        samples.stacked = 0
+        path = tmp_path / "small.msfr"
+        write_fused(FusedDataset(small.modality_set, samples, small.provenance), path)
+        out = tmp_path / "m"
+        assert main(["train", "--config", str(cfg), "--data", str(path), "--out", str(out)]) == 2
+        assert "config error: input (2, 2, 48) smaller than kernel (3, 3)" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("line", ["lr0 = nan", "decay = inf", "val_fraction = nan"])
     def test_non_finite_training_value_exits_2(self, fused, tmp_path, capsys, line):
@@ -571,27 +651,72 @@ def test_evaluate_nan_weights_exits_3(fused, tmp_path):
     )
     assert proc.returncode == 3, proc.stderr
     assert "non-finite" in proc.stderr
-    assert not (tmp_path / "e" / "evaluation.txt").exists()
+    assert not (tmp_path / "e").exists()
 
 
+def _reduced_weights(path, modality_set=ModalitySet.THERMAL_OPTRONIC_RADAR):
+    """Save an untrained reduced-profile model of the set to ``path``; return the model."""
+    spec = ModelSpec.for_profile(modality_set, ShapeProfile.reduced(), conv_filters=16, dense_units=32)
+    model = build_model(spec, Rng(0))
+    path.parent.mkdir(exist_ok=True)
+    save_weights(model, path)
+    return model
+
+
+@pytest.mark.parametrize("with_good_model", [False, True])
 @pytest.mark.parametrize("field,value", [("dropout_rate", np.nan), ("conv_filters", 0)])
-def test_evaluate_out_of_range_weights_spec_exits_3(fused, tmp_path, capsys, field, value):
+def test_evaluate_out_of_range_weights_spec_exits_3(
+    fused, tmp_path, capsys, field, value, with_good_model
+):
+    # with a good model first in the directory, nothing is written for it either
     cfg, data = fused
+    models = tmp_path / "models"
     spec = ModelSpec.for_profile(
         ModalitySet.THERMAL_OPTRONIC_RADAR, ShapeProfile.reduced(), conv_filters=16, dense_units=32
     )
     model = build_model(spec, Rng(0))
     setattr(model.spec, field, value)
-    weights = tmp_path / "bad.msfw"
+    weights = models / "bad.msfw"
+    models.mkdir()
     save_weights(model, weights)
+    if with_good_model:
+        _reduced_weights(models / "a_good.msfw")
     code = main(
-        ["evaluate", "--config", str(cfg), "--model", str(weights), "--data", str(data),
-         "--out", str(tmp_path / "e")]
+        ["evaluate", "--config", str(cfg), "--model", str(models if with_good_model else weights),
+         "--data", str(data), "--out", str(tmp_path / "e")]
     )
     assert code == 3
     err = capsys.readouterr().err
     assert err.startswith("data error: ") and f"bad.msfw: stored spec is out of range: {field}" in err
-    assert not (tmp_path / "e" / "evaluation.txt").exists()
+    assert not (tmp_path / "e").exists()
+
+
+def test_evaluate_a_two_modality_model_beside_a_good_one_exits_5(fused, tmp_path, capsys):
+    cfg, data = fused
+    models, out = tmp_path / "models", tmp_path / "e"
+    _reduced_weights(models / "a_good.msfw")
+    _reduced_weights(models / "b_two.msfw", ModalitySet.THERMAL_OPTRONIC)
+    code = main(["evaluate", "--config", str(cfg), "--model", str(models), "--data", str(data),
+                 "--out", str(out)])
+    assert code == 5
+    assert "model takes no radar input but the batch has one" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_evaluate_a_single_class_test_split_exits_3(fused, tmp_path, capsys):
+    # the confusion and the report exist for one class; the ROC curve does not
+    cfg, data = fused
+    dataset = read_fused(data)
+    uav_only = tmp_path / "uav.msfr"
+    samples = dataset.samples[dataset.samples.label == 1]
+    write_fused(FusedDataset(dataset.modality_set, samples, dataset.provenance), uav_only)
+    weights, out = tmp_path / "m.msfw", tmp_path / "e"
+    _reduced_weights(weights)
+    code = main(["evaluate", "--config", str(cfg), "--model", str(weights), "--data", str(uav_only),
+                 "--out", str(out)])
+    assert code == 3
+    assert "data error: roc_curve needs both classes present" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_evaluate_nan_feature_exits_3(fused, tmp_path, capsys):
@@ -613,7 +738,7 @@ def test_evaluate_nan_feature_exits_3(fused, tmp_path, capsys):
     )
     assert code == 3
     assert "nan.msfr: sample 5 stacked payload holds non-finite" in capsys.readouterr().err
-    assert not (tmp_path / "e" / "evaluation.txt").exists()
+    assert not (tmp_path / "e").exists()
 
 
 def test_non_utf8_provenance_exits_3(fused, tmp_path, capsys):

@@ -96,6 +96,17 @@ class TestRecordingRoundTrip:
         assert path.read_bytes().endswith(rec.samples.tobytes())
         assert read_recording(path).samples.dtype == recording_dtype((2, 3, 2))
 
+    @pytest.mark.parametrize("step", [1, 2])
+    def test_write_returns_the_file_size_and_streams_the_body(self, tmp_path, step):
+        # a strided view streams its records in order, as tobytes() lays them out
+        rec = _random_recording(seed=5, n=7)
+        rec = Recording(rec.modality, rec.recording_id, rec.samples[::step])
+        path = tmp_path / "r.msfr"
+        size = write_recording(rec, path)
+        raw = path.read_bytes()
+        assert size == len(raw) == path.stat().st_size
+        assert raw[len(raw) - rec.samples.nbytes :] == rec.samples.tobytes()
+
     def test_write_twice_byte_identical(self, tmp_path):
         rec = _random_recording()
         p1, p2 = tmp_path / "a.msfr", tmp_path / "b.msfr"
@@ -224,6 +235,14 @@ class TestFusedRoundTrip:
         assert back.radar_len == radar_len
         write_fused(back, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_write_returns_the_file_size_and_streams_the_body(self, tmp_path):
+        ds = _random_fused(ModalitySet.THERMAL_OPTRONIC_RADAR, 5)
+        path = tmp_path / "f.msfr"
+        size = write_fused(ds, path)
+        raw = path.read_bytes()
+        assert size == len(raw) == path.stat().st_size
+        assert raw[len(raw) - ds.samples.nbytes :] == ds.samples.tobytes()
 
     def test_empty_dataset(self, tmp_path):
         ds = FusedDataset(ModalitySet.THERMAL_OPTRONIC_RADAR, np.recarray(0, fused_dtype((2, 2, 3), 5)), [])

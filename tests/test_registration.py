@@ -314,6 +314,26 @@ class TestFuseDataset:
             with pytest.raises(ShapeError, match="cannot stack"):
                 profile.network_input(modality_set)
 
+    def test_recordings_whose_maps_cannot_stack_are_invalid_data(self):
+        # shapes read from recordings are data, not a programming fault
+        t, o, r = _hand_recordings()
+        tall = Recording(Modality.OPTRONIC, "rec000", stream(
+            o.samples.timestamp, o.samples.label, np.zeros((4, 3, 2, 1))))
+        assert len(fuse_dataset([t], [tall], [r], ModalitySet.THERMAL).samples) == 4
+        for modality_set in (ModalitySet.THERMAL_OPTRONIC, ModalitySet.THERMAL_OPTRONIC_RADAR):
+            with pytest.raises(ValidationError, match=r"cannot stack thermal \(2, 2, 2\)"):
+                fuse_dataset([t], [tall], [r], modality_set)
+
+    def test_a_missing_modality_lists_the_unmatched_thermal_ids(self):
+        t, o, _ = _hand_recordings()
+        other = Recording(Modality.THERMAL, "rec007", t.samples.copy())
+        with pytest.raises(ValidationError) as err:
+            fuse_dataset([other, t], [o], [], ModalitySet.THERMAL_OPTRONIC_RADAR)
+        assert str(err.value) == "no radar recordings to fuse; unmatched recording ids: rec000, rec007"
+        with pytest.raises(ValidationError) as err:
+            fuse_dataset([], [o], [], ModalitySet.THERMAL)
+        assert str(err.value) == "no thermal recordings to fuse"
+
     def test_no_recordings_of_a_needed_modality_rejected(self):
         t, o, _ = _hand_recordings()
         with pytest.raises(ValidationError, match="no optronic recordings to fuse"):
