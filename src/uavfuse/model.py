@@ -6,6 +6,9 @@ dropout -> dense(1) -> sigmoid. The two-modality variant removes the radar
 concatenation; the single-modality variant feeds the thermal map alone.
 A probability strictly above 0.5 is classified as UAV, 0.5 or below as
 false alarm.
+
+``TrainStep`` is the one implementation: training runs it, and evaluation
+and the gradient check run it through ``_forward`` and ``backward_pass``.
 """
 
 from __future__ import annotations
@@ -22,22 +25,10 @@ from .data import Label, ModalitySet, ShapeProfile
 from .errors import CompatibilityError, ConfigError, CorruptionError, FormatError, ShapeError
 from .msfr import BinaryReader, shape_block
 from .ops import (
-    TRAIN_DTYPE,
-    ConvParams,
-    DenseParams,
-    conv2d_forward,
-    conv2d_param_grads,
-    conv_windows,
-    dense_backward,
-    dense_forward,
-    dropout_apply,
-    dropout_backward,
-    dropout_keep,
-    relu,
-    relu_backward,
-    sigmoid,
-    sigmoid_backward,
+    TRAIN_DTYPE, ConvParams, DenseParams, conv_windows, dropout_keep, sigmoid, sigmoid_backward
 )
+# perfbench/tests/test_helpers.py::test_uninstall_restores_the_real_package reads this name
+from .ops import conv2d_forward  # noqa: F401
 from .rng import Rng
 
 WEIGHTS_MAGIC = b"MSFW"
@@ -127,7 +118,8 @@ class Model:
     """The network's parameters: one flat vector ``theta``, laid out by the spec.
 
     ``conv``, ``dense1`` and ``output`` hold views of ``theta`` in
-    PARAM_ORDER, so an in-place update of the vector updates every layer.
+    PARAM_ORDER, so an in-place update of the vector updates every layer
+    and the eval workspaces cached in ``_eval_steps``.
     """
 
     def __init__(self, spec: ModelSpec, theta: np.ndarray):
@@ -145,6 +137,7 @@ class Model:
         self.conv = ConvParams(views["conv_kernels"], views["conv_bias"])
         self.dense1 = DenseParams(views["dense1_weights"], views["dense1_bias"])
         self.output = DenseParams(views["output_weights"], views["output_bias"])
+        self._eval_steps: dict[int, TrainStep] = {}
 
     def params(self) -> dict[str, np.ndarray]:
         """Every parameter tensor by name, in PARAM_ORDER; each views ``theta``."""
@@ -217,61 +210,56 @@ def _check_batch(model: Model, x: np.ndarray, r: np.ndarray | None) -> None:
             raise CompatibilityError(
                 f"batch radar shape {got} != model radar length {spec.radar_len}"
             )
+        if len(r) != len(x):
+            raise CompatibilityError(f"batch has {len(r)} radar rows for {len(x)} stacked rows")
     elif r is not None:
         raise CompatibilityError("model takes no radar input but the batch has one")
 
 
+# Eval workspaces a model caches, one per row count, since gemm bits depend
+# on it: a chunked evaluation needs two (the chunk and a short last chunk)
+# and single-sample classification a third. A fourth row count clears them.
+_EVAL_STEPS = 3
+
+
 def _forward(model: Model, x, r, mode: str, rng: Rng | None):
+    """(UAV probabilities, the workspace): the cached eval one, or a new train-mode one."""
     _check_batch(model, x, r)
-    rate = model.spec.dropout_rate
-    z1 = conv2d_forward(x, model.conv)
-    a1 = relu(z1)
-    flat = a1.reshape(x.shape[0], -1)
-    d1, m1 = dropout_apply(flat, rate, mode, rng)
-    h = np.concatenate([d1, r], axis=1) if r is not None else d1
-    z2 = dense_forward(h, model.dense1)
-    a2 = relu(z2)
-    d2, m2 = dropout_apply(a2, rate, mode, rng)
-    z3 = dense_forward(d2, model.output)
-    p = sigmoid(z3)[:, 0]
-    cache = (x, z1, m1, h, z2, m2, d2, p)
-    return p, cache
+    if mode == "eval":
+        ws = model._eval_steps.get(len(x))
+        if ws is None:
+            if len(model._eval_steps) == _EVAL_STEPS:
+                model._eval_steps.clear()
+            ws = model._eval_steps[len(x)] = TrainStep(model, len(x))
+    else:
+        ws = TrainStep(model, len(x), np.empty_like(model.theta))
+    return ws.forward(x, r, None, rng), ws
 
 
 def backward_pass(model: Model, cache, grad_p: np.ndarray) -> dict[str, np.ndarray]:
-    """Gradients of the scalar loss wrt every parameter, given dL/dp."""
-    x, z1, m1, h, z2, m2, d2, p = cache
-    rate = model.spec.dropout_rate
-    dz3 = sigmoid_backward(grad_p.reshape(-1, 1), p.reshape(-1, 1))
-    dd2, g_out_w, g_out_b = dense_backward(d2, model.output, dz3)
-    da2 = dropout_backward(dd2, m2, rate)
-    dz2 = relu_backward(da2, z2)
-    dh, g_d1_w, g_d1_b = dense_backward(h, model.dense1, dz2)
-    dflat = dh[:, : model.spec.flatten_width]  # radar slice gets no gradient path
-    dflat = dropout_backward(dflat, m1, rate)
-    dz1 = relu_backward(dflat.reshape(z1.shape), z1)
-    g_c_k, g_c_b = conv2d_param_grads(x, model.conv, dz1)
-    return dict(zip(PARAM_ORDER, (g_c_k, g_c_b, g_d1_w, g_d1_b, g_out_w, g_out_b)))
+    """Gradients of the loss wrt every parameter, given dL/dp and ``_forward``'s workspace."""
+    cache.backward(grad_p)
+    return cache.grads.params()
 
 
 class TrainStep:
-    """Preallocated buffers for train-mode steps of one model at one batch size.
+    """Preallocated buffers for the network on a fixed number of rows.
 
-    ``forward`` gathers a batch and runs the network with dropout;
+    Train mode (with ``grad``): ``forward`` runs the network with dropout;
     ``backward`` then writes the loss gradient into ``grad``, a flat vector
-    laid out like ``theta`` (``grads`` holds its per-tensor views). Each
-    product is the one ``_forward`` and ``backward_pass`` make, on the same
-    operand shapes, written into a buffer instead of a new array, so a step
-    gives their bits for the same generator state. The patch matrix is built
-    once per step and read by the conv forward and its kernel gradient.
-    Shapes are checked by the caller, once per run.
+    laid out like ``theta`` (``grads`` holds its per-tensor views), reusing
+    the patch matrix of the conv forward. Eval mode (no ``grad``) holds the
+    forward buffers alone and drops nothing. Each product is the one the
+    allocating ``ops`` layer functions make, on the same operand shapes,
+    so the bits are theirs. It holds the model's layers, not the model, so
+    a model can cache it without a reference cycle. The caller checks shapes.
     """
 
-    def __init__(self, model: Model, batch_size: int, grad: np.ndarray):
+    def __init__(self, model: Model, batch_size: int, grad: np.ndarray | None = None):
         spec, dt = model.spec, model.theta.dtype
         b, flat, c_out = batch_size, spec.flatten_width, spec.conv_filters
-        self.model, self.grads = model, Model(spec, grad)
-        self.rate = spec.dropout_rate
+        self.conv, self.dense1, self.output = model.conv, model.dense1, model.output
+        self.rate = 0.0 if grad is None else spec.dropout_rate
         self.scale = dt.type(1.0 / (1.0 - self.rate))
         self.x = np.empty((b, *spec.stacked_shape), dt)
         self._windows = conv_windows(self.x, *spec.kernel)
@@ -281,64 +269,73 @@ class TrainStep:
         self.z2 = np.empty((b, spec.dense_units), dt)  # ReLU'd in place
         self.d2 = np.empty_like(self.z2) if self.rate else self.z2  # rate 0: the identity
         self.z3 = np.empty((b, 1), dt)
+        self.p = None
+        # 2-D views for the products and the per-layer element-wise steps
+        self._k = self.conv.kernels.reshape(-1, c_out)
+        self._p = self.patches.reshape(-1, len(self._k))
+        self._z1, self._a1 = self.z1.reshape(-1, c_out), self.z1.reshape(b, flat)
+        self._h1, self._hr = self.h[:, :flat], self.h[:, flat:]
+        if grad is None:
+            return
+        self.grads = Model(spec, grad)
         # dropout scales (1/(1-rate) where kept, 0 where dropped); keep flags, then ReLU masks
         self.s1, self.s2 = np.empty((b, flat), dt), np.empty_like(self.z2)
         self.flags1, self.flags2 = np.empty((b, flat), bool), np.empty(self.z2.shape, bool)
         self.dh = np.empty_like(self.h)
         self.dz2 = np.empty_like(self.z2)
         self.dz1 = np.empty_like(self.z1)
-        self.p = None
-        # 2-D views for the products and the per-layer element-wise steps
-        self._k = model.conv.kernels.reshape(-1, c_out)
         self._gk = self.grads.conv.kernels.reshape(-1, c_out)
-        self._p = self.patches.reshape(-1, len(self._k))
-        self._z1, self._a1 = self.z1.reshape(-1, c_out), self.z1.reshape(b, flat)
         self._dz1, self._dflat = self.dz1.reshape(-1, c_out), self.dz1.reshape(b, flat)
-        self._h1, self._hr = self.h[:, :flat], self.h[:, flat:]
         self._dh1 = self.dh[:, :flat]  # the radar columns get no gradient path
 
-    def forward(self, x: np.ndarray, r: np.ndarray | None, idx: np.ndarray, rng: Rng) -> np.ndarray:
-        """Train-mode UAV probabilities of the batch ``x[idx]``, ``r[idx]``."""
-        m = self.model
-        # idx holds row numbers of x (train() takes them from a permutation),
-        # so "clip" never clamps; "raise" would gather through a temporary
-        np.take(x, idx, axis=0, out=self.x, mode="clip")
+    def forward(self, x: np.ndarray, r: np.ndarray | None, idx=None, rng=None) -> np.ndarray:
+        """UAV probabilities of the batch ``x[idx]``, ``r[idx]``, or of all of ``x``, ``r``."""
+        self._load(self.x, x, idx)
         np.copyto(self.patches, self._windows)
         np.dot(self._p, self._k, out=self._z1)
-        np.add(self._z1, m.conv.bias, out=self._z1)
+        np.add(self._z1, self.conv.bias, out=self._z1)
         np.maximum(self._z1, 0, out=self._z1)
-        self._dropout(rng, self._a1, self.flags1, self.s1, self._h1)
+        if self.rate:
+            self._dropout(rng, self._a1, self.flags1, self.s1, self._h1)
+        else:
+            np.copyto(self._h1, self._a1)
         if r is not None:
-            np.take(r, idx, axis=0, out=self._hr, mode="clip")
-        np.matmul(self.h, m.dense1.weights, out=self.z2)
-        np.add(self.z2, m.dense1.bias, out=self.z2)
+            self._load(self._hr, r, idx)
+        np.matmul(self.h, self.dense1.weights, out=self.z2)
+        np.add(self.z2, self.dense1.bias, out=self.z2)
         np.maximum(self.z2, 0, out=self.z2)
-        self._dropout(rng, self.z2, self.flags2, self.s2, self.d2)
-        np.matmul(self.d2, m.output.weights, out=self.z3)
-        np.add(self.z3, m.output.bias, out=self.z3)
+        if self.rate:  # at rate 0, d2 is z2
+            self._dropout(rng, self.z2, self.flags2, self.s2, self.d2)
+        np.matmul(self.d2, self.output.weights, out=self.z3)
+        np.add(self.z3, self.output.bias, out=self.z3)
         self.p = sigmoid(self.z3)[:, 0]
         return self.p
 
     def backward(self, grad_p: np.ndarray) -> None:
         """Write dL/dtheta into ``grad``, given dL/dp for the last forward batch."""
-        m, g = self.model, self.grads
+        g = self.grads
         dz3 = sigmoid_backward(grad_p.reshape(-1, 1), self.p.reshape(-1, 1))
-        np.matmul(dz3, m.output.weights.T, out=self.dz2)
+        np.matmul(dz3, self.output.weights.T, out=self.dz2)
         np.matmul(self.d2.T, dz3, out=g.output.weights)
         np.sum(dz3, axis=0, out=g.output.bias)
         self._dropout_relu_backward(self.dz2, self.s2, self.z2, self.flags2, self.dz2)
-        np.matmul(self.dz2, m.dense1.weights.T, out=self.dh)
+        np.matmul(self.dz2, self.dense1.weights.T, out=self.dh)
         np.matmul(self.h.T, self.dz2, out=g.dense1.weights)
         np.sum(self.dz2, axis=0, out=g.dense1.bias)
         self._dropout_relu_backward(self._dh1, self.s1, self._a1, self.flags1, self._dflat)
         np.sum(self.dz1, axis=(0, 1, 2), out=g.conv.bias)
         np.dot(self._p.T, self._dz1, out=self._gk)
 
+    @staticmethod
+    def _load(out, a, idx) -> None:
+        if idx is None:
+            np.copyto(out, a)
+        else:
+            # idx holds row numbers of a (train() takes them from a permutation),
+            # so "clip" never clamps; "raise" would gather through a temporary
+            np.take(a, idx, axis=0, out=out, mode="clip")
+
     def _dropout(self, rng, a, flags, scale, out) -> None:
-        if not self.rate:
-            if out is not a:
-                np.copyto(out, a)
-            return
         dropout_keep(rng, self.rate, flags)
         np.multiply(flags, self.scale, out=scale)
         np.multiply(a, scale, out=out)

@@ -5,9 +5,9 @@ dropout, binary cross entropy and an RMSprop update, each with an exact
 analytic backward pass, plus a central-difference gradient checker. Every
 function is pure, never mutating its inputs, except rmsprop_update, which
 updates its parameter and mean-square arrays in place, and dropout_keep,
-which fills the bool array it is given. Training runs the same products in
-the preallocated buffers of model.TrainStep. Identical inputs (including
-generator state) give bit-identical outputs.
+which fills the bool array it is given. These allocating layer functions
+are the test oracle of model.TrainStep, which runs the network. Identical
+inputs (including generator state) give bit-identical outputs.
 
 Layout conventions: feature maps are (H, W, C) row-major, kernels are
 (kh, kw, C_in, C_out), dense weights are (n_in, n_out). Spatial functions

@@ -136,7 +136,8 @@ def test_criterion_2_gradient_suite():
         _, gp = bce_loss(pb, yb)
         assert grad_check(lambda v: bce_loss(v, yb)[0], pb, gp) < 1e-5
 
-        # full three-modality network, dropout masks held fixed per evaluation
+        # full three-modality network, run by the TrainStep workspace that training
+        # uses; dropout masks held fixed per evaluation
         spec = ModelSpec.for_profile(
             ModalitySet.THERMAL_OPTRONIC_RADAR, GRAD_PROFILE, conv_filters=2,
             dense_units=8, dropout_rate=0.5,

@@ -1,6 +1,8 @@
 """Fusion network construction, forward/backward, persistence, and training."""
 
+import gc
 import struct
+import weakref
 
 import numpy as np
 import pytest
@@ -35,7 +37,21 @@ from uavfuse.model import (
     _forward,
     _spec_bytes,
 )
-from uavfuse.ops import bce_loss, grad_check, rmsprop_update
+from uavfuse.ops import (
+    bce_loss,
+    conv2d_forward,
+    conv2d_param_grads,
+    dense_backward,
+    dense_forward,
+    dropout_apply,
+    dropout_backward,
+    grad_check,
+    relu,
+    relu_backward,
+    rmsprop_update,
+    sigmoid,
+    sigmoid_backward,
+)
 from uavfuse.registration import fuse_dataset
 from uavfuse.rng import Rng
 from uavfuse.synth import SynthConfig, generate_synthetic_dataset
@@ -237,6 +253,13 @@ class TestForward:
         ds = tiny_dataset()  # three-modality samples
         with pytest.raises(CompatibilityError):
             eval_probabilities(model, ds.samples[:2])
+
+    @pytest.mark.parametrize("radar_rows", [1, 6])
+    def test_radar_rows_must_match_stacked_rows(self, radar_rows):
+        model = build_model(tiny_spec(), Rng(5))
+        x, r, _ = batch_arrays(tiny_dataset().samples[:6])
+        with pytest.raises(CompatibilityError, match=f"{radar_rows} radar rows for 5 stacked"):
+            evaluate_probabilities(model, x[:5], r[:radar_rows])
 
 
 class TestClassification:
@@ -544,15 +567,57 @@ def _bits(a):
     return np.asarray(a).tobytes()
 
 
+def oracle_forward(model, x, r, mode, rng):
+    """The network as an allocating composition of the ``ops`` layer functions."""
+    rate = model.spec.dropout_rate
+    z1 = conv2d_forward(x, model.conv)
+    a1 = relu(z1)
+    flat = a1.reshape(x.shape[0], -1)
+    d1, m1 = dropout_apply(flat, rate, mode, rng)
+    h = np.concatenate([d1, r], axis=1) if r is not None else d1
+    z2 = dense_forward(h, model.dense1)
+    a2 = relu(z2)
+    d2, m2 = dropout_apply(a2, rate, mode, rng)
+    z3 = dense_forward(d2, model.output)
+    p = sigmoid(z3)[:, 0]
+    cache = (x, z1, m1, h, z2, m2, d2, p)
+    return p, cache
+
+
+def oracle_backward(model, cache, grad_p):
+    """Gradients of the loss wrt every parameter through the ``ops`` backward functions."""
+    x, z1, m1, h, z2, m2, d2, p = cache
+    rate = model.spec.dropout_rate
+    dz3 = sigmoid_backward(grad_p.reshape(-1, 1), p.reshape(-1, 1))
+    dd2, g_out_w, g_out_b = dense_backward(d2, model.output, dz3)
+    da2 = dropout_backward(dd2, m2, rate)
+    dz2 = relu_backward(da2, z2)
+    dh, g_d1_w, g_d1_b = dense_backward(h, model.dense1, dz2)
+    dflat = dh[:, : model.spec.flatten_width]  # radar slice gets no gradient path
+    dflat = dropout_backward(dflat, m1, rate)
+    dz1 = relu_backward(dflat.reshape(z1.shape), z1)
+    g_c_k, g_c_b = conv2d_param_grads(x, model.conv, dz1)
+    return dict(zip(PARAM_ORDER, (g_c_k, g_c_b, g_d1_w, g_d1_b, g_out_w, g_out_b)))
+
+
+def oracle_probabilities(model, x, r, batch_size):
+    """The oracle's eval-mode probabilities, chunk by chunk: gemm bits depend on the row count."""
+    out = []
+    for s in range(0, len(x), batch_size):
+        rb = None if r is None else r[s : s + batch_size]
+        out.append(oracle_forward(model, x[s : s + batch_size], rb, "eval", None)[0])
+    return np.concatenate(out)
+
+
 class TestTrainStep:
-    """A workspace step against the allocating path it replaced in train()."""
+    """The workspace against the allocating ``ops`` composition, in train and eval mode."""
 
     @staticmethod
     def _oracle_step(model, x, r, y, idx, rng):
         rb = None if r is None else r[idx]
-        p, cache = _forward(model, x[idx], rb, "train", rng)
+        p, cache = oracle_forward(model, x[idx], rb, "train", rng)
         loss, grad_p = bce_loss(p, y[idx])
-        grads = backward_pass(model, cache, grad_p)
+        grads = oracle_backward(model, cache, grad_p)
         return p, loss, np.concatenate([grads[name].reshape(-1) for name in PARAM_ORDER])
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -591,3 +656,64 @@ class TestTrainStep:
                 assert _bits(model.theta) == _bits(oracle.theta)
         assert sorted(workspaces) == sorted({batch_size, 31 % batch_size} - {0})
         assert _bits(rng.u64(5)) == _bits(rng_oracle.u64(5))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("batch_size", [1, 5, 12, 64])
+    @pytest.mark.parametrize("modality_set", list(ModalitySet))
+    def test_evaluate_probabilities_bit_identical_to_the_oracle(
+        self, modality_set, batch_size, dtype
+    ):
+        # 67 rows: chunks 5, 12 and 64 end on a short chunk of 2, 7 and 3 rows
+        x, r, _ = batch_arrays(tiny_dataset(modality_set).samples[:67], dtype=dtype)
+        model = build_model(tiny_spec(modality_set), Rng(33), dtype)
+        p = evaluate_probabilities(model, x, r, batch_size)
+        assert p.dtype == dtype
+        assert _bits(p) == _bits(oracle_probabilities(model, x, r, batch_size))
+
+
+class TestEvalWorkspaces:
+    """The eval workspaces a model caches between evaluate_probabilities calls."""
+
+    def test_a_result_is_not_overwritten_by_the_next_call(self):
+        model = build_model(tiny_spec(), Rng(34))
+        x, r, _ = batch_arrays(tiny_dataset().samples[:10])
+        for rows in (slice(0, 5), slice(5, 10)), (slice(0, 1), slice(1, 2)):
+            p = evaluate_probabilities(model, x[rows[0]], r[rows[0]])
+            kept = p.copy()
+            evaluate_probabilities(model, x[rows[1]], r[rows[1]])
+            assert _bits(p) == _bits(kept)
+
+    def test_new_parameters_reach_the_cached_workspaces(self):
+        model, other = build_model(tiny_spec(), Rng(35)), build_model(tiny_spec(), Rng(36))
+        x, r, _ = batch_arrays(tiny_dataset().samples[:20])
+        before = evaluate_probabilities(model, x, r, 12)
+        model.set_params(other.params())
+        after = evaluate_probabilities(model, x, r, 12)
+        assert _bits(after) == _bits(evaluate_probabilities(other, x, r, 12))
+        assert _bits(after) != _bits(before)
+
+    def test_at_most_three_row_counts_are_cached(self):
+        model = build_model(tiny_spec(), Rng(37))
+        x, r, _ = batch_arrays(tiny_dataset().samples[:10])
+        for n in range(1, 11):
+            evaluate_probabilities(model, x[:n], r[:n])
+            assert n in model._eval_steps and len(model._eval_steps) <= 3
+
+    def test_workspaces_are_freed_with_the_model(self):
+        model = build_model(tiny_spec(), Rng(38))
+        x, r, _ = batch_arrays(tiny_dataset().samples[:7])
+        evaluate_probabilities(model, x, r, 5)
+        refs = [weakref.ref(ws) for ws in model._eval_steps.values()]
+        assert len(refs) == 2
+        gc.disable()  # freed by reference counting alone: no cycle holds them
+        try:
+            del model
+            assert all(ref() is None for ref in refs)
+        finally:
+            gc.enable()
+
+    def test_a_clone_starts_with_no_workspaces(self):
+        model = build_model(tiny_spec(), Rng(39))
+        x, r, _ = batch_arrays(tiny_dataset().samples[:3])
+        evaluate_probabilities(model, x, r)
+        assert model._eval_steps and model.clone()._eval_steps == {}
