@@ -4,7 +4,7 @@ Every command reads an optional ``key = value`` config file, applies flag
 overrides, echoes the resolved configuration into the output directory,
 and exits 0 on success. Exit codes: 2 config error, 3 missing or invalid
 data, 4 training precondition failure, 5 model/data incompatibility,
-1 unexpected fault.
+1 unexpected fault or out of memory, reported in one line.
 
 A command reads, checks and computes everything before it writes, so a
 failure leaves no output directory; ``RunConfig.write_resolved`` makes it.
@@ -316,6 +316,9 @@ def main(argv=None) -> int:
         return 3
     except UavFuseError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

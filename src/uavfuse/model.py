@@ -24,9 +24,7 @@ import numpy as np
 from .data import Label, ModalitySet, ShapeProfile
 from .errors import CompatibilityError, ConfigError, CorruptionError, FormatError, ShapeError
 from .msfr import BinaryReader, shape_block
-from .ops import (
-    TRAIN_DTYPE, ConvParams, DenseParams, conv_windows, dropout_keep, sigmoid, sigmoid_backward
-)
+from .ops import BCE_EPS, TRAIN_DTYPE, ConvParams, DenseParams, conv_windows, dropout_keep
 # perfbench/tests/test_helpers.py::test_uninstall_restores_the_real_package reads this name
 from .ops import conv2d_forward  # noqa: F401
 from .rng import Rng
@@ -223,7 +221,11 @@ _EVAL_STEPS = 3
 
 
 def _forward(model: Model, x, r, mode: str, rng: Rng | None):
-    """(UAV probabilities, the workspace): the cached eval one, or a new train-mode one."""
+    """(UAV probabilities, the workspace): the cached eval one, or a new train-mode one.
+
+    Eval probabilities are a copy, since the cached workspace's buffer is
+    overwritten by the next call on the same row count.
+    """
     _check_batch(model, x, r)
     if mode == "eval":
         ws = model._eval_steps.get(len(x))
@@ -231,28 +233,33 @@ def _forward(model: Model, x, r, mode: str, rng: Rng | None):
             if len(model._eval_steps) == _EVAL_STEPS:
                 model._eval_steps.clear()
             ws = model._eval_steps[len(x)] = TrainStep(model, len(x))
-    else:
-        ws = TrainStep(model, len(x), np.empty_like(model.theta))
+        return ws.forward(x, r).copy(), ws
+    ws = TrainStep(model, len(x), np.empty_like(model.theta))
     return ws.forward(x, r, None, rng), ws
 
 
 def backward_pass(model: Model, cache, grad_p: np.ndarray) -> dict[str, np.ndarray]:
     """Gradients of the loss wrt every parameter, given dL/dp and ``_forward``'s workspace."""
-    cache.backward(grad_p)
+    cache._head_backward(grad_p.reshape(-1))
+    cache.backward()
     return cache.grads.params()
 
 
 class TrainStep:
     """Preallocated buffers for the network on a fixed number of rows.
 
-    Train mode (with ``grad``): ``forward`` runs the network with dropout;
-    ``backward`` then writes the loss gradient into ``grad``, a flat vector
-    laid out like ``theta`` (``grads`` holds its per-tensor views), reusing
-    the patch matrix of the conv forward. Eval mode (no ``grad``) holds the
-    forward buffers alone and drops nothing. Each product is the one the
-    allocating ``ops`` layer functions make, on the same operand shapes,
-    so the bits are theirs. It holds the model's layers, not the model, so
-    a model can cache it without a reference cycle. The caller checks shapes.
+    Train mode (with ``grad``): ``forward`` runs the network with dropout,
+    drawing the keep flags of both dropout layers in one call; ``loss``
+    takes the batch's labels, returns the loss and writes its gradient
+    through the sigmoid into ``dz3``; ``backward`` then writes the loss
+    gradient into ``grad``, a flat vector laid out like ``theta`` (``grads``
+    holds its per-tensor views), reusing the patch matrix of the conv
+    forward. Eval mode (no ``grad``) holds the forward buffers alone and
+    drops nothing. Each product is the one the allocating ``ops`` layer
+    functions make, on the same operand shapes, and each element-wise step
+    runs their float ops in their order, so the bits are theirs. It holds
+    the model's layers, not the model, so a model can cache it without a
+    reference cycle. The caller checks shapes.
     """
 
     def __init__(self, model: Model, batch_size: int, grad: np.ndarray | None = None):
@@ -260,7 +267,15 @@ class TrainStep:
         b, flat, c_out = batch_size, spec.flatten_width, spec.conv_filters
         self.conv, self.dense1, self.output = model.conv, model.dense1, model.output
         self.rate = 0.0 if grad is None else spec.dropout_rate
-        self.scale = dt.type(1.0 / (1.0 - self.rate))
+
+        def const(value):
+            """A 0-d array: a ufunc takes it faster than the scalar it holds, to the same bits."""
+            return np.array(value, dt)
+
+        self.scale = const(1.0 / (1.0 - self.rate))
+        self._zero, self._one = const(0), const(1)
+        self._tiny = const(np.finfo(dt).tiny)
+        self._below_one = const(np.nextafter(dt.type(1), dt.type(0)))
         self.x = np.empty((b, *spec.stacked_shape), dt)
         self._windows = conv_windows(self.x, *spec.kernel)
         self.patches = np.empty(self._windows.shape, dt)
@@ -269,61 +284,154 @@ class TrainStep:
         self.z2 = np.empty((b, spec.dense_units), dt)  # ReLU'd in place
         self.d2 = np.empty_like(self.z2) if self.rate else self.z2  # rate 0: the identity
         self.z3 = np.empty((b, 1), dt)
-        self.p = None
+        self.p = np.empty(b, dt)
         # 2-D views for the products and the per-layer element-wise steps
         self._k = self.conv.kernels.reshape(-1, c_out)
         self._p = self.patches.reshape(-1, len(self._k))
         self._z1, self._a1 = self.z1.reshape(-1, c_out), self.z1.reshape(b, flat)
         self._h1, self._hr = self.h[:, :flat], self.h[:, flat:]
+        # the output head runs on 1-D views of z3 and dz3, four temporary rows
+        # and two mask rows, unpacked from tuples without making views each step
+        self._z3 = self.z3.reshape(b)
+        self._tmp = tuple(np.empty((4, b), dt))
+        self._masks = tuple(np.empty((2, b), bool))
         if grad is None:
             return
         self.grads = Model(spec, grad)
-        # dropout scales (1/(1-rate) where kept, 0 where dropped); keep flags, then ReLU masks
-        self.s1, self.s2 = np.empty((b, flat), dt), np.empty_like(self.z2)
-        self.flags1, self.flags2 = np.empty((b, flat), bool), np.empty(self.z2.shape, bool)
+        # dropout scales (1/(1-rate) where kept, 0 where dropped) and keep flags of
+        # both layers, each in one buffer so that a step draws its flags at once;
+        # backward overwrites the flags with the ReLU masks
+        n1 = b * flat
+        self._scales = np.empty(n1 + self.z2.size, dt)
+        self._keep = np.empty(self._scales.size, bool)
+        self.s1 = self._scales[:n1].reshape(b, flat)
+        self.s2 = self._scales[n1:].reshape(self.z2.shape)
+        self.flags1 = self._keep[:n1].reshape(b, flat)
+        self.flags2 = self._keep[n1:].reshape(self.z2.shape)
+        self.y = np.empty(b, dt)  # the batch's labels
+        self.dz3 = np.empty_like(self.z3)
         self.dh = np.empty_like(self.h)
         self.dz2 = np.empty_like(self.z2)
         self.dz1 = np.empty_like(self.z1)
+        self._dz3 = self.dz3.reshape(b)
         self._gk = self.grads.conv.kernels.reshape(-1, c_out)
         self._dz1, self._dflat = self.dz1.reshape(-1, c_out), self.dz1.reshape(b, flat)
         self._dh1 = self.dh[:, :flat]  # the radar columns get no gradient path
+        self._eps, self._half, self._n = const(BCE_EPS), const(0.5), const(b)
+        self._one_minus_eps = const(1 - dt.type(BCE_EPS))
 
     def forward(self, x: np.ndarray, r: np.ndarray | None, idx=None, rng=None) -> np.ndarray:
-        """UAV probabilities of the batch ``x[idx]``, ``r[idx]``, or of all of ``x``, ``r``."""
+        """UAV probabilities of the batch ``x[idx]``, ``r[idx]``, or of all of ``x``, ``r``.
+
+        The result is the workspace's ``p`` buffer, which the next call overwrites.
+        """
         self._load(self.x, x, idx)
         np.copyto(self.patches, self._windows)
         np.dot(self._p, self._k, out=self._z1)
         np.add(self._z1, self.conv.bias, out=self._z1)
-        np.maximum(self._z1, 0, out=self._z1)
+        np.maximum(self._z1, self._zero, out=self._z1)
         if self.rate:
-            self._dropout(rng, self._a1, self.flags1, self.s1, self._h1)
+            # the words of flags1 then flags2, in the order of two separate draws
+            dropout_keep(rng, self.rate, self._keep)
+            np.multiply(self._keep, self.scale, out=self._scales)
+            np.multiply(self._a1, self.s1, out=self._h1)
         else:
             np.copyto(self._h1, self._a1)
         if r is not None:
             self._load(self._hr, r, idx)
         np.matmul(self.h, self.dense1.weights, out=self.z2)
         np.add(self.z2, self.dense1.bias, out=self.z2)
-        np.maximum(self.z2, 0, out=self.z2)
+        np.maximum(self.z2, self._zero, out=self.z2)
         if self.rate:  # at rate 0, d2 is z2
-            self._dropout(rng, self.z2, self.flags2, self.s2, self.d2)
+            np.multiply(self.z2, self.s2, out=self.d2)
         np.matmul(self.d2, self.output.weights, out=self.z3)
         np.add(self.z3, self.output.bias, out=self.z3)
-        self.p = sigmoid(self.z3)[:, 0]
+        self._sigmoid()
         return self.p
 
-    def backward(self, grad_p: np.ndarray) -> None:
-        """Write dL/dtheta into ``grad``, given dL/dp for the last forward batch."""
-        g = self.grads
-        dz3 = sigmoid_backward(grad_p.reshape(-1, 1), self.p.reshape(-1, 1))
+    def _sigmoid(self) -> None:
+        """p = ops.sigmoid(z3): the same float ops per element, without its scatter.
+
+        With e = exp(-|z|) (exp(z) where z is NaN) and d = 1 + e, p is 1/d
+        where z >= 0 and e/d elsewhere, then clamped into (0, 1). The
+        numerator max(e, z >= 0) is 1 where z >= 0, since there e <= 1, and
+        e elsewhere, since e >= 0 or is NaN; minimum and maximum return a
+        NaN operand itself.
+        """
+        z, p = self._z3, self.p
+        e, d, num, _ = self._tmp
+        np.negative(z, out=e)
+        np.minimum(z, e, out=e)  # -|z|
+        np.exp(e, out=e)
+        np.add(e, self._one, out=d)
+        np.greater_equal(z, self._zero, out=num)
+        np.maximum(e, num, out=num)
+        np.divide(num, d, out=p)
+        np.maximum(p, self._tiny, out=p)  # np.clip's order: max with the low bound first
+        np.minimum(p, self._below_one, out=p)
+
+    def loss(self, y: np.ndarray, idx=None) -> tuple[float, int]:
+        """(Loss, correct count) of the last forward batch against the labels ``y[idx]``.
+
+        The loss is ``ops.bce_loss``'s, by its expression in its order; its
+        gradient, through the sigmoid, goes into ``dz3`` for ``backward``. A
+        prediction is correct when p > 0.5 and y > 0.5 agree.
+        """
+        p, yb, (m1, m2) = self.p, self.y, self._masks
+        a, c, phat, v = self._tmp
+        self._load(yb, y, idx)
+        np.maximum(p, self._eps, out=phat)  # np.clip(p, eps, 1 - eps)
+        np.minimum(phat, self._one_minus_eps, out=phat)
+        # mean(-(y * log(phat) + (1 - y) * log1p(-phat)))
+        np.log(phat, out=a)
+        np.multiply(yb, a, out=a)
+        np.subtract(self._one, yb, out=c)
+        np.negative(phat, out=v)
+        np.log1p(v, out=v)
+        np.multiply(c, v, out=v)
+        np.add(a, v, out=a)
+        np.negative(a, out=a)
+        # np.mean's bits: its float32 or float64 sum divided by the count (for
+        # float32 a float64 quotient rounded to float32, which is the float32
+        # quotient since 53 >= 2 * 24 + 2)
+        loss = float(np.add.reduce(a) / self._n)
+        # dL/dp = (phat - y) / (phat * (1 - phat)) / n where eps <= p <= 1 - eps, else 0;
+        # p is outside exactly where the clamp changed it or p is NaN: phat != p
+        np.subtract(phat, yb, out=a)
+        np.subtract(self._one, phat, out=c)
+        np.multiply(phat, c, out=c)
+        np.divide(a, c, out=a)
+        np.not_equal(phat, p, out=m1)
+        np.copyto(a, self._zero, where=m1)
+        np.divide(a, self._n, out=a)
+        self._head_backward(a)
+        np.greater(p, self._half, out=m1)
+        np.greater(yb, self._half, out=m2)
+        np.equal(m1, m2, out=m1)
+        return loss, int(np.count_nonzero(m1))
+
+    def _head_backward(self, grad_p: np.ndarray) -> None:
+        """dz3 = ops.sigmoid_backward(dL/dp, p): grad_p * p * (1 - p), in that order."""
+        t = self._tmp[3]
+        np.multiply(grad_p, self.p, out=self._dz3)
+        np.subtract(self._one, self.p, out=t)
+        np.multiply(self._dz3, t, out=self._dz3)
+
+    def backward(self) -> None:
+        """Write dL/dtheta into ``grad``, given ``dz3`` for the last forward batch.
+
+        The bias gradients are np.sum's reductions, called as np.add.reduce.
+        """
+        g, dz3 = self.grads, self.dz3
         np.matmul(dz3, self.output.weights.T, out=self.dz2)
         np.matmul(self.d2.T, dz3, out=g.output.weights)
-        np.sum(dz3, axis=0, out=g.output.bias)
+        np.add.reduce(dz3, axis=0, out=g.output.bias)
         self._dropout_relu_backward(self.dz2, self.s2, self.z2, self.flags2, self.dz2)
         np.matmul(self.dz2, self.dense1.weights.T, out=self.dh)
         np.matmul(self.h.T, self.dz2, out=g.dense1.weights)
-        np.sum(self.dz2, axis=0, out=g.dense1.bias)
+        np.add.reduce(self.dz2, axis=0, out=g.dense1.bias)
         self._dropout_relu_backward(self._dh1, self.s1, self._a1, self.flags1, self._dflat)
-        np.sum(self.dz1, axis=(0, 1, 2), out=g.conv.bias)
+        np.add.reduce(self.dz1, axis=(0, 1, 2), out=g.conv.bias)
         np.dot(self._p.T, self._dz1, out=self._gk)
 
     @staticmethod
@@ -333,12 +441,7 @@ class TrainStep:
         else:
             # idx holds row numbers of a (train() takes them from a permutation),
             # so "clip" never clamps; "raise" would gather through a temporary
-            np.take(a, idx, axis=0, out=out, mode="clip")
-
-    def _dropout(self, rng, a, flags, scale, out) -> None:
-        dropout_keep(rng, self.rate, flags)
-        np.multiply(flags, self.scale, out=scale)
-        np.multiply(a, scale, out=out)
+            a.take(idx, 0, out, "clip")
 
     def _dropout_relu_backward(self, upstream, scale, a, flags, out) -> None:
         """out = upstream * scale * (a > 0), in that order; a > 0 exactly where z > 0."""
@@ -346,7 +449,7 @@ class TrainStep:
             np.multiply(upstream, scale, out=out)
         elif out is not upstream:
             np.copyto(out, upstream)
-        np.greater(a, 0, out=flags)
+        np.greater(a, self._zero, out=flags)
         np.multiply(out, flags, out=out)
 
 

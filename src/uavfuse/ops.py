@@ -3,11 +3,14 @@
 Valid 2-D convolution, fully connected layers, ReLU, sigmoid, inverted
 dropout, binary cross entropy and an RMSprop update, each with an exact
 analytic backward pass, plus a central-difference gradient checker. Every
-function is pure, never mutating its inputs, except rmsprop_update, which
-updates its parameter and mean-square arrays in place, and dropout_keep,
-which fills the bool array it is given. These allocating layer functions
-are the test oracle of model.TrainStep, which runs the network. Identical
-inputs (including generator state) give bit-identical outputs.
+function is pure, never mutating its inputs, except rmsprop_update and
+RmspropUpdate, which update a parameter and a mean-square array in place,
+and dropout_keep, which fills the bool array it is given. These allocating
+layer functions, sigmoid, bce_loss and sigmoid_backward included, are the
+test oracle of model.TrainStep, which runs the network and its output head
+in preallocated buffers. Training builds one RmspropUpdate, which checks
+its arrays once, and calls it every step. Identical inputs (including
+generator state) give bit-identical outputs.
 
 Layout conventions: feature maps are (H, W, C) row-major, kernels are
 (kh, kw, C_in, C_out), dense weights are (n_in, n_out). Spatial functions
@@ -29,9 +32,9 @@ TRAIN_DTYPE = np.float32
 
 BCE_EPS = 1e-7
 
-# Elements per rmsprop_step pass: 64 KB of float32 per operand, so the
-# working set of one block stays in L2.
-_RMSPROP_BLOCK = 16384
+# Elements per RMSprop pass: 256 KB of float32 per operand, so the five
+# operands of one block (1.25 MB) stay in a 2 MB L2.
+_RMSPROP_BLOCK = 65536
 
 
 @dataclass
@@ -234,12 +237,12 @@ def dropout_keep(rng: Rng, rate: float, out: np.ndarray) -> None:
 
     A flag is rng.uniform() >= rate, taken on the raw words: a uniform is
     m * 2^-53 for the 53-bit integer m = word >> 11, so it is >= rate exactly
-    when m >= ceil(rate * 2^53). Same words, same order, no float conversion.
+    when m >= T = ceil(rate * 2^53), that is when word >= T << 11, which fits
+    64 bits since T < 2^53 for rate < 1. Same words, same order, no float
+    conversion.
     """
-    threshold = np.uint64(math.ceil(float(rate) * 2.0**53))
-    words = rng.u64(out.size)
-    np.right_shift(words, np.uint64(11), out=words)
-    np.greater_equal(words, threshold, out=out.reshape(-1))
+    threshold = np.uint64(math.ceil(float(rate) * 2.0**53) << 11)
+    np.greater_equal(rng.u64(out.size), threshold, out=out.reshape(-1))
 
 
 def dropout_backward(
@@ -272,6 +275,67 @@ def bce_loss(p: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
     return loss, grad / p.dtype.type(p.size)
 
 
+class RmspropUpdate:
+    """RMSprop in place on fixed ``param``, ``grad`` and ``mean_square`` arrays.
+
+    The constructor checks the three arrays once and holds views of them,
+    so each call reads the current ``grad`` and updates ``param`` and
+    ``mean_square`` with no further check: training builds one per call of
+    ``train`` and calls it once per step. All three must be C-contiguous
+    and share a shape. rmsprop_update is the checked one-off form.
+    """
+
+    def __init__(self, param, grad, mean_square, rho: float = 0.9, eps: float = 1e-7):
+        if grad.shape != param.shape:
+            raise ShapeError(f"grad shape {grad.shape} != param shape {param.shape}")
+        if mean_square.shape != param.shape:
+            raise ShapeError(
+                f"mean_square shape {mean_square.shape} != param shape {param.shape}"
+            )
+        if not (param.flags.c_contiguous and mean_square.flags.c_contiguous):
+            raise ShapeError("param and mean_square must be C-contiguous to update in place")
+        if not grad.flags.c_contiguous:
+            raise ShapeError("grad must be C-contiguous to be read through a view")
+        self.rho, self.eps = rho, eps
+        p_all, g_all, e_all = param.reshape(-1), grad.reshape(-1), mean_square.reshape(-1)
+        n = min(param.size, _RMSPROP_BLOCK)
+        denom, delta = np.empty(n, param.dtype), np.empty(n, param.dtype)
+        finite = np.empty(n, bool)
+        self._blocks = []
+        for lo in range(0, param.size, _RMSPROP_BLOCK):
+            hi = min(lo + _RMSPROP_BLOCK, param.size)
+            k = hi - lo
+            self._blocks.append(
+                (g_all[lo:hi], e_all[lo:hi], p_all[lo:hi], denom[:k], delta[:k], finite[:k])
+            )
+
+    def __call__(self, lr: float) -> None:
+        """One update with learning rate ``lr``.
+
+        Raises NumericFault at the first block whose gradient holds a
+        non-finite element; the blocks before it are already updated.
+        """
+        rho, eps, fresh = self.rho, self.eps, 1.0 - self.rho
+        # One pass per block of _RMSPROP_BLOCK elements keeps every operand in
+        # cache. Each block runs the ops of rho*E + (1-rho)*g*g and
+        # theta - lr*g / (sqrt(E)+eps) in their left-to-right order, so when
+        # param, grad and mean_square share one dtype (as in training) the
+        # result is bit-identical to evaluating those expressions on whole tensors.
+        for g, e, p, t, u, finite in self._blocks:
+            np.isfinite(g, out=finite)
+            if not finite.all():
+                raise NumericFault("non-finite gradient element in rmsprop_step")
+            np.multiply(e, rho, out=e)
+            np.multiply(g, fresh, out=t)
+            np.multiply(t, g, out=t)
+            np.add(e, t, out=e)
+            np.sqrt(e, out=t)
+            np.add(t, eps, out=t)
+            np.multiply(g, lr, out=u)
+            np.divide(u, t, out=u)
+            np.subtract(p, u, out=p)
+
+
 def rmsprop_update(
     param: np.ndarray,
     grad: np.ndarray,
@@ -284,43 +348,13 @@ def rmsprop_update(
 
     E <- rho*E + (1-rho)*g^2, then theta <- theta - lr * g / (sqrt(E)+eps).
     ``param`` and ``mean_square`` must be C-contiguous and share a dtype.
-    Training calls this once per step on one flat vector holding every
-    parameter; rmsprop_step is the pure, per-tensor form.
+    This checked form builds a RmspropUpdate, which training keeps for the
+    whole run instead; rmsprop_step is the pure, per-tensor form.
 
     Raises NumericFault at the first block whose gradient holds a non-finite
     element; the blocks before it are already updated.
     """
-    if grad.shape != param.shape:
-        raise ShapeError(f"grad shape {grad.shape} != param shape {param.shape}")
-    if mean_square.shape != param.shape:
-        raise ShapeError(
-            f"mean_square shape {mean_square.shape} != param shape {param.shape}"
-        )
-    if not (param.flags.c_contiguous and mean_square.flags.c_contiguous):
-        raise ShapeError("param and mean_square must be C-contiguous to update in place")
-    # One pass per block of _RMSPROP_BLOCK elements keeps every operand in
-    # cache. Each block runs the ops of rho*E + (1-rho)*g*g and
-    # theta - lr*g / (sqrt(E)+eps) in their left-to-right order, so when
-    # param, grad and mean_square share one dtype (as in training) the result
-    # is bit-identical to evaluating those expressions on whole tensors.
-    p_all, g_all, e_all = param.reshape(-1), grad.reshape(-1), mean_square.reshape(-1)
-    n = min(param.size, _RMSPROP_BLOCK)
-    denom, delta = np.empty(n, param.dtype), np.empty(n, param.dtype)
-    for lo in range(0, param.size, _RMSPROP_BLOCK):
-        hi = lo + _RMSPROP_BLOCK
-        g, e, p = g_all[lo:hi], e_all[lo:hi], p_all[lo:hi]
-        t, u = denom[: g.size], delta[: g.size]
-        if not np.isfinite(g).all():
-            raise NumericFault("non-finite gradient element in rmsprop_step")
-        np.multiply(e, rho, out=e)
-        np.multiply(g, 1.0 - rho, out=t)
-        np.multiply(t, g, out=t)
-        np.add(e, t, out=e)
-        np.sqrt(e, out=t)
-        np.add(t, eps, out=t)
-        np.multiply(g, lr, out=u)
-        np.divide(u, t, out=u)
-        np.subtract(p, u, out=p)
+    RmspropUpdate(param, np.ascontiguousarray(grad), mean_square, rho, eps)(lr)
 
 
 def rmsprop_step(

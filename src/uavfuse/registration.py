@@ -105,10 +105,14 @@ def match_streams(
     return np.stack([i[order], j[order]], axis=1)
 
 
-def stack_features(thermal: np.ndarray, optronic: np.ndarray) -> np.ndarray:
+def stack_features(
+    thermal: np.ndarray, optronic: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """Concatenate spatially aligned maps along the channel axis, thermal first.
 
-    Takes two (H, W, C) maps or two (n, H, W, C) blocks of n maps each.
+    Takes two (H, W, C) maps or two (n, H, W, C) blocks of n maps each, and
+    writes them into ``out`` (a new array when None), which must have the
+    stacked shape; ``fuse_dataset`` passes its records' stacked column.
     """
     if thermal.ndim not in (3, 4) or optronic.ndim != thermal.ndim:
         raise ShapeError(
@@ -121,7 +125,15 @@ def stack_features(thermal: np.ndarray, optronic: np.ndarray) -> np.ndarray:
         if thermal.shape[axis] != optronic.shape[axis]:
             got = (thermal.shape[axis], optronic.shape[axis])
             raise ShapeError(f"{name} mismatch: {got[0]} != {got[1]}")
-    return np.concatenate([thermal, optronic], axis=-1)
+    c = thermal.shape[-1]
+    shape = thermal.shape[:-1] + (c + optronic.shape[-1],)
+    if out is None:
+        out = np.empty(shape, np.result_type(thermal, optronic))
+    elif out.shape != shape:
+        raise ShapeError(f"output shape {out.shape} != stacked shape {shape}")
+    out[..., :c] = thermal
+    out[..., c:] = optronic
+    return out
 
 
 def _by_id(recordings, name: str) -> dict[str, Recording]:
@@ -229,8 +241,10 @@ def fuse_dataset(
         rows = slice(lo, lo + len(i))
         lo = rows.stop
         samples.timestamp[rows], samples.label[rows] = t.timestamp[i], t.label[i]
-        stacked = t.features[i] if o is None else stack_features(t.features[i], o.features[j])
-        samples.stacked[rows] = stacked
+        if o is None:
+            samples.stacked[rows] = t.features[i]
+        else:  # each map's gathered rows go straight into their channels of the records
+            stack_features(t.features[i], o.features[j], samples.stacked[rows])
         if r is not None:
             samples.radar[rows] = r.features[m].reshape(len(m), radar_len)
         part = audit[rows]

@@ -128,11 +128,11 @@ class Rng:
 
     def permutation(self, n: int) -> np.ndarray:
         """Fisher-Yates shuffle of range(n), one uniform per position."""
-        perm = np.arange(n)
         if n < 2:
-            return perm
-        u = self.uniform(n - 1)
-        for i in range(n - 1, 0, -1):
-            j = int(u[n - 1 - i] * (i + 1))
+            return np.arange(n)
+        # on Python lists: indexing numpy scalars costs more than the swaps
+        perm = list(range(n))
+        for i, u in zip(range(n - 1, 0, -1), self.uniform(n - 1).tolist()):
+            j = int(u * (i + 1))
             perm[i], perm[j] = perm[j], perm[i]
-        return perm
+        return np.array(perm)

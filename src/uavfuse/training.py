@@ -20,7 +20,7 @@ from .errors import (
 )
 from .metrics import classification_report, confusion_at_threshold
 from .model import Model, TrainStep, batch_arrays, weights_digest, _check_batch, _forward
-from .ops import bce_loss, rmsprop_update
+from .ops import RmspropUpdate, bce_loss
 from .rng import Rng
 
 
@@ -118,12 +118,13 @@ def train(model: Model, dataset: FusedDataset, cfg: TrainConfig) -> tuple[Model,
     dropout_rng = rng.spawn("dropout")
 
     # The model's tensors view its one flat vector, so one in-place RMSprop
-    # pass per step updates all of them. One workspace per batch size that
-    # occurs: the full one and the short last batch.
+    # pass per step updates all of them; its operands are checked here, once.
+    # One workspace per batch size that occurs: the full one and the short
+    # last batch.
     model = model.clone()
     theta = model.theta
-    mean_square = np.zeros_like(theta)
     grad = np.empty_like(theta)
+    update = RmspropUpdate(theta, grad, np.zeros_like(theta))
     sizes = {min(cfg.batch_size, train_n), train_n % cfg.batch_size} - {0}
     workspaces = {n: TrainStep(model, n, grad) for n in sizes}
     step = 0
@@ -145,16 +146,15 @@ def train(model: Model, dataset: FusedDataset, cfg: TrainConfig) -> tuple[Model,
         for s in range(0, train_n, cfg.batch_size):
             idx = order[s : s + cfg.batch_size]
             ws = workspaces[len(idx)]
-            p = ws.forward(x, r, idx, dropout_rng)
-            loss, grad_p = bce_loss(p, y[idx])
+            ws.forward(x, r, idx, dropout_rng)
+            loss, hits = ws.loss(y, idx)
             if not math.isfinite(loss):
                 raise NumericFault(f"non-finite training loss at epoch {epoch}")
-            ws.backward(grad_p)
-            lr = cfg.lr0 / (1.0 + cfg.decay * step)
-            rmsprop_update(theta, grad, mean_square, lr)
+            ws.backward()
+            update(cfg.lr0 / (1.0 + cfg.decay * step))
             step += 1
             loss_sum += loss * len(idx)
-            correct += int(np.sum((p > 0.5) == (y[idx] > 0.5)))
+            correct += hits
 
         p_val = evaluate_probabilities(model, x_val, r_val, cfg.batch_size)
         val_loss, _ = bce_loss(p_val, y_val)

@@ -159,6 +159,21 @@ def test_every_command_rejects_a_bad_key_before_any_output(tmp_path, capsys, com
     assert not out.exists()
 
 
+def test_out_of_memory_exits_1_with_one_line_and_no_output(tmp_path, capsys, monkeypatch):
+    def cmd_train(cfg, data, out_dir):
+        raise MemoryError("Unable to allocate 8.00 EiB for an array with shape (2**60,)")
+
+    monkeypatch.setattr(cli, "cmd_train", cmd_train)
+    out = tmp_path / "o"
+    cfg = write_config(tmp_path)
+    assert main(["train", "--config", str(cfg), "--data", "missing", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["error: out of memory: Unable to allocate 8.00 EiB for an array "
+                                "with shape (2**60,)"]
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_resolved_config_echoed(tmp_path):
     cfg = write_config(tmp_path)
     out = tmp_path / "out"

@@ -1,11 +1,14 @@
 """Fusion network construction, forward/backward, persistence, and training."""
 
 import gc
+import math
 import struct
 import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from uavfuse.data import Label, Modality, ModalitySet, ShapeProfile
 from uavfuse.errors import (
@@ -38,6 +41,7 @@ from uavfuse.model import (
     _spec_bytes,
 )
 from uavfuse.ops import (
+    BCE_EPS,
     bce_loss,
     conv2d_forward,
     conv2d_param_grads,
@@ -48,6 +52,7 @@ from uavfuse.ops import (
     grad_check,
     relu,
     relu_backward,
+    RmspropUpdate,
     rmsprop_update,
     sigmoid,
     sigmoid_backward,
@@ -550,8 +555,8 @@ class TestTraining:
         # fault comes from the optimizer's own check
         backward = TrainStep.backward
 
-        def inf_backward(self, grad_p):
-            backward(self, grad_p)
+        def inf_backward(self):
+            backward(self)
             self.grads.output.bias[...] = np.inf
 
         monkeypatch.setattr(TrainStep, "backward", inf_backward)
@@ -633,7 +638,8 @@ class TestTrainStep:
         oracle = build_model(tiny_spec(modality_set, dropout), Rng(30), dtype)
         model = oracle.clone()
         grad = np.empty_like(model.theta)
-        ms_oracle, ms = np.zeros_like(grad), np.zeros_like(grad)
+        ms_oracle = np.zeros_like(grad)
+        update = RmspropUpdate(model.theta, grad, np.zeros_like(grad))
         rng_oracle, rng = Rng(31), Rng(31)
         # 31 samples: batch 7 and 12 end on a short batch, 4 and 7 samples long
         order = Rng(32).permutation(len(y))[:31]
@@ -646,13 +652,14 @@ class TestTrainStep:
                     workspaces[len(idx)] = TrainStep(model, len(idx), grad)
                 ws = workspaces[len(idx)]
                 p = ws.forward(x, r, idx, rng)
-                loss, grad_p = bce_loss(p, y[idx])
-                ws.backward(grad_p)
+                loss, correct = ws.loss(y, idx)
+                ws.backward()
                 assert _bits(p) == _bits(p_o)
                 assert loss == loss_o
+                assert correct == int(np.sum((p_o > 0.5) == (y[idx] > 0.5)))
                 assert _bits(grad) == _bits(grad_o)
                 rmsprop_update(oracle.theta, grad_o, ms_oracle, 1e-2)
-                rmsprop_update(model.theta, grad, ms, 1e-2)
+                update(1e-2)
                 assert _bits(model.theta) == _bits(oracle.theta)
         assert sorted(workspaces) == sorted({batch_size, 31 % batch_size} - {0})
         assert _bits(rng.u64(5)) == _bits(rng_oracle.u64(5))
@@ -669,6 +676,76 @@ class TestTrainStep:
         p = evaluate_probabilities(model, x, r, batch_size)
         assert p.dtype == dtype
         assert _bits(p) == _bits(oracle_probabilities(model, x, r, batch_size))
+
+
+def _first_logit_reaching(target, dtype):
+    """(z, the next float above z): sigmoid(z) < target <= sigmoid(next), by bisection."""
+    lo, hi = dtype(-40), dtype(40)
+    while np.nextafter(lo, hi) != hi:
+        mid = dtype((lo + hi) / 2)
+        if mid in (lo, hi):
+            mid = np.nextafter(lo, hi)
+        if sigmoid(np.array([mid]))[0] >= target:
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
+def _special_logits(dtype):
+    """Signed zeros, subnormals, extremes, non-finite values and the logits at the clamp edges."""
+    info = np.finfo(dtype)
+    eps = dtype(BCE_EPS)
+    edges = [*_first_logit_reaching(eps, dtype), *_first_logit_reaching(1 - eps, dtype)]
+    values = [0.0, -0.0, info.tiny / 4, -info.tiny / 4, info.tiny, info.max, -info.max,
+              np.inf, -np.inf, np.nan, 0.5, -0.5, *edges]
+    return [dtype(v) for v in values]
+
+
+def _logits(dtype):
+    width = np.finfo(dtype).bits
+    return st.one_of(st.sampled_from(_special_logits(dtype)), st.floats(width=width))
+
+
+class TestWorkspaceHead:
+    """The workspace's sigmoid, loss, dz3 and correct count against the ``ops`` oracles."""
+
+    @staticmethod
+    def _workspace(dtype, batch_size):
+        model = build_model(tiny_spec(), Rng(40), dtype)
+        return TrainStep(model, batch_size, np.empty_like(model.theta))
+
+    def _check(self, ws, p_want, y):
+        loss, correct = ws.loss(y)
+        loss_want, grad_p = bce_loss(p_want, y)
+        assert loss == loss_want or not (math.isfinite(loss) or math.isfinite(loss_want))
+        dz3_want = sigmoid_backward(grad_p.reshape(-1, 1), p_want.reshape(-1, 1))
+        assert _bits(ws.dz3) == _bits(dz3_want)
+        assert correct == int(np.sum((p_want > 0.5) == (y > 0.5)))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("batch_size", [1, 7, 12])
+    @given(data=st.data())
+    def test_head_matches_the_oracles(self, dtype, batch_size, data):
+        ws = self._workspace(dtype, batch_size)
+        rows = st.lists(_logits(dtype), min_size=batch_size, max_size=batch_size)
+        labels = st.lists(st.sampled_from([0.0, 1.0]), min_size=batch_size, max_size=batch_size)
+        ws.z3[:, 0] = data.draw(rows)
+        y = np.array(data.draw(labels), dtype)
+        ws._sigmoid()
+        p_want = sigmoid(ws.z3)[:, 0]
+        assert _bits(ws.p) == _bits(p_want)
+        self._check(ws, p_want, y)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_loss_at_the_clamp_edges(self, dtype):
+        # p exactly on each clamp bound and one ulp to either side of it
+        eps = dtype(BCE_EPS)
+        p = np.array([np.nextafter(e, d) for e in (eps, 1 - eps) for d in (0, e, 1)])
+        ws = self._workspace(dtype, len(p))
+        for y in (np.zeros(len(p), dtype), np.ones(len(p), dtype)):
+            ws.p[...] = p
+            self._check(ws, p, y)
 
 
 class TestEvalWorkspaces:

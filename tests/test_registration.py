@@ -229,6 +229,16 @@ class TestStackFeatures:
         with pytest.raises(ShapeError, match="block size"):
             stack_features(t, o[:4])
 
+    def test_writes_into_a_strided_output(self):
+        t, o = Rng(8).normal((4, 3, 3, 2)), Rng(9).normal((4, 3, 3, 1))
+        records = np.zeros(4, [("label", "u1"), ("stacked", "<f8", (3, 3, 3))])
+        out = records["stacked"]
+        assert stack_features(t, o, out) is out
+        assert np.array_equal(records["stacked"], np.concatenate([t, o], axis=-1))
+        assert not records["label"].any()
+        with pytest.raises(ShapeError, match="output shape"):
+            stack_features(t, o, np.zeros((4, 3, 3, 2)))
+
     def test_spatial_mismatch_rejected(self):
         with pytest.raises(ShapeError, match="height"):
             stack_features(np.zeros((3, 2, 1)), np.zeros((2, 2, 1)))
@@ -350,6 +360,24 @@ class TestFuseDataset:
         assert "rec999" in caplog.text
         assert two.provenance == ["rec000"]
         assert len(two.samples) == 4
+
+    @pytest.mark.parametrize("modality_set", list(ModalitySet))
+    def test_stacked_maps_are_the_audited_rows_concatenated(self, modality_set):
+        cfg = SynthConfig(
+            recordings_per_modality=3, samples_per_recording=60, shape_profile=TINY, seed=5
+        )
+        data = generate_synthetic_dataset(cfg)
+        fused = fuse_dataset(*(data[m] for m in Modality), modality_set)
+        thermal = {rec.recording_id: rec for rec in data[Modality.THERMAL]}
+        optronic = {rec.recording_id: rec for rec in data[Modality.OPTRONIC]}
+        assert len(fused.samples) and fused.provenance
+        for k, rec_id in enumerate(fused.provenance):
+            rows = fused.audit["recording"] == k
+            want = thermal[rec_id].samples.features[fused.audit["thermal"][rows]]
+            if modality_set.has_optronic:
+                o = optronic[rec_id].samples.features[fused.audit["optronic"][rows]]
+                want = np.concatenate([want, o], axis=-1)
+            assert np.array_equal(fused.samples.stacked[rows], want)
 
     def test_single_modality_passthrough(self):
         t, _, _ = _hand_recordings()

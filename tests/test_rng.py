@@ -1,6 +1,7 @@
 """Generator correctness: scalar reference oracle, determinism, distributions."""
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -99,6 +100,28 @@ def test_permutation_is_a_permutation():
     p = Rng(3).permutation(257)
     assert sorted(p.tolist()) == list(range(257))
     assert np.array_equal(Rng(3).permutation(257), p)
+
+
+def _permutation_ref(rng, n):
+    """The Fisher-Yates loop on a numpy array that Rng.permutation runs on lists."""
+    perm = np.arange(n)
+    if n < 2:
+        return perm
+    u = rng.uniform(n - 1)
+    for i in range(n - 1, 0, -1):
+        j = int(u[n - 1 - i] * (i + 1))
+        perm[i], perm[j] = perm[j], perm[i]
+    return perm
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 257, 1588])
+def test_permutation_matches_the_array_loop(n):
+    rng, ref = Rng(n + 40), Rng(n + 40)
+    rng.u64(5)  # start mid-block
+    ref.u64(5)
+    got, want = rng.permutation(n), _permutation_ref(ref, n)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert np.array_equal(rng.u64(7), ref.u64(7))
 
 
 def test_spawn_streams_are_stable_and_distinct():

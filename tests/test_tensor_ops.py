@@ -27,6 +27,7 @@ from uavfuse.ops import (
     grad_check,
     relu,
     relu_backward,
+    RmspropUpdate,
     rmsprop_step,
     rmsprop_update,
     sigmoid,
@@ -623,6 +624,34 @@ class TestRmspropUpdate:
         grad[-1] = np.nan
         with pytest.raises(NumericFault):
             rmsprop_update(np.zeros_like(grad), grad, np.zeros_like(grad), 1e-4)
+
+    @pytest.mark.parametrize("operand", [0, 1, 2])
+    @pytest.mark.parametrize("fault", ["shape", "strided"])
+    def test_checked_once_when_built_and_on_every_one_off_update(self, operand, fault):
+        # training checks its operands once, by building RmspropUpdate;
+        # rmsprop_update checks on every call and accepts a strided gradient
+        arrays = [np.zeros(6), np.ones(6), np.zeros(6)]
+        arrays[operand] = np.zeros(7) if fault == "shape" else np.ones(12)[::2]
+        with pytest.raises(ShapeError):
+            RmspropUpdate(*arrays)
+        if fault == "strided" and operand == 1:
+            param, mean_square = np.zeros(6), np.zeros(6)
+            rmsprop_update(param, arrays[1], mean_square, 1e-3)
+            want_p, want_e = _rmsprop_oracle(np.zeros(6), np.ones(6), np.zeros(6), 0, 1e-3, 0)
+            assert np.array_equal(param, want_p) and np.array_equal(mean_square, want_e)
+        else:
+            with pytest.raises(ShapeError):
+                rmsprop_update(*arrays, 1e-3)
+
+    def test_a_built_update_reads_the_current_gradient(self):
+        param, grad, mean_square = np.zeros(5), np.empty(5), np.zeros(5)
+        update = RmspropUpdate(param, grad, mean_square)
+        want_p, want_e = param.copy(), mean_square.copy()
+        for step in range(3):
+            grad[...] = np.arange(5) - step
+            update(1e-3)
+            want_p, want_e = _rmsprop_oracle(want_p, grad, want_e, 0, 1e-3, 0)
+            assert np.array_equal(param, want_p) and np.array_equal(mean_square, want_e)
 
 
 class TestGradCheckHarness:
