@@ -17,7 +17,6 @@ from uavfuse import (
     build_model,
     classification_report,
     confusion_at_threshold,
-    count_parameters,
     evaluate_probabilities,
     fuse_dataset,
     generate_synthetic_dataset,
@@ -53,7 +52,7 @@ print(f"fused record layout: {train_ds.samples.dtype}")
 spec = ModelSpec.for_profile(mset, profile, conv_filters=16, dense_units=32)
 model = build_model(spec, Rng(0).spawn("init"))
 print(f"model: stacked input {spec.stacked_shape}, radar {spec.radar_len}, "
-      f"{count_parameters(model)} trainable parameters")
+      f"{spec.param_count} trainable parameters")
 
 trained, report = train(model, train_ds, TrainConfig(seed=0))
 print(f"stopped at epoch {report.stopped_epoch} "

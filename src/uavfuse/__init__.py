@@ -32,7 +32,6 @@ from .model import (
     ModelSpec,
     build_model,
     classify_probability,
-    count_parameters,
     load_weights,
     save_weights,
     weights_digest,
@@ -80,7 +79,6 @@ __all__ = [
     "classification_report",
     "classify_probability",
     "confusion_at_threshold",
-    "count_parameters",
     "derive_seed",
     "evaluate_probabilities",
     "fuse_dataset",

@@ -90,16 +90,19 @@ def cmd_generate(cfg: RunConfig, out_dir: Path) -> int:
 
 
 def _load_recordings(data_dir: Path) -> dict[Modality, list]:
-    by_kind = {kind: [] for kind in _KINDS.values()}
+    recordings = {m: [] for m in Modality}
     for name, kind, count in read_manifest(data_dir):
-        if kind in by_kind:
-            rec = read_recording(data_dir / name)
-            if len(rec.samples) != count:
-                raise ValidationError(
-                    f"{name}: {len(rec.samples)} samples, but the manifest lists {count}"
-                )
-            by_kind[kind].append(rec)
-    return {m: by_kind[_KINDS[m]] for m in Modality}
+        rec = read_recording(data_dir / name)
+        if _KINDS[rec.modality] != kind:  # also rejects a kind that names no modality
+            raise ValidationError(
+                f"{name}: the manifest lists kind {kind!r}, but the file is {_KINDS[rec.modality]}"
+            )
+        if len(rec.samples) != count:
+            raise ValidationError(
+                f"{name}: {len(rec.samples)} samples, but the manifest lists {count}"
+            )
+        recordings[rec.modality].append(rec)
+    return recordings
 
 
 def cmd_register(cfg: RunConfig, data_dir: Path, out_dir: Path) -> int:

@@ -7,8 +7,9 @@ concatenation; the single-modality variant feeds the thermal map alone.
 A probability strictly above 0.5 is classified as UAV, 0.5 or below as
 false alarm.
 
-``TrainStep`` is the one implementation: training runs it, and evaluation
-and the gradient check run it through ``_forward`` and ``backward_pass``.
+``TrainStep`` is the one implementation. Training runs it in train mode,
+and so do the gradient checks, which give ``backward_pass`` an outside
+dL/dp; evaluation runs it in eval mode through ``_forward``.
 """
 
 from __future__ import annotations
@@ -143,11 +144,6 @@ class Model:
                    self.output.weights, self.output.bias)
         return dict(zip(PARAM_ORDER, tensors))
 
-    def set_params(self, values: dict[str, np.ndarray]) -> None:
-        """Copy each named tensor into its view of ``theta``."""
-        for name, view in self.params().items():
-            view[...] = values[name]
-
     def clone(self) -> "Model":
         return Model(replace(self.spec), self.theta.copy())
 
@@ -172,11 +168,6 @@ def build_model(spec: ModelSpec, rng: Rng, dtype=TRAIN_DTYPE) -> Model:
     _uniform_into(rng, model.dense1.weights, spec.dense1_in)
     _uniform_into(rng, model.output.weights, spec.dense_units + 1)  # Glorot: fan in + out
     return model
-
-
-def count_parameters(model: Model) -> int:
-    """Total element count across all weight and bias tensors."""
-    return model.theta.size
 
 
 def batch_arrays(
@@ -220,29 +211,25 @@ def _check_batch(model: Model, x: np.ndarray, r: np.ndarray | None) -> None:
 _EVAL_STEPS = 3
 
 
-def _forward(model: Model, x, r, mode: str, rng: Rng | None):
-    """(UAV probabilities, the workspace): the cached eval one, or a new train-mode one.
+def _forward(model: Model, x, r) -> np.ndarray:
+    """Eval-mode UAV probabilities of a checked batch, in the model's workspace for its row count.
 
-    Eval probabilities are a copy, since the cached workspace's buffer is
-    overwritten by the next call on the same row count.
+    The result is that workspace's ``p`` buffer, which the next call on the
+    same row count overwrites.
     """
-    _check_batch(model, x, r)
-    if mode == "eval":
-        ws = model._eval_steps.get(len(x))
-        if ws is None:
-            if len(model._eval_steps) == _EVAL_STEPS:
-                model._eval_steps.clear()
-            ws = model._eval_steps[len(x)] = TrainStep(model, len(x))
-        return ws.forward(x, r).copy(), ws
-    ws = TrainStep(model, len(x), np.empty_like(model.theta))
-    return ws.forward(x, r, None, rng), ws
+    ws = model._eval_steps.get(len(x))
+    if ws is None:
+        if len(model._eval_steps) == _EVAL_STEPS:
+            model._eval_steps.clear()
+        ws = model._eval_steps[len(x)] = TrainStep(model, len(x))
+    return ws.forward(x, r)
 
 
-def backward_pass(model: Model, cache, grad_p: np.ndarray) -> dict[str, np.ndarray]:
-    """Gradients of the loss wrt every parameter, given dL/dp and ``_forward``'s workspace."""
-    cache._head_backward(grad_p.reshape(-1))
-    cache.backward()
-    return cache.grads.params()
+def backward_pass(ws: TrainStep, grad_p: np.ndarray) -> dict[str, np.ndarray]:
+    """Every parameter's loss gradient, given dL/dp of a train-mode workspace's last batch."""
+    ws._head_backward(grad_p.reshape(-1))
+    ws.backward()
+    return ws.grads.params()
 
 
 class TrainStep:
@@ -291,12 +278,12 @@ class TrainStep:
         self._z1, self._a1 = self.z1.reshape(-1, c_out), self.z1.reshape(b, flat)
         self._h1, self._hr = self.h[:, :flat], self.h[:, flat:]
         # the output head runs on 1-D views of z3 and dz3, four temporary rows
-        # and two mask rows, unpacked from tuples without making views each step
+        # and (train mode) two mask rows, unpacked from tuples without making views each step
         self._z3 = self.z3.reshape(b)
         self._tmp = tuple(np.empty((4, b), dt))
-        self._masks = tuple(np.empty((2, b), bool))
         if grad is None:
             return
+        self._masks = tuple(np.empty((2, b), bool))
         self.grads = Model(spec, grad)
         # dropout scales (1/(1-rate) where kept, 0 where dropped) and keep flags of
         # both layers, each in one buffer so that a step draws its flags at once;

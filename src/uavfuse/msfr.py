@@ -21,7 +21,8 @@ The body of a file is the bytes of the in-memory recarray, so a read is one
 ``np.frombuffer`` and a write streams the array with one ``tofile``.
 
 A dataset directory holds MSFR files plus ``manifest.tsv``: one record per
-line, tab-separated ``filename<TAB>kind<TAB>sample_count``.
+line, tab-separated ``filename<TAB>kind<TAB>sample_count``, where the file
+name is a plain name in that directory.
 """
 
 from __future__ import annotations
@@ -238,6 +239,8 @@ def read_manifest(directory) -> list[tuple[str, str, int]]:
         fields = line.split("\t")
         if len(fields) != 3:
             raise FormatError(f"manifest line {lineno}: expected 3 tab-separated fields")
+        if fields[0] in ("", ".", "..") or Path(fields[0]).name != fields[0]:
+            raise FormatError(f"manifest line {lineno}: {fields[0]!r} is not a plain file name")
         try:
             count = int(fields[2])
         except ValueError:

@@ -1,16 +1,14 @@
 """Dense-array kernels for the fusion networks.
 
 Valid 2-D convolution, fully connected layers, ReLU, sigmoid, inverted
-dropout, binary cross entropy and an RMSprop update, each with an exact
-analytic backward pass, plus a central-difference gradient checker. Every
-function is pure, never mutating its inputs, except rmsprop_update and
-RmspropUpdate, which update a parameter and a mean-square array in place,
-and dropout_keep, which fills the bool array it is given. These allocating
-layer functions, sigmoid, bce_loss and sigmoid_backward included, are the
-test oracle of model.TrainStep, which runs the network and its output head
-in preallocated buffers. Training builds one RmspropUpdate, which checks
-its arrays once, and calls it every step. Identical inputs (including
-generator state) give bit-identical outputs.
+dropout and binary cross entropy, each with an exact analytic backward
+pass, plus a central-difference gradient checker. These allocate their
+results, never mutate their inputs, and are the test oracle of
+model.TrainStep, which runs the network in preallocated buffers.
+dropout_keep fills the bool array it is given. RmspropUpdate, which
+training builds once and calls every step, updates a parameter and a
+mean-square array in place; rmsprop_step is its pure form. Identical
+inputs (including generator state) give bit-identical outputs.
 
 Layout conventions: feature maps are (H, W, C) row-major, kernels are
 (kh, kw, C_in, C_out), dense weights are (n_in, n_out). Spatial functions
@@ -31,6 +29,10 @@ from .rng import Rng
 TRAIN_DTYPE = np.float32
 
 BCE_EPS = 1e-7
+
+# RMSprop's decay of the mean square and the term that keeps its root off zero
+RMSPROP_RHO = 0.9
+RMSPROP_EPS = 1e-7
 
 # Elements per RMSprop pass: 256 KB of float32 per operand, so the five
 # operands of one block (1.25 MB) stay in a 2 MB L2.
@@ -107,15 +109,10 @@ def conv2d_forward(x: np.ndarray, params: ConvParams) -> np.ndarray:
     return out.reshape(patches.shape[:-3] + (c_out,)) + params.bias
 
 
-def conv2d_param_grads(
+def conv2d_backward(
     x: np.ndarray, params: ConvParams, upstream_grad: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients of conv2d_forward wrt its parameters: (grad_kernels, grad_bias).
-
-    Training uses only these: the conv is the network's first layer, so no
-    gradient flows on into its input, and skipping that gradient saves a
-    product twice the size of the forward one.
-    """
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """All analytic gradients of conv2d_forward: (grad_input, grad_kernels, grad_bias)."""
     _check_conv_shapes(x, params)
     kh, kw, _, c_out = params.kernels.shape
     expect = x.shape[:-3] + (x.shape[-3] - kh + 1, x.shape[-2] - kw + 1, c_out)
@@ -127,26 +124,13 @@ def conv2d_param_grads(
     # patches^T @ upstream over all windows; BLAS reads the transpose in place.
     patches = _patches(x, kh, kw).reshape(-1, kh * kw * x.shape[-1])
     grad_kernels = np.dot(patches.T, upstream_grad.reshape(-1, c_out))
-    return grad_kernels.reshape(params.kernels.shape), grad_bias
-
-
-def conv2d_backward(
-    x: np.ndarray, params: ConvParams, upstream_grad: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """All analytic gradients of conv2d_forward: (grad_input, grad_kernels, grad_bias).
-
-    grad_kernels and grad_bias come from conv2d_param_grads, which training
-    calls directly because it never needs grad_input.
-    """
-    grad_kernels, grad_bias = conv2d_param_grads(x, params, upstream_grad)
-    kh, kw = params.kernels.shape[:2]
     # grad wrt input is the full correlation of the padded upstream gradient
     # with the spatially flipped kernels, channels transposed.
     pad = [(0, 0)] * (upstream_grad.ndim - 3) + [(kh - 1, kh - 1), (kw - 1, kw - 1), (0, 0)]
     g_pad = np.pad(upstream_grad, pad)
     flipped = params.kernels[::-1, ::-1].transpose(0, 1, 3, 2)
     grad_input = np.tensordot(_patches(g_pad, kh, kw), flipped, axes=3)
-    return grad_input, grad_kernels, grad_bias
+    return grad_input, grad_kernels.reshape(params.kernels.shape), grad_bias
 
 
 def dense_forward(x: np.ndarray, params: DenseParams) -> np.ndarray:
@@ -278,14 +262,13 @@ def bce_loss(p: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
 class RmspropUpdate:
     """RMSprop in place on fixed ``param``, ``grad`` and ``mean_square`` arrays.
 
-    The constructor checks the three arrays once and holds views of them,
-    so each call reads the current ``grad`` and updates ``param`` and
-    ``mean_square`` with no further check: training builds one per call of
-    ``train`` and calls it once per step. All three must be C-contiguous
-    and share a shape. rmsprop_update is the checked one-off form.
+    E <- rho*E + (1-rho)*g^2, then theta <- theta - lr * g / (sqrt(E)+eps),
+    with RMSPROP_RHO and RMSPROP_EPS. The constructor checks once that the
+    three arrays are C-contiguous and share a shape, and holds views of
+    them, so each call reads the current ``grad`` with no further check.
     """
 
-    def __init__(self, param, grad, mean_square, rho: float = 0.9, eps: float = 1e-7):
+    def __init__(self, param, grad, mean_square):
         if grad.shape != param.shape:
             raise ShapeError(f"grad shape {grad.shape} != param shape {param.shape}")
         if mean_square.shape != param.shape:
@@ -296,7 +279,6 @@ class RmspropUpdate:
             raise ShapeError("param and mean_square must be C-contiguous to update in place")
         if not grad.flags.c_contiguous:
             raise ShapeError("grad must be C-contiguous to be read through a view")
-        self.rho, self.eps = rho, eps
         p_all, g_all, e_all = param.reshape(-1), grad.reshape(-1), mean_square.reshape(-1)
         n = min(param.size, _RMSPROP_BLOCK)
         denom, delta = np.empty(n, param.dtype), np.empty(n, param.dtype)
@@ -315,7 +297,7 @@ class RmspropUpdate:
         Raises NumericFault at the first block whose gradient holds a
         non-finite element; the blocks before it are already updated.
         """
-        rho, eps, fresh = self.rho, self.eps, 1.0 - self.rho
+        rho, eps, fresh = RMSPROP_RHO, RMSPROP_EPS, 1.0 - RMSPROP_RHO
         # One pass per block of _RMSPROP_BLOCK elements keeps every operand in
         # cache. Each block runs the ops of rho*E + (1-rho)*g*g and
         # theta - lr*g / (sqrt(E)+eps) in their left-to-right order, so when
@@ -336,48 +318,19 @@ class RmspropUpdate:
             np.subtract(p, u, out=p)
 
 
-def rmsprop_update(
-    param: np.ndarray,
-    grad: np.ndarray,
-    mean_square: np.ndarray,
-    lr: float,
-    rho: float = 0.9,
-    eps: float = 1e-7,
-) -> None:
-    """One RMSprop update of ``param`` and ``mean_square``, in place.
-
-    E <- rho*E + (1-rho)*g^2, then theta <- theta - lr * g / (sqrt(E)+eps).
-    ``param`` and ``mean_square`` must be C-contiguous and share a dtype.
-    This checked form builds a RmspropUpdate, which training keeps for the
-    whole run instead; rmsprop_step is the pure, per-tensor form.
-
-    Raises NumericFault at the first block whose gradient holds a non-finite
-    element; the blocks before it are already updated.
-    """
-    RmspropUpdate(param, np.ascontiguousarray(grad), mean_square, rho, eps)(lr)
-
-
 def rmsprop_step(
-    param: np.ndarray,
-    grad: np.ndarray,
-    state: RmspropState,
-    lr0: float,
-    decay: float,
-    rho: float = 0.9,
-    eps: float = 1e-7,
+    param: np.ndarray, grad: np.ndarray, state: RmspropState, lr0: float, decay: float
 ) -> tuple[np.ndarray, RmspropState]:
-    """One RMSprop update on one parameter tensor, returning new arrays.
+    """One RmspropUpdate on copies of one tensor's arrays, returning the new ones.
 
-    E <- rho*E + (1-rho)*g^2, then theta <- theta - lr_t * g / (sqrt(E)+eps)
-    with lr_t = lr0 / (1 + decay*t), t being the step count before the update.
-    The caller keeps one logical step counter per model; it increments once
-    per optimizer step. The inputs are copied, then updated by rmsprop_update.
+    lr_t = lr0 / (1 + decay*t), t being the step count before the update;
+    the caller keeps one step counter per model. A strided ``grad`` is copied.
     """
     lr = lr0 / (1.0 + decay * state.step_count)
     dtype = np.result_type(param, grad, state.mean_square)
     new_param = param.astype(dtype, order="C")
     mean_square = state.mean_square.astype(dtype, order="C")
-    rmsprop_update(new_param, grad, mean_square, lr, rho, eps)
+    RmspropUpdate(new_param, np.ascontiguousarray(grad), mean_square)(lr)
     return new_param, RmspropState(mean_square, state.step_count + 1)
 
 

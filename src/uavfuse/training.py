@@ -80,10 +80,11 @@ def evaluate_probabilities(model: Model, x, r, batch_size: int = 64) -> np.ndarr
         raise CompatibilityError("empty batch")
     if batch_size < 1:
         raise ConfigError(f"batch_size must be positive, got {batch_size}")
+    _check_batch(model, x, r)
     out = np.empty(x.shape[0], model.theta.dtype)
     for s in range(0, x.shape[0], batch_size):
         rb = None if r is None else r[s : s + batch_size]
-        out[s : s + batch_size], _ = _forward(model, x[s : s + batch_size], rb, "eval", None)
+        out[s : s + batch_size] = _forward(model, x[s : s + batch_size], rb)
     return out
 
 

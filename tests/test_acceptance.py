@@ -22,14 +22,13 @@ from uavfuse.metrics import (
 )
 from uavfuse.model import (
     ModelSpec,
+    TrainStep,
     backward_pass,
     batch_arrays,
     build_model,
-    count_parameters,
     load_weights,
     save_weights,
     weights_digest,
-    _forward,
 )
 from uavfuse.msfr import read_fused, read_recording, write_fused, write_recording
 from uavfuse.ops import (
@@ -148,18 +147,16 @@ def test_criterion_2_gradient_suite():
         yb = np.array([1.0, 0.0, 1.0])
 
         def net_loss(m):
-            p, cache = _forward(m, xb, rb, "train", Rng(777 + seed))
-            loss, grad_p = bce_loss(p, yb)
-            return loss, cache, grad_p
+            ws = TrainStep(m, len(xb), np.empty_like(m.theta))
+            loss, grad_p = bce_loss(ws.forward(xb, rb, None, Rng(777 + seed)), yb)
+            return loss, ws, grad_p
 
-        _, cache, grad_p = net_loss(model)
-        grads = backward_pass(model, cache, grad_p)
+        _, ws, grad_p = net_loss(model)
+        grads = backward_pass(ws, grad_p)
         for name, value in model.params().items():
             def f(v, _name=name):
                 m = model.clone()
-                vals = m.params()
-                vals[_name] = v
-                m.set_params(vals)
+                m.params()[_name][...] = v
                 return net_loss(m)[0]
 
             assert grad_check(f, value.copy(), grads[name]) < 1e-4, name
@@ -221,7 +218,7 @@ def test_criterion_5_architecture_arithmetic():
     spec = ModelSpec.for_profile(ModalitySet.THERMAL_OPTRONIC_RADAR, ShapeProfile.paper())
     model = build_model(spec, Rng(0))
     closed_form = 3 * 3 * 1536 * 512 + 512 + 14464 * 512 + 512 + 512 + 1
-    assert count_parameters(model) == closed_form
+    assert spec.param_count == model.theta.size == closed_form
     assert closed_form == 14_484_993
     _pass(5, "architecture arithmetic")
 

@@ -7,6 +7,8 @@ so this test fails instead.
 
 from pathlib import Path
 
+import numpy as np
+
 import uavfuse.registration
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -65,3 +67,35 @@ def test_data_layer_hooks_see_the_calls(monkeypatch, tmp_path):
     assert 0 < metrics["registration.match_ratio"] <= 1
     errors = {name: value for name, value in metrics.items() if name.endswith(".errors")}
     assert set(errors.values()) == {0}, errors
+
+
+def test_model_and_optimizer_hooks_see_the_calls(monkeypatch):
+    # rmsprop_step, conv2d_backward and backward_pass were reworked: their
+    # hooks must still read each call, or the rates below would read 0.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracer
+
+    import uavfuse as uf
+
+    tiny = uf.ShapeProfile("tiny", (4, 4, 2), (4, 4, 1), (8,))
+    spec = uf.ModelSpec.for_profile(
+        uf.ModalitySet.THERMAL_OPTRONIC_RADAR, tiny, conv_filters=2, dense_units=8
+    )
+    model = uf.build_model(spec, uf.Rng(1))
+    rng = uf.Rng(2)
+    x = rng.normal((3, *spec.stacked_shape)).astype(np.float32)
+    r = rng.normal((3, spec.radar_len)).astype(np.float32)
+    ws = uf.model.TrainStep(model, 3, np.empty_like(model.theta))
+    p = ws.forward(x, r, None, rng)
+    theta = model.theta
+    with tracer.Tracer() as t:
+        state = uf.ops.RmspropState(np.zeros_like(theta))
+        uf.ops.rmsprop_step(theta, np.ones_like(theta), state, 1e-3, 0)
+        uf.ops.conv2d_backward(x, model.conv, np.ones((3, *spec.conv_out_shape), np.float32))
+        uf.model.backward_pass(ws, np.ones_like(p))
+    for span in ("ops.rmsprop_step", "ops.conv2d_backward", "model.backward"):
+        assert t.spans[span].calls == 1, span
+    metrics = t.metrics()
+    assert metrics["ops.rmsprop_step.gb_per_s"] > 0
+    assert metrics["ops.conv2d.gflop_per_s"] > 0
+    assert metrics["training.steps"] == 1

@@ -291,6 +291,47 @@ class TestRegister:
         assert code == 3
         assert f"{name}: {count} samples, but the manifest lists 999" in capsys.readouterr().err
 
+    def test_swapped_kinds_exit_3(self, generated, capsys):
+        # fused as listed, the two-modality maps would stack optronic first
+        cfg, data = generated
+        swap = {"thermal": "optronic", "optronic": "thermal"}
+        write_manifest(data, [(n, swap.get(k, k), c) for n, k, c in read_manifest(data)])
+        out = data.parent / "fused"
+        code = main(["register", "--config", str(cfg), "--data", str(data), "--out", str(out),
+                     "--modalities", "two"])
+        assert code == 3
+        err = capsys.readouterr().err
+        want = "rec000_optronic.msfr: the manifest lists kind 'thermal', but the file is optronic"
+        assert want in err
+        assert not out.exists()
+
+    def test_unknown_kind_exits_3(self, generated, capsys):
+        # a mistyped kind would drop the file and, with it, the recording's fused samples
+        cfg, data = generated
+        typo = "rec001_radar.msfr"
+        entries = [(n, "Radar" if n == typo else k, c) for n, k, c in read_manifest(data)]
+        write_manifest(data, entries)
+        out = data.parent / "fused"
+        code = main(["register", "--config", str(cfg), "--data", str(data), "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert f"{typo}: the manifest lists kind 'Radar', but the file is radar" in err
+        assert not out.exists()
+
+    def test_manifest_name_outside_the_directory_exits_3(self, generated, tmp_path, capsys):
+        # a recording moved to another directory and listed by its absolute path
+        cfg, data = generated
+        moved = tmp_path / "elsewhere" / "rec001_thermal.msfr"
+        moved.parent.mkdir()
+        (data / moved.name).rename(moved)
+        entries = [(str(moved) if n == moved.name else n, k, c) for n, k, c in read_manifest(data)]
+        write_manifest(data, entries)
+        out = data.parent / "fused"
+        code = main(["register", "--config", str(cfg), "--data", str(data), "--out", str(out)])
+        assert code == 3
+        assert f"{str(moved)!r} is not a plain file name" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_two_recordings_with_one_id_exit_3(self, generated, capsys):
         cfg, data = generated
         # a second thermal file that holds rec000 again

@@ -538,6 +538,14 @@ class TestManifest:
         write_manifest(tmp_path, entries)
         assert read_manifest(tmp_path) == entries
 
+    @pytest.mark.parametrize(
+        "name", ["/data/a.msfr", "../a.msfr", "sub/a.msfr", "a.msfr/", "./a.msfr", ".", "..", ""]
+    )
+    def test_a_name_that_leaves_the_directory_rejected(self, tmp_path, name):
+        write_manifest(tmp_path, [("a.msfr", "thermal", 1), (name, "thermal", 1)])
+        with pytest.raises(FormatError, match="line 2: .* is not a plain file name"):
+            read_manifest(tmp_path)
+
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(FormatError):
             read_manifest(tmp_path)

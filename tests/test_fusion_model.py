@@ -10,6 +10,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import rmsprop_oracle
+
 from uavfuse.data import Label, Modality, ModalitySet, ShapeProfile
 from uavfuse.errors import (
     CompatibilityError,
@@ -32,19 +34,17 @@ from uavfuse.model import (
     batch_arrays,
     build_model,
     classify_probability,
-    count_parameters,
     load_weights,
     save_weights,
     serialize_model,
     weights_digest,
-    _forward,
     _spec_bytes,
 )
 from uavfuse.ops import (
     BCE_EPS,
     bce_loss,
+    conv2d_backward,
     conv2d_forward,
-    conv2d_param_grads,
     dense_backward,
     dense_forward,
     dropout_apply,
@@ -53,7 +53,6 @@ from uavfuse.ops import (
     relu,
     relu_backward,
     RmspropUpdate,
-    rmsprop_update,
     sigmoid,
     sigmoid_backward,
 )
@@ -125,7 +124,7 @@ class TestCountParameters:
         spec = ModelSpec.for_profile(ModalitySet.THERMAL_OPTRONIC_RADAR, ShapeProfile.paper())
         model = build_model(spec, Rng(0))
         want = 3 * 3 * 1536 * 512 + 512 + 14464 * 512 + 512 + 512 + 1
-        assert count_parameters(model) == want == 14_484_993
+        assert spec.param_count == model.theta.size == want == 14_484_993
 
     def test_toy_hand_count(self):
         spec = ModelSpec(
@@ -137,7 +136,7 @@ class TestCountParameters:
         )
         model = build_model(spec, Rng(0))
         # conv 3*3*3*1 + 1, dense (2*2*1 + 8)*1 + 1, output 1*1 + 1
-        assert count_parameters(model) == 27 + 1 + 12 + 1 + 1 + 1
+        assert spec.param_count == model.theta.size == 27 + 1 + 12 + 1 + 1 + 1
 
 
 class TestFlatLayout:
@@ -152,7 +151,7 @@ class TestFlatLayout:
             assert np.shares_memory(value, model.theta), name
             assert np.array_equal(value.reshape(-1), model.theta[offset : offset + value.size])
             offset += value.size
-        assert offset == model.theta.size == count_parameters(model)
+        assert offset == model.theta.size == model.spec.param_count
 
     def test_param_shapes_follow_param_order(self):
         assert tuple(tiny_spec().param_shapes) == PARAM_ORDER
@@ -169,9 +168,10 @@ class TestFlatLayout:
         trained, _ = train(model, tiny_dataset(), TrainConfig(max_epochs=1, patience=1, seed=1))
         self.assert_views_of_theta(trained)
 
-    def test_set_params_writes_into_theta(self):
+    def test_writes_through_the_params_views_reach_theta(self):
         model = build_model(tiny_spec(), Rng(4))
-        model.set_params({k: np.full_like(v, 0.25) for k, v in model.params().items()})
+        for view in model.params().values():
+            view[...] = 0.25
         assert np.all(model.theta == np.float32(0.25))
 
     @pytest.mark.parametrize("delta", [-1, 1])
@@ -228,7 +228,7 @@ class TestForward:
 
     def test_zero_weights_give_half_probability(self):
         model = build_model(tiny_spec(), Rng(1))
-        model.set_params({k: np.zeros_like(v) for k, v in model.params().items()})
+        model.theta[...] = 0
         p = eval_probabilities(model, tiny_dataset().samples[:5])
         assert np.all(p == 0.5)
 
@@ -249,8 +249,8 @@ class TestForward:
     def test_train_mode_reproducible_given_seed(self):
         model = build_model(tiny_spec(), Rng(4))
         x, r, _ = batch_arrays(tiny_dataset().samples[:6])
-        p1, _ = _forward(model, x, r, "train", Rng(55))
-        p2, _ = _forward(model, x, r, "train", Rng(55))
+        p1 = TrainStep(model, 6, np.empty_like(model.theta)).forward(x, r, None, Rng(55))
+        p2 = TrainStep(model, 6, np.empty_like(model.theta)).forward(x, r, None, Rng(55))
         assert np.array_equal(p1, p2)
 
     def test_shape_mismatch_rejected(self):
@@ -276,7 +276,7 @@ class TestClassification:
 
     def test_zero_model_classifies_everything_false_alarm(self):
         model = build_model(tiny_spec(), Rng(1))
-        model.set_params({k: np.zeros_like(v) for k, v in model.params().items()})
+        model.theta[...] = 0
         for p in eval_probabilities(model, tiny_dataset().samples[:5], batch_size=1):
             assert p == 0.5 and classify_probability(p) is Label.FALSE_ALARM
 
@@ -369,19 +369,17 @@ class TestEndToEndGradient:
 
         def loss_with(m):
             # fresh Rng per evaluation so the dropout masks repeat exactly
-            p, cache = _forward(m, x, r, "train", Rng(321))
-            loss, grad_p = bce_loss(p, y)
-            return loss, cache, grad_p
+            ws = TrainStep(m, len(x), np.empty_like(m.theta))
+            loss, grad_p = bce_loss(ws.forward(x, r, None, Rng(321)), y)
+            return loss, ws, grad_p
 
-        loss, cache, grad_p = loss_with(model)
-        grads = backward_pass(model, cache, grad_p)
+        loss, ws, grad_p = loss_with(model)
+        grads = backward_pass(ws, grad_p)
 
         def param_loss(name):
             def f(value):
                 m = model.clone()
-                values = m.params()
-                values[name] = value
-                m.set_params(values)
+                m.params()[name][...] = value
                 return loss_with(m)[0]
 
             return f
@@ -601,7 +599,7 @@ def oracle_backward(model, cache, grad_p):
     dflat = dh[:, : model.spec.flatten_width]  # radar slice gets no gradient path
     dflat = dropout_backward(dflat, m1, rate)
     dz1 = relu_backward(dflat.reshape(z1.shape), z1)
-    g_c_k, g_c_b = conv2d_param_grads(x, model.conv, dz1)
+    g_c_k, g_c_b = conv2d_backward(x, model.conv, dz1)[1:]
     return dict(zip(PARAM_ORDER, (g_c_k, g_c_b, g_d1_w, g_d1_b, g_out_w, g_out_b)))
 
 
@@ -658,7 +656,9 @@ class TestTrainStep:
                 assert loss == loss_o
                 assert correct == int(np.sum((p_o > 0.5) == (y[idx] > 0.5)))
                 assert _bits(grad) == _bits(grad_o)
-                rmsprop_update(oracle.theta, grad_o, ms_oracle, 1e-2)
+                oracle.theta[...], ms_oracle = rmsprop_oracle(
+                    oracle.theta, grad_o, ms_oracle, 0, 1e-2, 0
+                )
                 update(1e-2)
                 assert _bits(model.theta) == _bits(oracle.theta)
         assert sorted(workspaces) == sorted({batch_size, 31 % batch_size} - {0})
@@ -764,7 +764,7 @@ class TestEvalWorkspaces:
         model, other = build_model(tiny_spec(), Rng(35)), build_model(tiny_spec(), Rng(36))
         x, r, _ = batch_arrays(tiny_dataset().samples[:20])
         before = evaluate_probabilities(model, x, r, 12)
-        model.set_params(other.params())
+        model.theta[...] = other.theta
         after = evaluate_probabilities(model, x, r, 12)
         assert _bits(after) == _bits(evaluate_probabilities(other, x, r, 12))
         assert _bits(after) != _bits(before)

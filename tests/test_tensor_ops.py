@@ -8,6 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
+from oracles import rmsprop_oracle
+
 from uavfuse.errors import ConfigError, NumericFault, ShapeError
 from uavfuse.ops import (
     _RMSPROP_BLOCK,
@@ -19,7 +21,6 @@ from uavfuse.ops import (
     bce_loss,
     conv2d_backward,
     conv2d_forward,
-    conv2d_param_grads,
     dense_backward,
     dense_forward,
     dropout_apply,
@@ -29,7 +30,6 @@ from uavfuse.ops import (
     relu_backward,
     RmspropUpdate,
     rmsprop_step,
-    rmsprop_update,
     sigmoid,
     sigmoid_backward,
 )
@@ -184,27 +184,6 @@ class TestConvBackward:
             conv2d_backward(x, params, np.zeros((3, 3, 5)))
 
 
-class TestConvParamGrads:
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("batch", [None, 3])
-    def test_equals_conv2d_backward_bitwise(self, dtype, batch):
-        rng = Rng(40)
-        x, params = _rand_conv(rng, 6, 5, 4, 3, dtype=dtype)
-        if batch is not None:
-            x = np.stack([x * (i + 1) for i in range(batch)])
-        g = rng.normal(x.shape[:-3] + (4, 3, 3)).astype(dtype)
-        gk, gb = conv2d_param_grads(x, params, g)
-        _, want_k, want_b = conv2d_backward(x, params, g)
-        assert gk.dtype == want_k.dtype and gb.dtype == want_b.dtype
-        assert np.array_equal(gk, want_k)
-        assert np.array_equal(gb, want_b)
-
-    def test_wrong_upstream_shape_rejected(self):
-        x, params = _rand_conv(Rng(41), 5, 5, 2, 3)
-        with pytest.raises(ShapeError, match="upstream"):
-            conv2d_param_grads(x, params, np.zeros((3, 3, 5)))
-
-
 def _window_patches(x, kh, kw):
     """The sliding_window_view windows that _patches replaced."""
     axes = (0, 1) if x.ndim == 3 else (1, 2)
@@ -219,7 +198,7 @@ def _tensordot_forward(x, params):
 
 
 def _tensordot_param_grads(x, params, g):
-    """The tensordot formulation that conv2d_param_grads replaced."""
+    """The tensordot formulation that conv2d_backward's parameter gradients replaced."""
     kh, kw = params.kernels.shape[:2]
     spatial = tuple(range(g.ndim - 1))
     grad_kernels = np.tensordot(_window_patches(x, kh, kw), g, axes=(spatial, spatial))
@@ -242,7 +221,7 @@ class TestConvBlasProducts:
         want = _tensordot_forward(x, params)
         assert out.dtype == want.dtype and np.array_equal(out, want)
         g = rng.normal(out.shape).astype(dtype)
-        gk, gb = conv2d_param_grads(x, params, g)
+        gk, gb = conv2d_backward(x, params, g)[1:]
         want_k, want_b = _tensordot_param_grads(x, params, g)
         assert gk.shape == want_k.shape and gk.dtype == want_k.dtype
         assert np.array_equal(gk, want_k)
@@ -527,13 +506,6 @@ class TestRmsprop:
             rmsprop_step(np.zeros(2), np.zeros(3), RmspropState(np.zeros(2)), 1e-4, 0)
 
 
-def _rmsprop_oracle(param, grad, mean_square, step, lr0, decay, rho=0.9, eps=1e-7):
-    """The whole-tensor RMSprop expression that rmsprop_step must match bit for bit."""
-    mean_square = rho * mean_square + (1.0 - rho) * grad * grad
-    lr = lr0 / (1.0 + decay * step)
-    return param - lr * grad / (np.sqrt(mean_square) + eps), mean_square
-
-
 class TestRmspropBlocks:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize(
@@ -548,8 +520,8 @@ class TestRmspropBlocks:
         for step in range(4):
             grad = (rng.normal(size) * 10.0 ** -step).astype(dtype)
             before = (param.copy(), grad.copy(), state.mean_square.copy())
-            new_p, new_state = rmsprop_step(param, grad, state, 1e-3, 1e-2, 0.9, 1e-7)
-            want_p, want_e = _rmsprop_oracle(want_p, grad, want_e, step, 1e-3, 1e-2)
+            new_p, new_state = rmsprop_step(param, grad, state, 1e-3, 1e-2)
+            want_p, want_e = rmsprop_oracle(want_p, grad, want_e, step, 1e-3, 1e-2)
             for arr, old in zip((param, grad, state.mean_square), before):
                 assert np.array_equal(arr, old)
             assert new_p.dtype == dtype and new_state.mean_square.dtype == dtype
@@ -565,7 +537,7 @@ class TestRmspropBlocks:
         grad = rng.normal(shape).astype(np.float32)
         mean_square = np.abs(rng.normal(shape)).astype(np.float32)
         new_p, state = rmsprop_step(param, grad, RmspropState(mean_square, 5), 1e-4, 1e-7)
-        want_p, want_e = _rmsprop_oracle(param, grad, mean_square, 5, 1e-4, 1e-7)
+        want_p, want_e = rmsprop_oracle(param, grad, mean_square, 5, 1e-4, 1e-7)
         assert new_p.shape == shape and state.mean_square.shape == shape
         assert np.array_equal(new_p, want_p)
         assert np.array_equal(state.mean_square, want_e)
@@ -596,8 +568,8 @@ class TestRmspropUpdate:
             grad = (rng.normal(size) * 10.0 ** -step).astype(dtype)
             grad_before = grad.copy()
             lr = 1e-3 / (1.0 + 1e-2 * step)
-            assert rmsprop_update(param, grad, mean_square, lr, 0.9, 1e-7) is None
-            want_p, want_e = _rmsprop_oracle(want_p, grad, want_e, step, 1e-3, 1e-2)
+            assert RmspropUpdate(param, grad, mean_square)(lr) is None
+            want_p, want_e = rmsprop_oracle(want_p, grad, want_e, step, 1e-3, 1e-2)
             assert param is param_buf and mean_square is mean_square_buf
             assert param.dtype == dtype and mean_square.dtype == dtype
             assert np.array_equal(grad, grad_before)
@@ -607,41 +579,43 @@ class TestRmspropUpdate:
     def test_updates_views_of_the_buffer(self):
         flat = np.zeros(7, dtype=np.float32)
         head = flat[:3].reshape(3, 1)
-        rmsprop_update(flat, np.ones(7, dtype=np.float32), np.zeros_like(flat), 1e-3)
+        RmspropUpdate(flat, np.ones(7, dtype=np.float32), np.zeros_like(flat))(1e-3)
         assert np.all(head < 0) and np.shares_memory(head, flat)
 
     def test_non_contiguous_param_rejected(self):
         param = np.zeros(8)[::2]
         with pytest.raises(ShapeError, match="contiguous"):
-            rmsprop_update(param, np.zeros(4), np.zeros(4), 1e-3)
+            RmspropUpdate(param, np.zeros(4), np.zeros(4))
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ShapeError, match="mean_square"):
-            rmsprop_update(np.zeros(4), np.zeros(4), np.zeros(5), 1e-3)
+            RmspropUpdate(np.zeros(4), np.zeros(4), np.zeros(5))
+        with pytest.raises(ShapeError, match="mean_square"):
+            rmsprop_step(np.zeros(4), np.zeros(4), RmspropState(np.zeros(5)), 1e-3, 0)
 
     def test_non_finite_gradient_in_a_later_block_faults(self):
         grad = np.zeros(2 * _RMSPROP_BLOCK + 3, dtype=np.float32)
         grad[-1] = np.nan
         with pytest.raises(NumericFault):
-            rmsprop_update(np.zeros_like(grad), grad, np.zeros_like(grad), 1e-4)
+            RmspropUpdate(np.zeros_like(grad), grad, np.zeros_like(grad))(1e-4)
 
     @pytest.mark.parametrize("operand", [0, 1, 2])
     @pytest.mark.parametrize("fault", ["shape", "strided"])
-    def test_checked_once_when_built_and_on_every_one_off_update(self, operand, fault):
+    def test_checked_once_when_built_and_copied_by_the_pure_form(self, operand, fault):
         # training checks its operands once, by building RmspropUpdate;
-        # rmsprop_update checks on every call and accepts a strided gradient
+        # rmsprop_step rejects a shape mismatch and copies a strided operand
         arrays = [np.zeros(6), np.ones(6), np.zeros(6)]
-        arrays[operand] = np.zeros(7) if fault == "shape" else np.ones(12)[::2]
+        arrays[operand] = np.zeros(7) if fault == "shape" else arrays[operand].repeat(2)[::2]
         with pytest.raises(ShapeError):
             RmspropUpdate(*arrays)
-        if fault == "strided" and operand == 1:
-            param, mean_square = np.zeros(6), np.zeros(6)
-            rmsprop_update(param, arrays[1], mean_square, 1e-3)
-            want_p, want_e = _rmsprop_oracle(np.zeros(6), np.ones(6), np.zeros(6), 0, 1e-3, 0)
-            assert np.array_equal(param, want_p) and np.array_equal(mean_square, want_e)
-        else:
+        param, grad, mean_square = arrays
+        if fault == "shape":
             with pytest.raises(ShapeError):
-                rmsprop_update(*arrays, 1e-3)
+                rmsprop_step(param, grad, RmspropState(mean_square), 1e-3, 0)
+        else:
+            new_p, state = rmsprop_step(param, grad, RmspropState(mean_square), 1e-3, 0)
+            want_p, want_e = rmsprop_oracle(np.zeros(6), np.ones(6), np.zeros(6), 0, 1e-3, 0)
+            assert np.array_equal(new_p, want_p) and np.array_equal(state.mean_square, want_e)
 
     def test_a_built_update_reads_the_current_gradient(self):
         param, grad, mean_square = np.zeros(5), np.empty(5), np.zeros(5)
@@ -650,7 +624,7 @@ class TestRmspropUpdate:
         for step in range(3):
             grad[...] = np.arange(5) - step
             update(1e-3)
-            want_p, want_e = _rmsprop_oracle(want_p, grad, want_e, 0, 1e-3, 0)
+            want_p, want_e = rmsprop_oracle(want_p, grad, want_e, 0, 1e-3, 0)
             assert np.array_equal(param, want_p) and np.array_equal(mean_square, want_e)
 
 
