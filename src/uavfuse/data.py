@@ -71,7 +71,10 @@ def network_input(modality_set: ModalitySet, thermal, optronic, radar) -> tuple[
     if len(thermal) != 3 or len(optronic) != 3 or thermal[:2] != optronic[:2]:
         raise ShapeError(f"cannot stack thermal {thermal} and optronic {optronic} maps")
     stacked = tuple(thermal[:2]) + (thermal[2] + optronic[2],)
-    return stacked, math.prod(radar) if modality_set.has_radar else 0
+    radar_len = math.prod(radar) if modality_set.has_radar else 0
+    if modality_set.has_radar and not radar_len:
+        raise ShapeError(f"radar features {tuple(radar)} are empty")
+    return stacked, radar_len
 
 
 @dataclass(frozen=True)
@@ -215,5 +218,18 @@ class FusedDataset:
         return self.samples.dtype["radar"].shape[0] if "radar" in names else 0
 
     def validate(self, source=None) -> None:
-        dtype = fused_dtype(self.stacked_shape, self.radar_len)
-        check_records(self.samples, dtype, False, source)
+        """Check the payload shapes against the modality set, then the records.
+
+        The stacked maps must be (H, W, C), and radar features must be
+        present exactly when the set has radar. In a file (``source``
+        given) a breach is corruption.
+        """
+        stacked, radar_len, name = self.stacked_shape, self.radar_len, self.modality_set.value
+        fault = None
+        if len(stacked) != 3:
+            fault = f"stacked shape {stacked} is not (H, W, C)"
+        elif self.modality_set.has_radar != (radar_len > 0):
+            fault = f"radar length {radar_len} does not fit the {name}-modality set"
+        if fault:
+            raise ValidationError(fault) if source is None else CorruptionError(f"{source}: {fault}")
+        check_records(self.samples, fused_dtype(stacked, radar_len), False, source)

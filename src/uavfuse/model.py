@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import Label, ModalitySet, ShapeProfile
-from .errors import CompatibilityError, ConfigError, CorruptionError, FormatError, ShapeError
+from .errors import CompatibilityError, ConfigError, CorruptionError, ShapeError
 from .msfr import BinaryReader, shape_block
 from .ops import BCE_EPS, TRAIN_DTYPE, ConvParams, DenseParams, conv_windows, dropout_keep
 # perfbench/tests/test_helpers.py::test_uninstall_restores_the_real_package reads this name
@@ -471,11 +471,7 @@ def save_weights(model: Model, destination) -> int:
 
 def load_weights(source) -> Model:
     reader = BinaryReader(Path(source).read_bytes())
-    if reader.take(4) != WEIGHTS_MAGIC:
-        raise FormatError(f"not a weights file: bad magic in {source}")
-    (version,) = reader.unpack("<H")
-    if version != WEIGHTS_VERSION:
-        raise FormatError(f"unsupported weights version {version}")
+    reader.header(WEIGHTS_MAGIC, WEIGHTS_VERSION)
     modality_set = reader.modality_set()
     stacked_shape = reader.shape()
     radar_len, conv_filters, kh, kw, dense_units, dropout_rate = reader.unpack(SPEC_TAIL)

@@ -16,6 +16,8 @@ count u8 (1, 2 or 3), the provenance string in the id slot, and TWO shape
 blocks (stacked tensor, then radar vector; the radar block is ndims=1 with
 dim 0 when the dataset carries no radar channel). The records are
 ``data.fused_dtype(stacked_shape, radar_len)``: both payloads back to back.
+The stacked block must be (H, W, C), and the radar dim non-zero exactly
+when the modality count includes radar.
 
 The body of a file is the bytes of the in-memory recarray, so a read is one
 ``np.frombuffer`` and a write streams the array with one ``tofile``.
@@ -89,6 +91,15 @@ class BinaryReader:
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
+    def header(self, magic: bytes, version: int) -> None:
+        """The 4-byte magic and u16 version every MSFR and MSFW file starts with."""
+        got = self.take(4)
+        if got != magic:
+            raise FormatError(f"bad magic {got!r}, expected {magic!r}")
+        (got,) = self.unpack("<H")
+        if got != version:
+            raise FormatError(f"unsupported version {got}, expected {version}")
+
     def shape(self) -> tuple[int, ...]:
         (ndims,) = self.unpack("<B")
         return tuple(self.unpack(f"<{ndims}I")) if ndims else ()
@@ -139,12 +150,7 @@ class BinaryReader:
 
 def _check_header(reader: BinaryReader, expect_fused: bool) -> int:
     """Check magic, version and modality byte; return the modality byte."""
-    magic = reader.take(4)
-    if magic != MAGIC:
-        raise FormatError(f"bad magic {magic!r}, expected {MAGIC!r}")
-    (version,) = reader.unpack("<H")
-    if version != VERSION:
-        raise FormatError(f"unsupported version {version}, expected {VERSION}")
+    reader.header(MAGIC, VERSION)
     (modality_byte,) = reader.unpack("<B")
     if expect_fused:
         if modality_byte != FUSED_MODALITY_BYTE:
@@ -206,9 +212,9 @@ def read_fused(source) -> FusedDataset:
     modality_set = reader.modality_set()
     provenance_text = reader.text()
     stacked_shape, radar_shape = reader.shape(), reader.shape()
-    # a Python int: exact where an int64 product of stored dims would wrap
-    radar_len = math.prod(radar_shape) if radar_shape else 0
-    samples = reader.records(**fused_payloads(stacked_shape, radar_len))
+    if len(radar_shape) != 1:
+        raise CorruptionError(f"{source}: radar block {radar_shape} is not one dimension")
+    samples = reader.records(**fused_payloads(stacked_shape, radar_shape[0]))
     reader.done()
     provenance = provenance_text.split(",") if provenance_text else []
     dataset = FusedDataset(modality_set, samples, provenance)

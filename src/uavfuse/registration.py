@@ -5,9 +5,9 @@ tight tolerance; the resulting stacked stream is then matched against the
 radar stream inside a wider window. Matching is greedy nearest-first and,
 by default, one-to-one without replacement: reusing a radar sample for
 several stacked instances would duplicate its features across training
-rows. Each recording is matched once per ``fuse_dataset`` call, and that
-one pass gives both the dataset of the requested modality set and the
-sample count of every set.
+rows. ``fuse_dataset`` runs each recording through the match stages once
+(thermal, then optronic, then radar), and that one pass gives both the
+dataset of the requested modality set and the sample count of every set.
 """
 
 from __future__ import annotations
@@ -163,15 +163,16 @@ def fuse_dataset(
 ) -> FusedDataset:
     """Register recordings (paired by recording_id) into one fused dataset.
 
-    One matching pass per recording: thermal and optronic are matched under
-    frame_tolerance, then the matched pairs (timestamped at the thermal
-    contributor) are matched against radar under radar_tolerance. The pass
-    counts the samples of every modality set the recordings can form into
-    ``set_counts``; only the samples of ``modality_set`` are stacked. The
-    three-modality set drops pairs without a radar match. Recordings
-    without a counterpart are skipped with a warning. A fused modality
-    without recordings, two recordings of one modality with the same id and
-    maps that cannot stack are rejected. Sample counts obey
+    Each recording passes through the match stages once, narrowing one
+    table of source rows per modality: stage 1 is its thermal samples;
+    stage 2 matches the thermal rows left against optronic under
+    frame_tolerance, stage 3 against radar under radar_tolerance. Stage k's
+    row count goes into ``set_counts`` for the k-modality set, for every
+    set the recordings can form; a recording contributes its table from
+    the stage of ``modality_set``. A recording without the counterpart of
+    a stage it needs is skipped with a warning. A fused modality without
+    recordings, two recordings of one modality with the same id and maps
+    that cannot stack are rejected. Sample counts obey
     |three| <= |two| <= |one|.
     """
     cfg = cfg or MatchConfig()
@@ -185,78 +186,64 @@ def fuse_dataset(
             unmatched = ", ".join(sorted(by_id[0]))
             ids = f"; unmatched recording ids: {unmatched}" if unmatched else ""
             raise ValidationError(f"no {name} recordings to fuse{ids}")
-    thermal_by_id, optronic_by_id, radar_by_id = by_id
     try:
         stacked_shape, radar_len = network_input(modality_set, *shapes)
     except ShapeError as exc:  # the shapes came from the recordings: invalid data
         raise ValidationError(str(exc)) from None
 
-    two, three = ModalitySet.THERMAL_OPTRONIC, ModalitySet.THERMAL_OPTRONIC_RADAR
     # the sets the recordings can form: thermal, then with optronic, then with radar
-    formable = 1 + bool(optronic_by_id) * (1 + bool(radar_by_id))
+    formable = 1 + bool(by_id[Modality.OPTRONIC]) * (1 + bool(by_id[Modality.RADAR]))
     counts = dict.fromkeys(list(ModalitySet)[:formable], 0)
-    # per contributing recording: its id, its thermal, optronic and radar records
-    # (None where a modality does not contribute) and the source rows of each sample
-    kept = []
-    for rec_id in sorted(thermal_by_id):
-        t = thermal_by_id[rec_id].samples
-        counts[ModalitySet.THERMAL] += len(t)
-        if modality_set is ModalitySet.THERMAL:
-            kept.append((rec_id, t, None, None, np.arange(len(t)), None, None))
+    tolerance = {Modality.OPTRONIC: cfg.frame_tolerance, Modality.RADAR: cfg.radar_tolerance}
+    kept = []  # per contributing recording: its id and its source rows by modality
+    for rec_id in sorted(by_id[Modality.THERMAL]):
+        t = by_id[Modality.THERMAL][rec_id].samples
+        rows = {Modality.THERMAL: np.arange(len(t))}  # stage 1
+        for stage, modality in zip(ModalitySet, Modality):
+            if modality is not Modality.THERMAL:
+                source = by_id[modality].get(rec_id)
+                if source is None:
+                    if modality in modality_set.modalities:
+                        log.warning("recording %s: no %s counterpart, skipped",
+                                    rec_id, modality.name.lower())
+                    break
+                i = rows[Modality.THERMAL]  # the rows left, keyed by thermal timestamp and label
+                keys = np.rec.fromarrays([t.timestamp[i], t.label[i]], names="timestamp,label")
+                pairs = match_streams(keys, source.samples, tolerance[modality],
+                                      cfg.label_constrained, cfg.one_to_one)
+                rows = {m: idx[pairs[:, 0]] for m, idx in rows.items()}
+                rows[modality] = pairs[:, 1]
+            counts[stage] += len(rows[Modality.THERMAL])
+            if stage is modality_set:
+                kept.append((rec_id, rows))
 
-        o_rec = optronic_by_id.get(rec_id)
-        if o_rec is None:
-            if modality_set.has_optronic:
-                log.warning("recording %s: no optronic counterpart, skipped", rec_id)
-            continue
-        o = o_rec.samples
-        pairs = match_streams(t, o, cfg.frame_tolerance, cfg.label_constrained, cfg.one_to_one)
-        counts[two] += len(pairs)
-
-        r_rec = radar_by_id.get(rec_id)
-        if r_rec is not None:
-            # the matched pairs, keyed by their thermal timestamp and label
-            keys = np.rec.fromarrays(
-                [t.timestamp[pairs[:, 0]], t.label[pairs[:, 0]]], names="timestamp,label"
-            )
-            radar_pairs = match_streams(
-                keys, r_rec.samples, cfg.radar_tolerance, cfg.label_constrained, cfg.one_to_one
-            )
-            counts[three] += len(radar_pairs)
-        elif modality_set.has_radar:
-            log.warning("recording %s: no radar counterpart, skipped", rec_id)
-            continue
-
-        if modality_set is two:
-            kept.append((rec_id, t, o, None, pairs[:, 0], pairs[:, 1], None))
-        elif modality_set is three:
-            k, m = radar_pairs[:, 0], radar_pairs[:, 1]
-            kept.append((rec_id, t, o, r_rec.samples, pairs[k, 0], pairs[k, 1], m))
-
-    n = sum(len(part[4]) for part in kept)
+    n = sum(len(rows[Modality.THERMAL]) for _, rows in kept)
     samples = np.recarray(n, fused_dtype(stacked_shape, radar_len))
     audit = np.zeros(n, AUDIT_DTYPE)
+    audit["optronic"] = audit["radar"] = -1  # a modality outside the set keeps -1 and dt 0
     lo = 0
-    for recording, (_, t, o, r, i, j, m) in enumerate(kept):
-        rows = slice(lo, lo + len(i))
-        lo = rows.stop
-        samples.timestamp[rows], samples.label[rows] = t.timestamp[i], t.label[i]
-        if o is None:
-            samples.stacked[rows] = t.features[i]
-        else:  # each map's gathered rows go straight into their channels of the records
-            stack_features(t.features[i], o.features[j], samples.stacked[rows])
-        if r is not None:
-            samples.radar[rows] = r.features[m].reshape(len(m), radar_len)
-        part = audit[rows]
-        part["recording"], part["thermal"] = recording, i
-        for name, src, idx in (("optronic", o, j), ("radar", r, m)):
-            if src is None:
-                part[name] = -1
-            else:
-                part[name] = idx
-                part[f"{name}_dt"] = np.abs(t.timestamp[i] - src.timestamp[idx])
+    for recording, (rec_id, rows) in enumerate(kept):
+        src = {m: by_id[m][rec_id].samples for m in rows}
+        t, i = src[Modality.THERMAL], rows[Modality.THERMAL]
+        part = slice(lo, lo + len(i))
+        lo = part.stop
+        samples.timestamp[part], samples.label[part] = t.timestamp[i], t.label[i]
+        if Modality.OPTRONIC in rows:  # each map's gathered rows go straight into their channels
+            o = src[Modality.OPTRONIC].features[rows[Modality.OPTRONIC]]
+            stack_features(t.features[i], o, samples.stacked[part])
+        else:
+            samples.stacked[part] = t.features[i]
+        if Modality.RADAR in rows:
+            samples.radar[part] = src[Modality.RADAR].features[rows[Modality.RADAR]].reshape(
+                len(i), radar_len)
+        audit["recording"][part] = recording
+        for m, idx in rows.items():
+            name = m.name.lower()
+            audit[name][part] = idx
+            if m is not Modality.THERMAL:
+                audit[f"{name}_dt"][part] = np.abs(t.timestamp[i] - src[m].timestamp[idx])
 
-    provenance = [rec_id for rec_id, *_ in kept]
+    provenance = [rec_id for rec_id, _ in kept]
     return FusedDataset(modality_set, samples, provenance, counts, audit)
 
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Modality, Recording, ShapeProfile, recording_dtype
-from .errors import ConfigError, check_finite_fields
+from .errors import ConfigError, ValidationError, check_finite_fields
 from .rng import Rng
 
 
@@ -83,7 +83,11 @@ def _pattern(root: Rng, modality: Modality, shape: tuple[int, ...]) -> np.ndarra
 
 
 def generate_synthetic_dataset(config: SynthConfig) -> dict[Modality, list[Recording]]:
-    """One recording per modality per recording index, fully seed-determined."""
+    """One recording per modality per recording index, fully seed-determined.
+
+    A config whose values make a recording that cannot be stored (say, a
+    timestamp or feature that overflows) raises ConfigError naming it.
+    """
     config.validate()
     root = Rng(config.seed)
     profile = config.shape_profile
@@ -124,5 +128,11 @@ def generate_synthetic_dataset(config: SynthConfig) -> dict[Modality, list[Recor
             features += signs[order].reshape((-1,) + (1,) * len(shape)) * mean
             columns = [times[order], is_uav[order], features]
             samples = np.rec.fromarrays(columns, dtype=recording_dtype(shape))
-            out[modality].append(Recording(modality, rec_id, samples))
+            recording = Recording(modality, rec_id, samples)
+            try:
+                recording.validate()
+            except ValidationError as exc:
+                what = f"{modality.name.lower()} recording {rec_id}"
+                raise ConfigError(f"the config makes an invalid {what}: {exc}") from None
+            out[modality].append(recording)
     return out

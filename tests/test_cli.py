@@ -1,6 +1,8 @@
 """End-to-end command-line behavior: outputs, determinism, exit codes."""
 
 import hashlib
+import math
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -26,6 +28,7 @@ from uavfuse.msfr import (
     read_fused,
     read_manifest,
     read_recording,
+    shape_block,
     write_fused,
     write_manifest,
     write_recording,
@@ -124,6 +127,24 @@ def test_non_finite_generator_value_exits_2(tmp_path, capsys, line):
     assert main(["generate", "--config", str(cfg), "--out", str(out)]) == 2
     key = line.split(" = ")[0]
     assert f"{key} must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+@pytest.mark.parametrize(
+    "line,what",
+    [
+        ("frame_rate = 1e-310", "thermal recording rec000: sample 1 timestamp inf"),
+        ("radar_rate = 1e308", "radar recording rec000: sample 3 timestamp inf"),
+        ("noise_sigma = 1e300", "thermal recording rec000: sample 0 features payload"),
+    ],
+)
+def test_a_config_that_makes_data_that_cannot_be_stored_exits_2(tmp_path, capsys, line, what):
+    # finite values whose recordings overflow: a config fault, found before any output
+    cfg = write_config(tmp_path, f"profile = reduced\nrecordings_per_modality = 2\n{line}\n")
+    out = tmp_path / "o"
+    assert main(["generate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"config error: the config makes an invalid {what}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -804,6 +825,35 @@ def test_non_utf8_provenance_exits_3(fused, tmp_path, capsys):
     code = main(["train", "--config", str(cfg), "--data", str(bad), "--out", str(tmp_path / "m")])
     assert code == 3
     assert "text field is not UTF-8" in capsys.readouterr().err
+    assert not (tmp_path / "m").exists()
+
+
+@pytest.mark.parametrize(
+    "count,stacked,radar,error",
+    [
+        (3, (7, 7, 48), (0,), "radar length 0 does not fit the three-modality set"),
+        (1, (7, 7, 48), (64,), "radar length 64 does not fit the one-modality set"),
+        (3, (5,), (64,), "stacked shape (5,) is not (H, W, C)"),
+        (3, (7, 7, 48), (8, 8), "radar block (8, 8) is not one dimension"),
+    ],
+)
+def test_a_header_whose_count_does_not_fit_its_shapes_exits_3(
+    fused, tmp_path, capsys, count, stacked, radar, error
+):
+    # a hand-built file, valid but for its modality count or shape blocks
+    cfg, data = fused
+    good = read_fused(data)
+    samples = np.zeros(len(good.samples), fused_dtype(stacked, math.prod(radar)))
+    samples["timestamp"], samples["label"] = good.samples.timestamp, good.samples.label
+    ids = ",".join(good.provenance).encode()
+    bad = tmp_path / "bad.msfr"
+    bad.write_bytes(b"".join([
+        b"MSFR", struct.pack("<HBBH", 1, 3, count, len(ids)), ids, shape_block(stacked),
+        shape_block(radar), struct.pack("<I", len(samples)), samples.tobytes(),
+    ]))
+    code = main(["train", "--config", str(cfg), "--data", str(bad), "--out", str(tmp_path / "m")])
+    assert code == 3
+    assert f"bad.msfr: {error}" in capsys.readouterr().err
     assert not (tmp_path / "m").exists()
 
 

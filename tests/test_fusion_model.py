@@ -332,6 +332,12 @@ class TestPersistence:
         with pytest.raises(CorruptionError, match="dense1_weights holds non-finite"):
             load_weights(path)
 
+    def test_a_recording_file_is_not_a_weights_file(self, tmp_path):
+        path = tmp_path / "m.msfw"
+        path.write_bytes(b"MSFR" + bytes(40))
+        with pytest.raises(FormatError, match=r"bad magic b'MSFR', expected b'MSFW'"):
+            load_weights(path)
+
     def test_wrong_version_rejected(self, tmp_path):
         model = build_model(tiny_spec(), Rng(10))
         path = tmp_path / "m.msfw"

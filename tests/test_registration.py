@@ -334,6 +334,14 @@ class TestFuseDataset:
             with pytest.raises(ValidationError, match=r"cannot stack thermal \(2, 2, 2\)"):
                 fuse_dataset([t], [tall], [r], modality_set)
 
+    def test_empty_radar_features_are_invalid_data_for_three(self):
+        # write_fused would refuse the set: a three-modality file needs radar features
+        t, o, _ = _hand_recordings()
+        flat = Recording(Modality.RADAR, "rec000", stream(t.samples.timestamp, None, np.zeros((4, 0))))
+        assert len(fuse_dataset([t], [o], [flat], ModalitySet.THERMAL_OPTRONIC).samples) == 4
+        with pytest.raises(ValidationError, match=r"radar features \(0,\) are empty"):
+            fuse_dataset([t], [o], [flat], ModalitySet.THERMAL_OPTRONIC_RADAR)
+
     def test_a_missing_modality_lists_the_unmatched_thermal_ids(self):
         t, o, _ = _hand_recordings()
         other = Recording(Modality.THERMAL, "rec007", t.samples.copy())
@@ -360,6 +368,40 @@ class TestFuseDataset:
         assert "rec999" in caplog.text
         assert two.provenance == ["rec000"]
         assert len(two.samples) == 4
+
+    @pytest.mark.parametrize("modality_set", list(ModalitySet))
+    @pytest.mark.parametrize("missing", [Modality.OPTRONIC, Modality.RADAR], ids=["optronic", "radar"])
+    def test_each_stage_narrows_the_rows_and_a_missing_counterpart_skips(
+        self, caplog, missing, modality_set
+    ):
+        # rec000 has every counterpart: optronic matches thermal rows 0-2 and radar
+        # only row 3, which stage 2 has dropped; rec001 lacks ``missing``
+        times = {
+            ("rec000", Modality.THERMAL): [0.0, 1.0, 2.0, 3.0],
+            ("rec000", Modality.OPTRONIC): [0.0, 1.0, 2.0],
+            ("rec000", Modality.RADAR): [3.0],
+            ("rec001", Modality.THERMAL): [0.5, 1.5],
+            ("rec001", Modality.OPTRONIC): [0.5, 1.5],
+            ("rec001", Modality.RADAR): [0.5, 1.5],
+        }
+        del times[("rec001", missing)]
+        recordings = [[] for _ in Modality]
+        for (rec_id, m), ts in times.items():
+            features = np.zeros((len(ts),) + TINY.shape_for(m))
+            recordings[m].append(Recording(m, rec_id, stream(ts, None, features)))
+        with caplog.at_level(logging.WARNING):
+            fused = fuse_dataset(*recordings, modality_set)
+
+        needed = missing in modality_set.modalities
+        warning = f"recording rec001: no {missing.name.lower()} counterpart, skipped"
+        assert caplog.messages == ([warning] if needed else [])
+        assert fused.provenance == ["rec000"] + ([] if needed else ["rec001"])
+        one, two, three = ModalitySet
+        assert fused.set_counts == {one: 6, two: 3 + 2 * (missing is Modality.RADAR), three: 0}
+        assert len(fused.samples) == len(fused.audit) == fused.set_counts[modality_set]
+        for m in set(Modality) - set(modality_set.modalities):
+            name = m.name.lower()
+            assert np.all(fused.audit[name] == -1) and np.all(fused.audit[f"{name}_dt"] == 0)
 
     @pytest.mark.parametrize("modality_set", list(ModalitySet))
     def test_stacked_maps_are_the_audited_rows_concatenated(self, modality_set):
