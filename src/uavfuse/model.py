@@ -470,7 +470,7 @@ def save_weights(model: Model, destination) -> int:
 
 
 def load_weights(source) -> Model:
-    reader = BinaryReader(Path(source).read_bytes())
+    reader = BinaryReader(Path(source).read_bytes(), source)
     reader.header(WEIGHTS_MAGIC, WEIGHTS_VERSION)
     modality_set = reader.modality_set()
     stacked_shape = reader.shape()
@@ -489,8 +489,8 @@ def load_weights(source) -> Model:
     for name, want in spec.param_shapes.items():
         shape = reader.shape()
         if shape != want:
-            raise CorruptionError(f"{name}: stored shape {shape} != spec shape {want}")
-        tensors.append(reader.floats(shape, f"{source}: tensor {name}").reshape(-1))
+            raise CorruptionError(f"{source}: {name}: stored shape {shape} != spec shape {want}")
+        tensors.append(reader.floats(shape, f"tensor {name}").reshape(-1))
     reader.done()
     return Model(spec, np.concatenate(tensors))
 

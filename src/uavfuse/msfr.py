@@ -68,18 +68,20 @@ class BinaryReader:
     """Offset-tracked parser of the MSFR and MSFW formats.
 
     Any short read is corruption, and so is undecodable text or a
-    non-finite float payload.
+    non-finite float payload. Given the ``source`` path, every error it
+    raises starts with that path.
     """
 
-    def __init__(self, buf):
+    def __init__(self, buf, source=None):
         self.buf = buf  # bytes, or a uint8 array: records viewing it stay writable
         self.pos = 0
+        self.where = "" if source is None else f"{source}: "
 
     def skip(self, n: int) -> int:
         """Advance past ``n`` bytes; return the offset they start at."""
         if self.pos + n > len(self.buf):
             raise CorruptionError(
-                f"file truncated: needed {n} bytes at offset {self.pos}, "
+                f"{self.where}file truncated: needed {n} bytes at offset {self.pos}, "
                 f"have {len(self.buf) - self.pos}"
             )
         self.pos += n
@@ -95,10 +97,10 @@ class BinaryReader:
         """The 4-byte magic and u16 version every MSFR and MSFW file starts with."""
         got = self.take(4)
         if got != magic:
-            raise FormatError(f"bad magic {got!r}, expected {magic!r}")
+            raise FormatError(f"{self.where}bad magic {got!r}, expected {magic!r}")
         (got,) = self.unpack("<H")
         if got != version:
-            raise FormatError(f"unsupported version {got}, expected {version}")
+            raise FormatError(f"{self.where}unsupported version {got}, expected {version}")
 
     def shape(self) -> tuple[int, ...]:
         (ndims,) = self.unpack("<B")
@@ -109,14 +111,14 @@ class BinaryReader:
         try:
             return self.take(n).decode("utf-8")
         except UnicodeDecodeError as exc:
-            raise CorruptionError(f"text field is not UTF-8: {exc}") from None
+            raise CorruptionError(f"{self.where}text field is not UTF-8: {exc}") from None
 
     def modality_set(self) -> ModalitySet:
         (count,) = self.unpack("<B")
         try:
             return ModalitySet.from_count(count)
         except ValueError as exc:
-            raise CorruptionError(str(exc)) from None
+            raise CorruptionError(f"{self.where}{exc}") from None
 
     def records(self, **payloads: tuple[int, ...]) -> np.recarray:
         """A u32 count, then that many ``record_dtype(**payloads)`` records viewing the buffer.
@@ -130,7 +132,9 @@ class BinaryReader:
             records = np.frombuffer(self.buf, record_dtype(**payloads), count, start)
             return records.view(np.recarray)
         except ValueError as exc:
-            raise CorruptionError(f"payload shapes {payloads} form no record: {exc}") from None
+            raise CorruptionError(
+                f"{self.where}payload shapes {payloads} form no record: {exc}"
+            ) from None
 
     def floats(self, shape: tuple[int, ...], what: str) -> np.ndarray:
         """The next little-endian f32 array of ``shape``; ``what`` names it in errors."""
@@ -138,13 +142,13 @@ class BinaryReader:
         count = math.prod(shape)
         values = np.frombuffer(self.take(4 * count), dtype="<f4").astype(np.float32)
         if not np.isfinite(values).all():
-            raise CorruptionError(f"{what} holds non-finite values")
+            raise CorruptionError(f"{self.where}{what} holds non-finite values")
         return values.reshape(shape)
 
     def done(self) -> None:
         if self.pos != len(self.buf):
             raise CorruptionError(
-                f"{len(self.buf) - self.pos} trailing bytes after declared payload"
+                f"{self.where}{len(self.buf) - self.pos} trailing bytes after declared payload"
             )
 
 
@@ -152,15 +156,16 @@ def _check_header(reader: BinaryReader, expect_fused: bool) -> int:
     """Check magic, version and modality byte; return the modality byte."""
     reader.header(MAGIC, VERSION)
     (modality_byte,) = reader.unpack("<B")
+    where = reader.where
     if expect_fused:
         if modality_byte != FUSED_MODALITY_BYTE:
             raise FormatError(
-                f"modality byte {modality_byte} is a plain recording, not a fused dataset"
+                f"{where}modality byte {modality_byte} is a plain recording, not a fused dataset"
             )
     elif modality_byte == FUSED_MODALITY_BYTE:
-        raise FormatError("modality byte 3 marks a fused dataset, not a plain recording")
+        raise FormatError(f"{where}modality byte 3 marks a fused dataset, not a plain recording")
     elif modality_byte not in (0, 1, 2):
-        raise FormatError(f"modality byte {modality_byte} is not a recording modality")
+        raise FormatError(f"{where}modality byte {modality_byte} is not a recording modality")
     return modality_byte
 
 
@@ -182,7 +187,7 @@ def write_recording(recording: Recording, destination) -> int:
 
 def read_recording(source) -> Recording:
     """Parse and validate one recording file (exact inverse of write_recording)."""
-    reader = BinaryReader(np.fromfile(source, np.uint8))
+    reader = BinaryReader(np.fromfile(source, np.uint8), source)
     modality_byte = _check_header(reader, expect_fused=False)
     recording_id = reader.text()
     samples = reader.records(features=reader.shape())
@@ -207,7 +212,7 @@ def write_fused(dataset: FusedDataset, destination) -> int:
 
 def read_fused(source) -> FusedDataset:
     """Parse and validate one fused dataset file."""
-    reader = BinaryReader(np.fromfile(source, np.uint8))
+    reader = BinaryReader(np.fromfile(source, np.uint8), source)
     _check_header(reader, expect_fused=True)
     modality_set = reader.modality_set()
     provenance_text = reader.text()

@@ -20,8 +20,12 @@ _MIX2 = 0x94D049BB133111EB
 # One scaled 53-bit mantissa per uniform double.
 _U53 = 2.0 ** -53
 
-# shift counts of one xoshiro256++ step
-_17, _19, _23, _41, _45 = (np.uint64(k) for k in (17, 19, 23, 41, 45))
+# shift counts of one xoshiro256++ step, and the one that keeps a 53-bit mantissa;
+# numpy takes 0-d arrays faster than scalars
+_11, _17, _19, _23, _41, _45 = (np.array(k, np.uint64) for k in (11, 17, 19, 23, 41, 45))
+
+# Box-Muller pairs per block: a block's scratch stays in the CPU cache
+_BLOCK = 8192
 
 
 def splitmix64(seed: int, n: int) -> np.ndarray:
@@ -109,21 +113,43 @@ class Rng:
         """Doubles in [0, 1), one 53-bit mantissa per value."""
         shape = (shape,) if isinstance(shape, int) else tuple(shape)
         n = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        out = (self.u64(n) >> np.uint64(11)).astype(np.float64) * _U53
+        out = (self.u64(n) >> _11).astype(np.float64) * _U53
         return out.reshape(shape) if shape else float(out[0])
 
     def normal(self, shape=()) -> np.ndarray:
-        """Standard Gaussian via Box-Muller on consecutive uniform pairs."""
+        """Standard Gaussian via Box-Muller on consecutive uniform pairs.
+
+        The ``2m`` words give the pairs (word i, word m + i); pair i yields
+        values i and m + i. The pairs run in blocks through two reused
+        scratch rows, and each value gets the same float operations, in the
+        same order, as whole-array numpy code.
+        """
         shape = (shape,) if isinstance(shape, int) else tuple(shape)
         n = int(np.prod(shape, dtype=np.int64)) if shape else 1
         m = (n + 1) // 2
         w = self.u64(2 * m)
-        # u1 in (0, 1] keeps the log finite; u2 in [0, 1).
-        u1 = ((w[:m] >> np.uint64(11)).astype(np.float64) + 1.0) * _U53
-        u2 = (w[m:] >> np.uint64(11)).astype(np.float64) * _U53
-        r = np.sqrt(-2.0 * np.log(u1))
-        theta = (2.0 * np.pi) * u2
-        z = np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n]
+        z = np.empty(2 * m)
+        scratch = np.empty((2, min(_BLOCK, m)))
+        for i in range(0, m, _BLOCK):
+            k = min(_BLOCK, m - i)
+            w1, w2 = w[i : i + k], w[m + i : m + i + k]
+            r, theta = scratch[:, :k]
+            # u1 in (0, 1] keeps the log finite; u2 in [0, 1).
+            np.right_shift(w1, _11, out=w1)
+            np.add(w1, 1.0, out=r)
+            r *= _U53
+            np.log(r, out=r)
+            r *= -2.0
+            np.sqrt(r, out=r)
+            np.right_shift(w2, _11, out=w2)
+            np.multiply(w2, _U53, out=theta)
+            theta *= 2.0 * np.pi
+            cos, sin = z[i : i + k], z[m + i : m + i + k]
+            np.cos(theta, out=cos)
+            cos *= r
+            np.sin(theta, out=sin)
+            sin *= r
+        z = z[:n]
         return z.reshape(shape) if shape else float(z[0])
 
     def permutation(self, n: int) -> np.ndarray:
@@ -136,3 +162,4 @@ class Rng:
             j = int(u * (i + 1))
             perm[i], perm[j] = perm[j], perm[i]
         return np.array(perm)
+

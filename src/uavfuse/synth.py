@@ -28,6 +28,7 @@ generated in parallel.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,6 +36,9 @@ import numpy as np
 from .data import Modality, Recording, ShapeProfile, recording_dtype
 from .errors import ConfigError, ValidationError, check_finite_fields
 from .rng import Rng
+
+# feature values per block of rows written into a recording
+_BLOCK_VALUES = 1 << 15
 
 
 @dataclass
@@ -82,6 +86,9 @@ def _pattern(root: Rng, modality: Modality, shape: tuple[int, ...]) -> np.ndarra
     return u / np.linalg.norm(u)
 
 
+# An overflow shows as a non-finite timestamp or feature, which the recording
+# check below reports; numpy's warnings would only repeat it.
+@np.errstate(over="ignore", invalid="ignore")
 def generate_synthetic_dataset(config: SynthConfig) -> dict[Modality, list[Recording]]:
     """One recording per modality per recording index, fully seed-determined.
 
@@ -121,13 +128,20 @@ def generate_synthetic_dataset(config: SynthConfig) -> dict[Modality, list[Recor
             keep = np.flatnonzero(~dropped[modality])
             order = keep[np.argsort(times[keep], kind="stable")]
             mean = getattr(config, f"{modality.name.lower()}_separation") * patterns[modality]
-            # sign * mean + sigma * noise for the kept events, in place: IEEE products
-            # and sums commute, so the bits are the same; the records round them to f32
-            features = rng.normal((n,) + shape)[order]
-            features *= config.noise_sigma
-            features += signs[order].reshape((-1,) + (1,) * len(shape)) * mean
-            columns = [times[order], is_uav[order], features]
-            samples = np.rec.fromarrays(columns, dtype=recording_dtype(shape))
+            noise = rng.normal((n,) + shape)
+            samples = np.recarray(len(order), recording_dtype(shape))
+            samples.timestamp = times[order]
+            samples.label = is_uav[order]
+            # sigma * noise + sign * mean for the kept events, a block of rows at a
+            # time, in place: IEEE products and sums commute, so the bits are the
+            # same; the field assignment rounds them to f32
+            step = max(1, _BLOCK_VALUES // max(1, math.prod(shape)))
+            for lo in range(0, len(order), step):
+                rows = order[lo : lo + step]
+                block = noise[rows]
+                block *= config.noise_sigma
+                block += signs[rows].reshape((-1,) + (1,) * len(shape)) * mean
+                samples.features[lo : lo + step] = block
             recording = Recording(modality, rec_id, samples)
             try:
                 recording.validate()

@@ -62,6 +62,10 @@ def test_data_layer_hooks_see_the_calls(monkeypatch, tmp_path):
         "registration.stack_features",
     ):
         assert t.spans[span].calls > 0, span
+    # synthesis draws: a pattern per modality, then per recording six uniforms
+    # and a noise draw per modality
+    assert t.spans["rng.normal"].calls == 3 + 2 * 3
+    assert t.spans["rng.uniform"].calls == 2 * 6
     feature_bytes = sum(rec.samples.features.nbytes for recs in data.values() for rec in recs)
     assert metrics["synth.generate_synthetic_dataset.mb"] == feature_bytes / 1e6 > 0
     assert 0 < metrics["registration.match_ratio"] <= 1

@@ -1,5 +1,6 @@
 """MSFR and MSFW round trips, fault handling, and synthetic generator properties."""
 
+import hashlib
 import os
 import struct
 import tempfile
@@ -159,8 +160,9 @@ class TestRecordingFaults:
         write_recording(_random_recording(), path)
         raw = path.read_bytes()
         path.write_bytes(raw[:-7])
-        with pytest.raises(CorruptionError, match="truncated"):
+        with pytest.raises(CorruptionError, match="truncated") as info:
             read_recording(path)
+        assert str(info.value).startswith(f"{path}: file truncated: ")
 
     def test_declared_count_exceeds_payload(self, tmp_path):
         rec = _random_recording(n=2)
@@ -654,6 +656,29 @@ class TestGenerator:
             t = rec.samples.timestamp
             off = np.abs(t * cfg.radar_rate - np.round(t * cfg.radar_rate))
             assert np.all(off / cfg.radar_rate <= cfg.timestamp_jitter + 1e-12)
+
+    @pytest.mark.parametrize(
+        "config,digest",
+        [
+            (
+                SynthConfig(recordings_per_modality=1, samples_per_recording=4, seed=7),
+                "e7ff44ca5921e261751d4eb27947e64116adde042a4d1ae778df9222c92ab555",
+            ),
+            (
+                SynthConfig(3, 40, seed=3, shape_profile=ShapeProfile.reduced()),
+                "015feed42992352e6d2612eecd79788678bd7481bd1d47fe8650e269f6d4a22a",
+            ),
+        ],
+        ids=["paper", "reduced"],
+    )
+    def test_golden_record_digest(self, config, digest):
+        # Pinned bytes of every record, in modality order, then index order.
+        # Both configs draw noise over several Box-Muller blocks.
+        h = hashlib.sha256()
+        for recordings in generate_synthetic_dataset(config).values():
+            for recording in recordings:
+                h.update(recording.samples.tobytes())
+        assert h.hexdigest() == digest
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ConfigError):

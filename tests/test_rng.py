@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from uavfuse.rng import Rng, derive_seed, splitmix64
+from uavfuse.rng import _BLOCK, _U53, Rng, derive_seed, splitmix64
 
 MASK = 0xFFFFFFFFFFFFFFFF
 
@@ -139,8 +139,9 @@ class _AllocatingRng(Rng):
     """Oracle: the generator as it was before its steps ran in place.
 
     Each step allocates its temporaries and its block of words, and a draw
-    concatenates the blocks it reads. ``uniform``, ``normal`` and
-    ``permutation`` are inherited, so they read this ``u64``.
+    concatenates the blocks it reads. ``normal`` is Box-Muller over whole
+    arrays. ``uniform`` and ``permutation`` are inherited, so they read
+    this ``u64``.
     """
 
     def __init__(self, seed):
@@ -188,8 +189,25 @@ class _AllocatingRng(Rng):
             return parts[0].copy()
         return np.concatenate(parts) if parts else np.empty(0, dtype=np.uint64)
 
+    def normal(self, shape=()) -> np.ndarray:
+        """Standard Gaussian via Box-Muller on consecutive uniform pairs."""
+        shape = (shape,) if isinstance(shape, int) else tuple(shape)
+        n = int(np.prod(shape, dtype=np.int64)) if shape else 1
+        m = (n + 1) // 2
+        w = self.u64(2 * m)
+        # u1 in (0, 1] keeps the log finite; u2 in [0, 1).
+        u1 = ((w[:m] >> np.uint64(11)).astype(np.float64) + 1.0) * _U53
+        u2 = (w[m:] >> np.uint64(11)).astype(np.float64) * _U53
+        r = np.sqrt(-2.0 * np.log(u1))
+        theta = (2.0 * np.pi) * u2
+        z = np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n]
+        return z.reshape(shape) if shape else float(z[0])
 
-SIZES = st.sampled_from([0, 1, 2, 1023, 1024, 1025, 2047, 4800, 70_000]) | st.integers(0, 5000)
+
+# normal counts at the edges of Box-Muller blocks of _BLOCK pairs
+BLOCK_EDGES = [2 * _BLOCK + k for k in (-1, 0, 1)] + [4 * _BLOCK + k for k in (-2, 0, 3)]
+SIZES = st.sampled_from([0, 1, 2, 1023, 1024, 1025, 2047, 4800, 70_000, *BLOCK_EDGES])
+SIZES |= st.integers(0, 5000)
 DRAWS = st.lists(
     st.tuples(st.sampled_from(["u64", "uniform", "normal", "permutation"]), SIZES),
     min_size=1,
@@ -216,3 +234,14 @@ def test_draws_own_their_memory():
         words[:] = 0
         assert np.array_equal(rng.u64(3000), twin.u64(3000))
         assert np.array_equal(rng.uniform(5), twin.uniform(5))
+
+
+@pytest.mark.parametrize("n", [0, 1, 3, *BLOCK_EDGES, 10 * _BLOCK + 1])
+def test_normal_matches_the_oracle_at_block_edges(n):
+    rng, oracle = Rng(n), _AllocatingRng(n)
+    rng.u64(5)  # start mid-block
+    oracle.u64(5)
+    got, want = rng.normal((n,)), oracle.normal((n,))
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert rng.normal() == oracle.normal()
+    assert np.array_equal(rng.u64(7), oracle.u64(7))
