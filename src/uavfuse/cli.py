@@ -50,7 +50,7 @@ from .metrics import (
     roc_csv,
     roc_curve,
 )
-from .model import batch_arrays, build_model, load_weights, save_weights
+from .model import batch_arrays, build_model, load_weights, save_weights, weights_digest
 from .msfr import (
     read_fused,
     read_manifest,
@@ -187,8 +187,10 @@ def cmd_train(cfg: RunConfig, data: Path, out_dir: Path) -> int:
 
 
 def cmd_evaluate(cfg: RunConfig, model_path: Path, data: Path, out_dir: Path) -> int:
+    # each input is read once: the digests describe the bytes evaluated
     fused_file = _fused_path(data, cfg)
-    dataset = read_fused(fused_file)
+    fused_bytes = np.fromfile(fused_file, np.uint8)
+    dataset = read_fused(fused_file, fused_bytes)
     if len(dataset.samples) == 0:
         raise DataError(f"fused dataset {fused_file} is empty")
     if model_path.is_dir():
@@ -205,11 +207,10 @@ def cmd_evaluate(cfg: RunConfig, model_path: Path, data: Path, out_dir: Path) ->
         p = evaluate_probabilities(model, x, r, cfg.train.batch_size)
         cm = confusion_at_threshold(y, p)
         report = classification_report(cm)
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        scored.append((path, digest, cm, report, roc_curve(y, p)))
+        scored.append((path, weights_digest(model), cm, report, roc_curve(y, p)))
         f1s.append(report.weighted_f1)
     doc = {
-        "dataset_digest": hashlib.sha256(fused_file.read_bytes()).hexdigest(),
+        "dataset_digest": hashlib.sha256(fused_bytes).hexdigest(),
         "dataset_samples": len(dataset.samples),
         "modality_set": dataset.modality_set.value,
         "models": [f.name for f in model_files],

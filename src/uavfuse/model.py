@@ -45,6 +45,9 @@ PARAM_ORDER = (
     "output_bias",
 )
 
+# values per block of the initial draws and of the float32 conversion in serialization
+_BLOCK = 1 << 15
+
 
 @dataclass
 class ModelSpec:
@@ -149,9 +152,17 @@ class Model:
 
 
 def _uniform_into(rng: Rng, out: np.ndarray, fan: int) -> None:
-    """Fill ``out`` from U(-limit, limit), limit = sqrt(6 / fan)."""
+    """Fill ``out`` from U(-limit, limit), limit = sqrt(6 / fan).
+
+    The draws run in blocks of ``_BLOCK`` values, each written straight into
+    ``out``: the stream and every value's float ops are those of one
+    whole-tensor draw, and the temporaries stay in the CPU cache.
+    """
     limit = np.sqrt(6.0 / fan)
-    out[...] = (rng.uniform(out.shape) * 2 - 1) * limit
+    flat = out.reshape(-1)
+    for lo in range(0, flat.size, _BLOCK):
+        block = flat[lo : lo + _BLOCK]
+        block[...] = (rng.uniform(block.size) * 2 - 1) * limit
 
 
 def build_model(spec: ModelSpec, rng: Rng, dtype=TRAIN_DTYPE) -> Model:
@@ -454,19 +465,31 @@ def _spec_bytes(spec: ModelSpec) -> bytes:
     )
 
 
+def _weight_chunks(model: Model):
+    """The MSFW bytes of ``model`` in pieces: the header, then each tensor's shape block and values.
+
+    A float32 tensor's values are views of ``theta``; any other dtype is
+    converted to little-endian f32 one block at a time, so no piece is a
+    copy of the whole model.
+    """
+    yield WEIGHTS_MAGIC + struct.pack("<H", WEIGHTS_VERSION) + _spec_bytes(model.spec)
+    for arr in model.params().values():
+        yield shape_block(arr.shape)
+        flat = arr.reshape(-1)
+        for lo in range(0, flat.size, _BLOCK):
+            yield np.ascontiguousarray(flat[lo : lo + _BLOCK], dtype="<f4")
+
+
 def serialize_model(model: Model) -> bytes:
     """MSFW bytes: magic, version, spec fields, then tensors in fixed order."""
-    parts = [WEIGHTS_MAGIC, struct.pack("<H", WEIGHTS_VERSION), _spec_bytes(model.spec)]
-    for arr in model.params().values():
-        parts.append(shape_block(arr.shape))
-        parts.append(np.ascontiguousarray(arr, dtype="<f4").tobytes())
-    return b"".join(parts)
+    return b"".join(_weight_chunks(model))
 
 
 def save_weights(model: Model, destination) -> int:
-    blob = serialize_model(model)
-    Path(destination).write_bytes(blob)
-    return len(blob)
+    """Write the MSFW bytes of ``model`` piece by piece; returns the byte count written."""
+    with open(destination, "wb") as f:
+        f.writelines(_weight_chunks(model))
+        return f.tell()
 
 
 def load_weights(source) -> Model:
@@ -483,18 +506,24 @@ def load_weights(source) -> Model:
         spec.validate()
     except ConfigError as exc:
         raise CorruptionError(f"{source}: stored spec is out of range: {exc}") from None
-    # Read every tensor before the vector is allocated: a hostile spec with
+    # Find every tensor before the vector is allocated: a hostile spec with
     # huge dimensions then fails on the short payload, not on the allocation.
-    tensors = []
+    starts = []
     for name, want in spec.param_shapes.items():
         shape = reader.shape()
         if shape != want:
             raise CorruptionError(f"{source}: {name}: stored shape {shape} != spec shape {want}")
-        tensors.append(reader.floats(shape, f"tensor {name}").reshape(-1))
+        starts.append(reader.skip(4 * math.prod(shape)))
     reader.done()
-    return Model(spec, np.concatenate(tensors))
+    model = Model(spec, np.empty(spec.param_count, np.float32))
+    for (name, tensor), start in zip(model.params().items(), starts):
+        reader.floats_into(tensor, start, f"tensor {name}")
+    return model
 
 
 def weights_digest(model: Model) -> str:
-    """SHA-256 of the serialized weights; stable across identical models."""
-    return hashlib.sha256(serialize_model(model)).hexdigest()
+    """SHA-256 of the serialized weights, hashed piece by piece; stable across identical models."""
+    h = hashlib.sha256()
+    for chunk in _weight_chunks(model):
+        h.update(chunk)
+    return h.hexdigest()

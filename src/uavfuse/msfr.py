@@ -29,7 +29,6 @@ name is a plain name in that directory.
 
 from __future__ import annotations
 
-import math
 import struct
 from pathlib import Path
 
@@ -136,14 +135,16 @@ class BinaryReader:
                 f"{self.where}payload shapes {payloads} form no record: {exc}"
             ) from None
 
-    def floats(self, shape: tuple[int, ...], what: str) -> np.ndarray:
-        """The next little-endian f32 array of ``shape``; ``what`` names it in errors."""
-        # a Python int: exact where an int64 product of stored dims would wrap
-        count = math.prod(shape)
-        values = np.frombuffer(self.take(4 * count), dtype="<f4").astype(np.float32)
-        if not np.isfinite(values).all():
+    def floats_into(self, out: np.ndarray, start: int, what: str) -> None:
+        """Copy the little-endian f32 values at offset ``start`` into ``out``; ``what`` names them.
+
+        The caller has checked with ``skip`` that the buffer holds them. A
+        float64 sum of float32 values cannot overflow, so it is finite
+        exactly when every value is, and it needs no full-size mask.
+        """
+        np.copyto(out, np.frombuffer(self.buf, "<f4", out.size, start).reshape(out.shape))
+        if not np.isfinite(out.sum(dtype=np.float64)):
             raise CorruptionError(f"{self.where}{what} holds non-finite values")
-        return values.reshape(shape)
 
     def done(self) -> None:
         if self.pos != len(self.buf):
@@ -210,9 +211,13 @@ def write_fused(dataset: FusedDataset, destination) -> int:
     return _write(destination, header, dataset.samples)
 
 
-def read_fused(source) -> FusedDataset:
-    """Parse and validate one fused dataset file."""
-    reader = BinaryReader(np.fromfile(source, np.uint8), source)
+def read_fused(source, buf=None) -> FusedDataset:
+    """Parse and validate one fused dataset file.
+
+    ``buf``, if given, holds the file's bytes already read (a uint8 array);
+    the records then view it.
+    """
+    reader = BinaryReader(np.fromfile(source, np.uint8) if buf is None else buf, source)
     _check_header(reader, expect_fused=True)
     modality_set = reader.modality_set()
     provenance_text = reader.text()

@@ -121,11 +121,13 @@ def train(model: Model, dataset: FusedDataset, cfg: TrainConfig) -> tuple[Model,
     # The model's tensors view its one flat vector, so one in-place RMSprop
     # pass per step updates all of them; its operands are checked here, once.
     # One workspace per batch size that occurs: the full one and the short
-    # last batch.
+    # last batch. The clone, its gradient, the mean square and the best
+    # epoch's copy are the only vectors of theta's size.
     model = model.clone()
     theta = model.theta
     grad = np.empty_like(theta)
     update = RmspropUpdate(theta, grad, np.zeros_like(theta))
+    best_theta = np.empty_like(theta)
     sizes = {min(cfg.batch_size, train_n), train_n % cfg.batch_size} - {0}
     workspaces = {n: TrainStep(model, n, grad) for n in sizes}
     step = 0
@@ -136,7 +138,7 @@ def train(model: Model, dataset: FusedDataset, cfg: TrainConfig) -> tuple[Model,
     report = TrainReport()
     best_val = math.inf
     best_epoch = 0
-    best_theta = best_p_val = None
+    best_p_val = None
     since_improve = 0
     stopped = cfg.max_epochs
 
@@ -170,7 +172,8 @@ def train(model: Model, dataset: FusedDataset, cfg: TrainConfig) -> tuple[Model,
         if val_loss < best_val:
             best_val = val_loss
             best_epoch = epoch
-            best_theta, best_p_val = theta.copy(), p_val
+            np.copyto(best_theta, theta)
+            best_p_val = p_val
             since_improve = 0
         else:
             since_improve += 1

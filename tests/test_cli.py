@@ -1,6 +1,8 @@
 """End-to-end command-line behavior: outputs, determinism, exit codes."""
 
+import builtins
 import hashlib
+import io
 import math
 import struct
 import subprocess
@@ -634,6 +636,36 @@ class TestEvaluate:
         assert len(per_seed.split("=")[1].split(",")) == 3
         assert "mean_f1 = " in doc
         assert len(list(out.glob("roc_model_*.csv"))) == 3
+
+    def test_each_input_is_read_once_and_its_digest_is_the_files(
+        self, fused, tmp_path, monkeypatch
+    ):
+        cfg, data = fused
+        models, out = tmp_path / "mm", tmp_path / "ee"
+        assert main(
+            ["train", "--config", str(cfg), "--data", str(data), "--out", str(models),
+             "--repeats", "2"]
+        ) == 0
+        inputs = [data, *sorted(models.glob("*.msfw"))]
+        opened = []
+        real_open = io.open
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(Path(file))
+            return real_open(file, *args, **kwargs)
+
+        # Path opens through io.open, numpy's fromfile through the builtin
+        monkeypatch.setattr(io, "open", counting_open)
+        monkeypatch.setattr(builtins, "open", counting_open)
+        assert main(
+            ["evaluate", "--config", str(cfg), "--model", str(models),
+             "--data", str(data), "--out", str(out)]
+        ) == 0
+        monkeypatch.undo()
+        assert [opened.count(path) for path in inputs] == [1] * len(inputs)
+        doc = (out / "evaluation.txt").read_text()
+        digests = [line.split(" = ")[1] for line in doc.splitlines() if "_digest = " in line]
+        assert digests == [hashlib.sha256(path.read_bytes()).hexdigest() for path in inputs]
 
     def test_shape_mismatch_exits_5(self, separable_pipeline, tmp_path, capsys):
         cfg, _, models = separable_pipeline

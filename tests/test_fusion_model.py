@@ -1,6 +1,7 @@
 """Fusion network construction, forward/backward, persistence, and training."""
 
 import gc
+import hashlib
 import math
 import struct
 import weakref
@@ -11,6 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import rmsprop_oracle
+from test_memory import MIB, traced_peak
 
 from uavfuse.data import Label, Modality, ModalitySet, ShapeProfile
 from uavfuse.errors import (
@@ -25,6 +27,7 @@ from uavfuse.errors import (
 from uavfuse.metrics import classification_report, confusion_at_threshold
 from uavfuse.model import (
     PARAM_ORDER,
+    _BLOCK,
     WEIGHTS_MAGIC,
     WEIGHTS_VERSION,
     Model,
@@ -40,6 +43,7 @@ from uavfuse.model import (
     weights_digest,
     _spec_bytes,
 )
+from uavfuse.msfr import shape_block
 from uavfuse.ops import (
     BCE_EPS,
     bce_loss,
@@ -87,6 +91,34 @@ def tiny_dataset(modality_set=ModalitySet.THERMAL_OPTRONIC_RADAR, **synth_kw):
     )
 
 
+# dense1_weights of exactly two init blocks, and of five blocks and part of a sixth
+TWO_BLOCKS = ModelSpec(ModalitySet.THERMAL, (3, 3, 1), 0, conv_filters=64, dense_units=1024)
+
+
+def six_blocks(modality_set=ModalitySet.THERMAL_OPTRONIC_RADAR):
+    return ModelSpec.for_profile(
+        modality_set, ShapeProfile.reduced(), conv_filters=4, dense_units=1000
+    )
+
+
+def one_draw_per_tensor(spec, rng, dtype):
+    """build_model with one whole-tensor draw per tensor: the oracle of its blocked draws."""
+    model = Model(spec, np.zeros(spec.param_count, dtype))
+    kh, kw = spec.kernel
+    fans = (kh * kw * spec.stacked_shape[2], spec.dense1_in, spec.dense_units + 1)
+    for out, fan in zip((model.conv.kernels, model.dense1.weights, model.output.weights), fans):
+        out[...] = (rng.uniform(out.shape) * 2 - 1) * np.sqrt(6.0 / fan)
+    return model
+
+
+def serialize_oracle(model):
+    """The MSFW bytes built from whole-tensor float32 copies."""
+    parts = [WEIGHTS_MAGIC, struct.pack("<H", WEIGHTS_VERSION), _spec_bytes(model.spec)]
+    for arr in model.params().values():
+        parts += [shape_block(arr.shape), np.ascontiguousarray(arr, dtype="<f4").tobytes()]
+    return b"".join(parts)
+
+
 class TestBuild:
     def test_paper_three_modality_widths(self):
         spec = ModelSpec.for_profile(ModalitySet.THERMAL_OPTRONIC_RADAR, ShapeProfile.paper())
@@ -107,6 +139,15 @@ class TestBuild:
         for name, v in a.params().items():
             assert np.array_equal(v, b.params()[name]), name
         assert weights_digest(a) == weights_digest(b)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("spec", [TWO_BLOCKS, six_blocks()], ids=["two", "six"])
+    def test_blocked_draws_match_one_draw_per_tensor(self, spec, dtype):
+        assert math.prod(spec.param_shapes["dense1_weights"]) >= 2 * _BLOCK
+        model = build_model(spec, Rng(31), dtype)
+        want = one_draw_per_tensor(spec, Rng(31), dtype)
+        assert model.theta.dtype == dtype
+        assert model.theta.tobytes() == want.theta.tobytes()
 
     def test_invalid_spec_rejected(self):
         spec = tiny_spec()
@@ -314,8 +355,13 @@ class TestPersistence:
         spec.conv_filters = spec.dense_units = 2**30
         path = tmp_path / "m.msfw"
         path.write_bytes(WEIGHTS_MAGIC + struct.pack("<H", WEIGHTS_VERSION) + _spec_bytes(spec))
-        with pytest.raises(CorruptionError, match="truncated"):
-            load_weights(path)
+
+        def load():
+            with pytest.raises(CorruptionError, match="truncated"):
+                load_weights(path)
+
+        _, peak = traced_peak(load)
+        assert peak < path.stat().st_size + MIB
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "m.msfw"
@@ -359,6 +405,19 @@ class TestPersistence:
         save_weights(model, path)
         with pytest.raises(CorruptionError, match=f"m.msfw: stored spec is out of range: {field}"):
             load_weights(path)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("modality_set", list(ModalitySet))
+    def test_digest_serialization_and_file_agree(self, tmp_path, modality_set, dtype):
+        model = build_model(six_blocks(modality_set), Rng(12), dtype)
+        blob = serialize_model(model)
+        assert blob == serialize_oracle(model)
+        assert weights_digest(model) == hashlib.sha256(blob).hexdigest()
+        path, again = tmp_path / "a.msfw", tmp_path / "b.msfw"
+        assert save_weights(model, path) == path.stat().st_size
+        assert path.read_bytes() == blob
+        save_weights(load_weights(path), again)
+        assert again.read_bytes() == blob
 
     def test_digest_tracks_content(self):
         a = build_model(tiny_spec(), Rng(1))
