@@ -50,7 +50,7 @@ from .metrics import (
     roc_csv,
     roc_curve,
 )
-from .model import batch_arrays, build_model, load_weights, save_weights, weights_digest
+from .model import build_model, load_weights, record_maps, save_weights, weights_digest
 from .msfr import (
     read_fused,
     read_manifest,
@@ -200,7 +200,9 @@ def cmd_evaluate(cfg: RunConfig, model_path: Path, data: Path, out_dir: Path) ->
     else:
         model_files = [model_path]
 
-    x, r, y = batch_arrays(dataset.samples)
+    # the maps are read from the records in place; the labels are the one copy
+    x, r = record_maps(dataset.samples)
+    y = np.array(dataset.samples["label"], np.float32)
     scored, f1s = [], []
     for path in model_files:
         model = load_weights(path)

@@ -181,6 +181,12 @@ def build_model(spec: ModelSpec, rng: Rng, dtype=TRAIN_DTYPE) -> Model:
     return model
 
 
+def record_maps(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """The (stacked, radar-or-None) fields of fused records: unaligned views, not copies."""
+    radar = samples["radar"] if "radar" in samples.dtype.names else None
+    return samples["stacked"], radar
+
+
 def batch_arrays(
     samples: np.ndarray, dtype=np.float32
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
@@ -191,11 +197,17 @@ def batch_arrays(
     """
     if len(samples) == 0:
         raise CompatibilityError("empty batch")
-    stacked = np.array(samples["stacked"], dtype=dtype, order="C")
-    has_radar = "radar" in samples.dtype.names
-    radar = np.array(samples["radar"], dtype=dtype, order="C") if has_radar else None
+    x, r = record_maps(samples)
+    stacked = np.array(x, dtype=dtype, order="C")
+    radar = None if r is None else np.array(r, dtype=dtype, order="C")
     labels = np.array(samples["label"], dtype=dtype)
     return stacked, radar, labels
+
+
+def record_rows(samples: np.ndarray) -> np.ndarray:
+    """Packed records as a (records, record bytes) uint8 array; a view when they are contiguous."""
+    records = np.ascontiguousarray(samples)
+    return records.view(np.uint8).reshape(len(records), records.itemsize)
 
 
 def _check_batch(model: Model, x: np.ndarray, r: np.ndarray | None) -> None:
@@ -218,21 +230,30 @@ def _check_batch(model: Model, x: np.ndarray, r: np.ndarray | None) -> None:
 
 # Eval workspaces a model caches, one per row count, since gemm bits depend
 # on it: a chunked evaluation needs two (the chunk and a short last chunk)
-# and single-sample classification a third. A fourth row count clears them.
+# and single-sample classification a third. Every one views the buffers of
+# the largest; a larger row count, or a fourth beside the largest, replaces them.
 _EVAL_STEPS = 3
 
 
 def _forward(model: Model, x, r) -> np.ndarray:
     """Eval-mode UAV probabilities of a checked batch, in the model's workspace for its row count.
 
-    The result is that workspace's ``p`` buffer, which the next call on the
-    same row count overwrites.
+    The result is that workspace's ``p`` buffer, which the next call on any
+    row count may overwrite.
     """
-    ws = model._eval_steps.get(len(x))
+    steps, n = model._eval_steps, len(x)
+    ws = steps.get(n)
     if ws is None:
-        if len(model._eval_steps) == _EVAL_STEPS:
-            model._eval_steps.clear()
-        ws = model._eval_steps[len(x)] = TrainStep(model, len(x))
+        largest = max(steps, default=0)
+        if n > largest:
+            steps.clear()
+            base = None
+        else:
+            base = steps[largest]
+            if len(steps) == _EVAL_STEPS:
+                steps.clear()
+                steps[largest] = base
+        ws = steps[n] = TrainStep(model, n, base=base)
     return ws.forward(x, r)
 
 
@@ -255,12 +276,28 @@ class TrainStep:
     forward. Eval mode (no ``grad``) holds the forward buffers alone and
     drops nothing. Each product is the one the allocating ``ops`` layer
     functions make, on the same operand shapes, and each element-wise step
-    runs their float ops in their order, so the bits are theirs. It holds
-    the model's layers, not the model, so a model can cache it without a
-    reference cycle. The caller checks shapes.
+    runs their float ops in their order, so the bits are theirs.
+
+    With ``records``, the dtype of packed fused records, ``gather`` reads a
+    batch from the records' bytes in place of ``forward``: the input buffer
+    holds whole records, and ``x`` is their stacked field.
+
+    Given ``base``, a workspace of at least as many rows (in train mode if
+    this one is, with the same ``grad`` and ``records``), every buffer
+    views the leading rows of the base's, so workspaces for several row
+    counts hold one set of buffers. The bits are those of separate buffers,
+    but the workspaces take turns: a forward overwrites what the others
+    hold, so a train step's forward, loss and backward run with no other
+    workspace between them.
+
+    A workspace holds the model's layers, not the model, so a model can
+    cache it without a reference cycle. The caller checks shapes.
     """
 
-    def __init__(self, model: Model, batch_size: int, grad: np.ndarray | None = None):
+    def __init__(
+        self, model: Model, batch_size: int, grad: np.ndarray | None = None,
+        base: "TrainStep | None" = None, records: np.dtype | None = None,
+    ):
         spec, dt = model.spec, model.theta.dtype
         b, flat, c_out = batch_size, spec.flatten_width, spec.conv_filters
         self.conv, self.dense1, self.output = model.conv, model.dense1, model.output
@@ -270,19 +307,34 @@ class TrainStep:
             """A 0-d array: a ufunc takes it faster than the scalar it holds, to the same bits."""
             return np.array(value, dt)
 
+        def buf(name, shape, dtype=dt):
+            """A new buffer, or the leading rows (1-D: values) of the base's buffer ``name``."""
+            return np.empty(shape, dtype) if base is None else getattr(base, name)[: shape[0]]
+
+        def vectors(name, count, dtype=dt):
+            """``count`` new 1-D buffers of b values, or the leading values of the base's."""
+            if base is None:
+                return tuple(np.empty((count, b), dtype))
+            return tuple(row[:b] for row in getattr(base, name))
+
         self.scale = const(1.0 / (1.0 - self.rate))
         self._zero, self._one = const(0), const(1)
         self._tiny = const(np.finfo(dt).tiny)
         self._below_one = const(np.nextafter(dt.type(1), dt.type(0)))
-        self.x = np.empty((b, *spec.stacked_shape), dt)
+        if records is None:
+            self.x = buf("x", (b, *spec.stacked_shape))
+        else:
+            # the batch's whole records; the conv windows read their stacked field
+            self.records = buf("records", (b, records.itemsize), np.uint8)
+            self.x, self._radar = record_maps(self.records.view(records)[:, 0])
         self._windows = conv_windows(self.x, *spec.kernel)
-        self.patches = np.empty(self._windows.shape, dt)
-        self.z1 = np.empty((b, *spec.conv_out_shape), dt)  # ReLU'd in place
-        self.h = np.empty((b, spec.dense1_in), dt)  # dropped-out conv features, then radar
-        self.z2 = np.empty((b, spec.dense_units), dt)  # ReLU'd in place
-        self.d2 = np.empty_like(self.z2) if self.rate else self.z2  # rate 0: the identity
-        self.z3 = np.empty((b, 1), dt)
-        self.p = np.empty(b, dt)
+        self.patches = buf("patches", self._windows.shape)
+        self.z1 = buf("z1", (b, *spec.conv_out_shape))  # ReLU'd in place
+        self.h = buf("h", (b, spec.dense1_in))  # dropped-out conv features, then radar
+        self.z2 = buf("z2", (b, spec.dense_units))  # ReLU'd in place
+        self.d2 = buf("d2", self.z2.shape) if self.rate else self.z2  # rate 0: the identity
+        self.z3 = buf("z3", (b, 1))
+        self.p = buf("p", (b,))
         # 2-D views for the products and the per-layer element-wise steps
         self._k = self.conv.kernels.reshape(-1, c_out)
         self._p = self.patches.reshape(-1, len(self._k))
@@ -291,26 +343,26 @@ class TrainStep:
         # the output head runs on 1-D views of z3 and dz3, four temporary rows
         # and (train mode) two mask rows, unpacked from tuples without making views each step
         self._z3 = self.z3.reshape(b)
-        self._tmp = tuple(np.empty((4, b), dt))
+        self._tmp = vectors("_tmp", 4)
         if grad is None:
             return
-        self._masks = tuple(np.empty((2, b), bool))
+        self._masks = vectors("_masks", 2, bool)
         self.grads = Model(spec, grad)
         # dropout scales (1/(1-rate) where kept, 0 where dropped) and keep flags of
         # both layers, each in one buffer so that a step draws its flags at once;
         # backward overwrites the flags with the ReLU masks
         n1 = b * flat
-        self._scales = np.empty(n1 + self.z2.size, dt)
-        self._keep = np.empty(self._scales.size, bool)
+        self._scales = buf("_scales", (n1 + self.z2.size,))
+        self._keep = buf("_keep", self._scales.shape, bool)
         self.s1 = self._scales[:n1].reshape(b, flat)
         self.s2 = self._scales[n1:].reshape(self.z2.shape)
         self.flags1 = self._keep[:n1].reshape(b, flat)
         self.flags2 = self._keep[n1:].reshape(self.z2.shape)
-        self.y = np.empty(b, dt)  # the batch's labels
-        self.dz3 = np.empty_like(self.z3)
-        self.dh = np.empty_like(self.h)
-        self.dz2 = np.empty_like(self.z2)
-        self.dz1 = np.empty_like(self.z1)
+        self.y = buf("y", (b,))  # the batch's labels
+        self.dz3 = buf("dz3", self.z3.shape)
+        self.dh = buf("dh", self.h.shape)
+        self.dz2 = buf("dz2", self.z2.shape)
+        self.dz1 = buf("dz1", self.z1.shape)
         self._dz3 = self.dz3.reshape(b)
         self._gk = self.grads.conv.kernels.reshape(-1, c_out)
         self._dz1, self._dflat = self.dz1.reshape(-1, c_out), self.dz1.reshape(b, flat)
@@ -324,6 +376,23 @@ class TrainStep:
         The result is the workspace's ``p`` buffer, which the next call overwrites.
         """
         self._load(self.x, x, idx)
+        if r is not None:
+            self._load(self._hr, r, idx)
+        return self._run(rng)
+
+    def gather(self, rows: np.ndarray, idx: np.ndarray, rng=None) -> np.ndarray:
+        """``forward`` of the records ``idx`` of ``rows`` (``record_rows``), in a record workspace.
+
+        ``take`` on a record field would copy the whole input first, since the
+        field is an unaligned view; so one ``take`` copies the batch's whole
+        records into the record buffer, and the conv windows read its field.
+        """
+        rows.take(idx, 0, self.records, "clip")  # as in _load: idx holds row numbers of rows
+        if self._radar is not None:
+            np.copyto(self._hr, self._radar)
+        return self._run(rng)
+
+    def _run(self, rng) -> np.ndarray:
         np.copyto(self.patches, self._windows)
         np.dot(self._p, self._k, out=self._z1)
         np.add(self._z1, self.conv.bias, out=self._z1)
@@ -335,8 +404,6 @@ class TrainStep:
             np.multiply(self._a1, self.s1, out=self._h1)
         else:
             np.copyto(self._h1, self._a1)
-        if r is not None:
-            self._load(self._hr, r, idx)
         np.matmul(self.h, self.dense1.weights, out=self.z2)
         np.add(self.z2, self.dense1.bias, out=self.z2)
         np.maximum(self.z2, self._zero, out=self.z2)

@@ -19,7 +19,9 @@ from .errors import (
     CompatibilityError, ConfigError, NumericFault, TrainingError, check_finite_fields
 )
 from .metrics import classification_report, confusion_at_threshold
-from .model import Model, TrainStep, batch_arrays, weights_digest, _check_batch, _forward
+from .model import (
+    Model, TrainStep, record_maps, record_rows, weights_digest, _check_batch, _forward
+)
 from .ops import RmspropUpdate, bce_loss
 from .rng import Rng
 
@@ -70,11 +72,14 @@ def evaluate_probabilities(model: Model, x, r, batch_size: int = 64) -> np.ndarr
     """Eval-mode UAV probabilities of a (stacked, radar-or-None) batch.
 
     The package's one inference entry point: deterministic, no dropout,
-    computed in the model's dtype, in chunks of ``batch_size``. Chunks run
-    in eval ``TrainStep`` workspaces that the model keeps for its life, one
-    per row count, up to three (at the paper profile 115 MB for 64 rows,
-    1.8 MB for one), so it is not reentrant for one model. Pair it with
-    ``classify_probability`` for hard labels.
+    computed in the model's dtype, in chunks of ``batch_size``. ``x`` and
+    ``r`` may be the unaligned fields of fused records (``record_maps``):
+    each chunk is copied into the workspace, and the input is never copied
+    whole. Chunks run in eval ``TrainStep`` workspaces that the model keeps
+    for its life, one per row count, up to three, all on the buffers of the
+    largest (at the paper profile 115 MB for 64 rows; the short last chunk
+    and single samples add nothing beside it), so it is not reentrant for
+    one model. Pair it with ``classify_probability`` for hard labels.
     """
     if x.shape[0] == 0:
         raise CompatibilityError("empty batch")
@@ -88,6 +93,11 @@ def evaluate_probabilities(model: Model, x, r, batch_size: int = 64) -> np.ndarr
     return out
 
 
+def _step_sizes(n: int, batch_size: int) -> set[int]:
+    """The row counts of n rows' batches: the full one and the short last one."""
+    return {min(batch_size, n), n % batch_size} - {0}
+
+
 def train(model: Model, dataset: FusedDataset, cfg: TrainConfig) -> tuple[Model, TrainReport]:
     """Train a copy of ``model`` on the dataset; the input model is untouched.
 
@@ -97,12 +107,20 @@ def train(model: Model, dataset: FusedDataset, cfg: TrainConfig) -> tuple[Model,
     loss. With restore_best the returned parameters are the best-validation
     epoch's, otherwise the last epoch's; the report's val_weighted_f1 is
     that epoch's.
+
+    Batches and validation chunks are gathered from the dataset's records
+    by row number; the labels are the only per-sample copy. Besides the
+    caller's model it holds four vectors of theta's size (the clone, its
+    gradient, the mean square and the best epoch's copy) and one set of
+    workspace buffers for the largest row count; the returned model caches
+    no workspace.
     """
     cfg.validate()
-    if len(dataset.samples) == 0:
+    samples = dataset.samples
+    if len(samples) == 0:
         raise TrainingError("dataset is empty")
-    x, r, y = batch_arrays(dataset.samples, dtype=model.theta.dtype)
-    _check_batch(model, x, r)
+    _check_batch(model, *record_maps(samples))
+    y = np.array(samples["label"], dtype=model.theta.dtype)
 
     rng = Rng(cfg.seed)
     train_n, val_n = split_sizes(len(y), cfg.val_fraction)
@@ -120,20 +138,23 @@ def train(model: Model, dataset: FusedDataset, cfg: TrainConfig) -> tuple[Model,
 
     # The model's tensors view its one flat vector, so one in-place RMSprop
     # pass per step updates all of them; its operands are checked here, once.
-    # One workspace per batch size that occurs: the full one and the short
-    # last batch. The clone, its gradient, the mean square and the best
-    # epoch's copy are the only vectors of theta's size.
+    # One workspace per row count that occurs, training batches in train mode
+    # and validation chunks in eval mode, all on the buffers of the largest.
     model = model.clone()
     theta = model.theta
     grad = np.empty_like(theta)
     update = RmspropUpdate(theta, grad, np.zeros_like(theta))
     best_theta = np.empty_like(theta)
-    sizes = {min(cfg.batch_size, train_n), train_n % cfg.batch_size} - {0}
-    workspaces = {n: TrainStep(model, n, grad) for n in sizes}
+    train_sizes = _step_sizes(train_n, cfg.batch_size)
+    val_sizes = _step_sizes(val_n, cfg.batch_size)
+    largest = max(train_sizes | val_sizes)
+    rows, records = record_rows(samples), samples.dtype
+    base = TrainStep(model, largest, grad, records=records)
+    workspaces = {n: TrainStep(model, n, grad, base, records) for n in train_sizes}
+    evaluators = {n: TrainStep(model, n, None, base, records) for n in val_sizes}
     step = 0
 
-    x_val, y_val = x[val_idx], y[val_idx]
-    r_val = None if r is None else r[val_idx]
+    y_val = y[val_idx]
 
     report = TrainReport()
     best_val = math.inf
@@ -149,7 +170,7 @@ def train(model: Model, dataset: FusedDataset, cfg: TrainConfig) -> tuple[Model,
         for s in range(0, train_n, cfg.batch_size):
             idx = order[s : s + cfg.batch_size]
             ws = workspaces[len(idx)]
-            ws.forward(x, r, idx, dropout_rng)
+            ws.gather(rows, idx, dropout_rng)
             loss, hits = ws.loss(y, idx)
             if not math.isfinite(loss):
                 raise NumericFault(f"non-finite training loss at epoch {epoch}")
@@ -159,7 +180,11 @@ def train(model: Model, dataset: FusedDataset, cfg: TrainConfig) -> tuple[Model,
             loss_sum += loss * len(idx)
             correct += hits
 
-        p_val = evaluate_probabilities(model, x_val, r_val, cfg.batch_size)
+        # evaluate_probabilities' chunks and bits, from the records in place
+        p_val = np.empty(val_n, theta.dtype)
+        for s in range(0, val_n, cfg.batch_size):
+            idx = val_idx[s : s + cfg.batch_size]
+            p_val[s : s + len(idx)] = evaluators[len(idx)].gather(rows, idx)
         val_loss, _ = bce_loss(p_val, y_val)
         if not math.isfinite(val_loss):
             raise NumericFault(f"non-finite validation loss at epoch {epoch}")

@@ -38,6 +38,7 @@ from uavfuse.model import (
     build_model,
     classify_probability,
     load_weights,
+    record_rows,
     save_weights,
     serialize_model,
     weights_digest,
@@ -744,6 +745,109 @@ class TestTrainStep:
         assert _bits(p) == _bits(oracle_probabilities(model, x, r, batch_size))
 
 
+class TestSharedWorkspaces:
+    """Workspaces on the leading rows of a 12-row set against separate buffers and the oracle."""
+
+    class Run:
+        """A model, its gradient, its optimizer and its dropout stream, stepped in workspaces."""
+
+        def __init__(self, model, base_rows):
+            self.model, self.grad = model, np.empty_like(model.theta)
+            self.update = RmspropUpdate(model.theta, self.grad, np.zeros_like(self.grad))
+            self.rng = Rng(51)
+            self.base = None if base_rows is None else TrainStep(model, base_rows, self.grad)
+            self.steps = {}
+
+        def step(self, x, r, y, idx):
+            n = len(idx)
+            if n not in self.steps:
+                self.steps[n] = TrainStep(self.model, n, self.grad, self.base)
+            ws = self.steps[n]
+            p = ws.forward(x, r, idx, self.rng).copy()
+            loss, _ = ws.loss(y, idx)
+            ws.backward()
+            self.update(1e-2)
+            return p, loss, self.grad.copy(), self.model.theta.copy()
+
+        def evaluate(self, x, r, rows):
+            return TrainStep(self.model, rows.stop - rows.start, base=self.base).forward(
+                x[rows], None if r is None else r[rows]
+            ).copy()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("dropout", [0.0, 0.5])
+    @pytest.mark.parametrize("modality_set", list(ModalitySet))
+    def test_bit_identical_to_separate_buffers_and_the_oracle(self, modality_set, dropout, dtype):
+        x, r, y = batch_arrays(tiny_dataset(modality_set).samples, dtype=dtype)
+        oracle = build_model(tiny_spec(modality_set, dropout), Rng(50), dtype)
+        shared, separate = self.Run(oracle.clone(), 12), self.Run(oracle.clone(), None)
+        ms_oracle, rng_oracle = np.zeros_like(oracle.theta), Rng(51)
+        order = Rng(52).permutation(len(y))
+        s = 0
+        for n in (7, 1, 5, 12, 5, 1, 7):
+            idx = order[s : s + n]
+            s += n
+            p_o, loss_o, grad_o = TestTrainStep._oracle_step(oracle, x, r, y, idx, rng_oracle)
+            oracle.theta[...], ms_oracle = rmsprop_oracle(
+                oracle.theta, grad_o, ms_oracle, 0, 1e-2, 0
+            )
+            for run in (shared, separate):
+                p, loss, grad, theta = run.step(x, r, y, idx)
+                assert _bits(p) == _bits(p_o)
+                assert loss == loss_o
+                assert _bits(grad) == _bits(grad_o)
+                assert _bits(theta) == _bits(oracle.theta)
+        for n, ws in shared.steps.items():
+            assert np.shares_memory(ws.x, shared.base.x), n
+            assert not np.shares_memory(separate.steps[n].x, shared.base.x)
+        want = rng_oracle.u64(5)
+        assert _bits(shared.rng.u64(5)) == _bits(want) == _bits(separate.rng.u64(5))
+        # eval mode on the same buffers: 1, 5 and 7 rows against the oracle
+        for rows in (slice(0, 1), slice(3, 8), slice(10, 17)):
+            rb = None if r is None else r[rows]
+            p_o = oracle_forward(oracle, x[rows], rb, "eval", None)[0]
+            assert _bits(shared.evaluate(x, r, rows)) == _bits(p_o)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("dropout", [0.0, 0.5])
+    @pytest.mark.parametrize("modality_set", list(ModalitySet))
+    def test_an_eval_forward_between_steps_changes_nothing(self, modality_set, dropout, dtype):
+        x, r, y = batch_arrays(tiny_dataset(modality_set).samples, dtype=dtype)
+        model = build_model(tiny_spec(modality_set, dropout), Rng(53), dtype)
+        plain, interleaved = self.Run(model.clone(), 12), self.Run(model.clone(), 12)
+        order = Rng(54).permutation(len(y))
+        first, second = order[:7], order[7:12]
+        plain.step(x, r, y, first)
+        interleaved.step(x, r, y, first)
+        interleaved.evaluate(x, r, slice(20, 32))
+        got, want = interleaved.step(x, r, y, second), plain.step(x, r, y, second)
+        for a, b in zip(got, want):
+            assert _bits(a) == _bits(b)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("modality_set", list(ModalitySet))
+    def test_a_batch_gathered_from_the_records_has_the_arrays_bits(self, modality_set, dtype):
+        ds = tiny_dataset(modality_set)
+        x, r, y = batch_arrays(ds.samples, dtype=dtype)
+        rows = record_rows(ds.samples)
+        assert np.shares_memory(rows, ds.samples)
+        model = build_model(tiny_spec(modality_set), Rng(55), dtype)
+        base = TrainStep(model, 12, np.empty_like(model.theta), records=ds.samples.dtype)
+        from_records = TrainStep(model, 7, base.grads.theta, base, ds.samples.dtype)
+        from_arrays = TrainStep(model, 7, np.empty_like(model.theta))
+        evaluator = TrainStep(model, 7, None, base, ds.samples.dtype)
+        for idx in np.split(Rng(56).permutation(len(y))[:21], 3):
+            p = from_records.gather(rows, idx, Rng(57))
+            assert _bits(p) == _bits(from_arrays.forward(x, r, idx, Rng(57)))
+            assert from_records.loss(y, idx) == from_arrays.loss(y, idx)
+            from_records.backward()
+            from_arrays.backward()
+            assert _bits(from_records.grads.theta) == _bits(from_arrays.grads.theta)
+            rb = None if r is None else r[idx]
+            p_o = oracle_forward(model, x[idx], rb, "eval", None)[0]
+            assert _bits(evaluator.gather(rows, idx)) == _bits(p_o)
+
+
 def _first_logit_reaching(target, dtype):
     """(z, the next float above z): sigmoid(z) < target <= sigmoid(next), by bisection."""
     lo, hi = dtype(-40), dtype(40)
@@ -841,6 +945,23 @@ class TestEvalWorkspaces:
         for n in range(1, 11):
             evaluate_probabilities(model, x[:n], r[:n])
             assert n in model._eval_steps and len(model._eval_steps) <= 3
+
+    def test_smaller_row_counts_view_the_largest_workspace(self):
+        model = build_model(tiny_spec(), Rng(41))
+        x, r, _ = batch_arrays(tiny_dataset().samples[:12])
+        evaluate_probabilities(model, x[:7], r[:7], 5)
+        evaluate_probabilities(model, x[:1], r[:1])
+        steps = model._eval_steps
+        assert sorted(steps) == [1, 2, 5]
+        assert all(np.shares_memory(steps[n].patches, steps[5].patches) for n in (1, 2))
+        # a fourth row count drops the others beside the largest
+        p = evaluate_probabilities(model, x[:3], r[:3])
+        assert sorted(steps) == [3, 5] and np.shares_memory(steps[3].x, steps[5].x)
+        assert _bits(p) == _bits(oracle_probabilities(model, x[:3], r[:3], 64))
+        # a larger one replaces them all
+        p = evaluate_probabilities(model, x, r)
+        assert list(steps) == [12]
+        assert _bits(p) == _bits(oracle_probabilities(model, x, r, 64))
 
     def test_workspaces_are_freed_with_the_model(self):
         model = build_model(tiny_spec(), Rng(38))
