@@ -29,6 +29,7 @@ from .ops import BCE_EPS, TRAIN_DTYPE, ConvParams, DenseParams, conv_windows, dr
 # perfbench/tests/test_helpers.py::test_uninstall_restores_the_real_package reads this name
 from .ops import conv2d_forward  # noqa: F401
 from .rng import Rng
+from .worker import product
 
 WEIGHTS_MAGIC = b"MSFW"
 WEIGHTS_VERSION = 1
@@ -290,6 +291,14 @@ class TrainStep:
     hold, so a train step's forward, loss and backward run with no other
     workspace between them.
 
+    The five large products (the conv forward and kernel gradient, and the
+    dense1 forward and its two gradient products) are bound once, here, by
+    ``worker.product``. With BLAS on one thread and two CPUs, each one of
+    at least ``worker.SPLIT_MACS`` multiply-adds (at the paper profile the
+    conv products from one row, all five from three) runs as two column
+    halves, one on the package's worker thread, with the bits of the whole
+    product; every other product is the plain numpy call.
+
     A workspace holds the model's layers, not the model, so a model can
     cache it without a reference cycle. The caller checks shapes.
     """
@@ -340,6 +349,9 @@ class TrainStep:
         self._p = self.patches.reshape(-1, len(self._k))
         self._z1, self._a1 = self.z1.reshape(-1, c_out), self.z1.reshape(b, flat)
         self._h1, self._hr = self.h[:, :flat], self.h[:, flat:]
+        # the large products, each bound once (worker.product): whole, or in two halves
+        self._conv_forward = product(np.dot, self._p, self._k, self._z1)
+        self._dense1_forward = product(np.matmul, self.h, self.dense1.weights, self.z2)
         # the output head runs on 1-D views of z3 and dz3, four temporary rows
         # and (train mode) two mask rows, unpacked from tuples without making views each step
         self._z3 = self.z3.reshape(b)
@@ -367,6 +379,9 @@ class TrainStep:
         self._gk = self.grads.conv.kernels.reshape(-1, c_out)
         self._dz1, self._dflat = self.dz1.reshape(-1, c_out), self.dz1.reshape(b, flat)
         self._dh1 = self.dh[:, :flat]  # the radar columns get no gradient path
+        self._dense1_dh = product(np.matmul, self.dz2, self.dense1.weights.T, self.dh)
+        self._dense1_dw = product(np.matmul, self.h.T, self.dz2, self.grads.dense1.weights)
+        self._conv_dk = product(np.dot, self._p.T, self._dz1, self._gk)
         self._eps, self._half, self._n = const(BCE_EPS), const(0.5), const(b)
         self._one_minus_eps = const(1 - dt.type(BCE_EPS))
 
@@ -394,7 +409,7 @@ class TrainStep:
 
     def _run(self, rng) -> np.ndarray:
         np.copyto(self.patches, self._windows)
-        np.dot(self._p, self._k, out=self._z1)
+        self._conv_forward()
         np.add(self._z1, self.conv.bias, out=self._z1)
         np.maximum(self._z1, self._zero, out=self._z1)
         if self.rate:
@@ -404,7 +419,7 @@ class TrainStep:
             np.multiply(self._a1, self.s1, out=self._h1)
         else:
             np.copyto(self._h1, self._a1)
-        np.matmul(self.h, self.dense1.weights, out=self.z2)
+        self._dense1_forward()
         np.add(self.z2, self.dense1.bias, out=self.z2)
         np.maximum(self.z2, self._zero, out=self.z2)
         if self.rate:  # at rate 0, d2 is z2
@@ -492,12 +507,12 @@ class TrainStep:
         np.matmul(self.d2.T, dz3, out=g.output.weights)
         np.add.reduce(dz3, axis=0, out=g.output.bias)
         self._dropout_relu_backward(self.dz2, self.s2, self.z2, self.flags2, self.dz2)
-        np.matmul(self.dz2, self.dense1.weights.T, out=self.dh)
-        np.matmul(self.h.T, self.dz2, out=g.dense1.weights)
+        self._dense1_dh()
+        self._dense1_dw()
         np.add.reduce(self.dz2, axis=0, out=g.dense1.bias)
         self._dropout_relu_backward(self._dh1, self.s1, self._a1, self.flags1, self._dflat)
         np.add.reduce(self.dz1, axis=(0, 1, 2), out=g.conv.bias)
-        np.dot(self._p.T, self._dz1, out=self._gk)
+        self._conv_dk()
 
     @staticmethod
     def _load(out, a, idx) -> None:

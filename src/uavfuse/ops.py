@@ -19,12 +19,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .errors import ConfigError, NumericFault, ShapeError
 from .rng import Rng
+from .worker import run_halves, split_gate
 
 TRAIN_DTYPE = np.float32
 
@@ -37,6 +39,10 @@ RMSPROP_EPS = 1e-7
 # Elements per RMSprop pass: 256 KB of float32 per operand, so the five
 # operands of one block (1.25 MB) stay in a 2 MB L2.
 _RMSPROP_BLOCK = 65536
+# Blocks from which the pass splits in two halves, one on the package's
+# worker thread (``worker.split_gate``): the paper model has 221, the
+# reduced benchmark model 1.
+_SPLIT_BLOCKS = 8
 
 
 @dataclass
@@ -280,42 +286,67 @@ class RmspropUpdate:
         if not grad.flags.c_contiguous:
             raise ShapeError("grad must be C-contiguous to be read through a view")
         p_all, g_all, e_all = param.reshape(-1), grad.reshape(-1), mean_square.reshape(-1)
-        n = min(param.size, _RMSPROP_BLOCK)
-        denom, delta = np.empty(n, param.dtype), np.empty(n, param.dtype)
-        finite = np.empty(n, bool)
-        self._blocks = []
-        for lo in range(0, param.size, _RMSPROP_BLOCK):
-            hi = min(lo + _RMSPROP_BLOCK, param.size)
-            k = hi - lo
-            self._blocks.append(
-                (g_all[lo:hi], e_all[lo:hi], p_all[lo:hi], denom[:k], delta[:k], finite[:k])
-            )
+        count = -(-param.size // _RMSPROP_BLOCK)
+        mid = (count // 2 if count >= _SPLIT_BLOCKS and split_gate() else count) * _RMSPROP_BLOCK
+        # each half gets its own temporary rows; unsplit, the second is empty
+        first = _rmsprop_blocks(p_all[:mid], g_all[:mid], e_all[:mid])
+        second = _rmsprop_blocks(p_all[mid:], g_all[mid:], e_all[mid:])
+        self._blocks = first + second
+        self._halves = (first, second) if second else None
 
     def __call__(self, lr: float) -> None:
         """One update with learning rate ``lr``.
 
         Raises NumericFault at the first block whose gradient holds a
-        non-finite element; the blocks before it are already updated.
+        non-finite element; the blocks before it are already updated. With
+        the pass split in two halves, each half stops at its own first such
+        block, and blocks of the other half may already be updated too.
         """
-        rho, eps, fresh = RMSPROP_RHO, RMSPROP_EPS, 1.0 - RMSPROP_RHO
-        # One pass per block of _RMSPROP_BLOCK elements keeps every operand in
-        # cache. Each block runs the ops of rho*E + (1-rho)*g*g and
-        # theta - lr*g / (sqrt(E)+eps) in their left-to-right order, so when
-        # param, grad and mean_square share one dtype (as in training) the
-        # result is bit-identical to evaluating those expressions on whole tensors.
-        for g, e, p, t, u, finite in self._blocks:
-            np.isfinite(g, out=finite)
-            if not finite.all():
-                raise NumericFault("non-finite gradient element in rmsprop_step")
-            np.multiply(e, rho, out=e)
-            np.multiply(g, fresh, out=t)
-            np.multiply(t, g, out=t)
-            np.add(e, t, out=e)
-            np.sqrt(e, out=t)
-            np.add(t, eps, out=t)
-            np.multiply(g, lr, out=u)
-            np.divide(u, t, out=u)
-            np.subtract(p, u, out=p)
+        if self._halves is None:
+            _rmsprop_pass(self._blocks, lr)
+        else:
+            first, second = self._halves
+            run_halves(partial(_rmsprop_pass, first, lr), partial(_rmsprop_pass, second, lr))
+
+
+def _rmsprop_blocks(param, grad, mean_square) -> list[tuple[np.ndarray, ...]]:
+    """(grad, mean square, param, denominator, delta, finite) views per block of the vectors.
+
+    The last three are temporary rows that every block of the list shares.
+    """
+    n = min(param.size, _RMSPROP_BLOCK)
+    denom, delta, finite = np.empty(n, param.dtype), np.empty(n, param.dtype), np.empty(n, bool)
+    blocks = []
+    for lo in range(0, param.size, _RMSPROP_BLOCK):
+        hi = min(lo + _RMSPROP_BLOCK, param.size)
+        k = hi - lo
+        blocks.append(
+            (grad[lo:hi], mean_square[lo:hi], param[lo:hi], denom[:k], delta[:k], finite[:k])
+        )
+    return blocks
+
+
+def _rmsprop_pass(blocks, lr: float) -> None:
+    """RmspropUpdate's pass over ``blocks``; NumericFault at the first non-finite gradient block."""
+    rho, eps, fresh = RMSPROP_RHO, RMSPROP_EPS, 1.0 - RMSPROP_RHO
+    # One pass per block of _RMSPROP_BLOCK elements keeps every operand in
+    # cache. Each block runs the ops of rho*E + (1-rho)*g*g and
+    # theta - lr*g / (sqrt(E)+eps) in their left-to-right order, so when
+    # param, grad and mean_square share one dtype (as in training) the
+    # result is bit-identical to evaluating those expressions on whole tensors.
+    for g, e, p, t, u, finite in blocks:
+        np.isfinite(g, out=finite)
+        if not finite.all():
+            raise NumericFault("non-finite gradient element in rmsprop_step")
+        np.multiply(e, rho, out=e)
+        np.multiply(g, fresh, out=t)
+        np.multiply(t, g, out=t)
+        np.add(e, t, out=e)
+        np.sqrt(e, out=t)
+        np.add(t, eps, out=t)
+        np.multiply(g, lr, out=u)
+        np.divide(u, t, out=u)
+        np.subtract(p, u, out=p)
 
 
 def rmsprop_step(

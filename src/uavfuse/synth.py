@@ -63,8 +63,13 @@ class SynthConfig:
 
     def validate(self) -> None:
         check_finite_fields(self)
-        if self.recordings_per_modality < 0 or self.samples_per_recording < 0:
-            raise ConfigError("recording and sample counts must be non-negative")
+        if self.recordings_per_modality < 0:
+            raise ConfigError("recordings_per_modality must be non-negative")
+        # zero samples would make empty recordings, however many of them
+        if self.samples_per_recording < 1:
+            raise ConfigError(
+                f"samples_per_recording must be positive, got {self.samples_per_recording}"
+            )
         if not 0 <= self.uav_fraction <= 1:
             raise ConfigError(f"uav_fraction must be in [0, 1], got {self.uav_fraction}")
         for name in ("thermal_separation", "optronic_separation", "radar_separation"):

@@ -79,7 +79,10 @@ def evaluate_probabilities(model: Model, x, r, batch_size: int = 64) -> np.ndarr
     for its life, one per row count, up to three, all on the buffers of the
     largest (at the paper profile 115 MB for 64 rows; the short last chunk
     and single samples add nothing beside it), so it is not reentrant for
-    one model. Pair it with ``classify_probability`` for hard labels.
+    one model. Pair it with ``classify_probability`` for hard labels. At
+    the paper profile, with BLAS on one thread, each chunk's conv product
+    (and for 3 rows or more its dense1 product) runs in two halves on two
+    CPUs (``model.TrainStep``), with the same bits.
     """
     if x.shape[0] == 0:
         raise CompatibilityError("empty batch")

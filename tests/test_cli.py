@@ -79,6 +79,27 @@ def test_generate_zero_recordings_gives_empty_manifest(tmp_path):
     assert read_manifest(out) == []
 
 
+def test_zero_samples_per_recording_exits_2_at_once_without_output(tmp_path):
+    # a hundred million empty recordings per modality: before the check, this
+    # generated until it was killed; in a process of its own so that it cannot hang the suite
+    cfg = write_config(
+        tmp_path, "profile = reduced\nrecordings_per_modality = 100000000\nsamples_per_recording = 0\n"
+    )
+    out = tmp_path / "out"
+    timed_main = (
+        "import sys, time; from uavfuse.cli import main; t = time.perf_counter(); "
+        "code = main(sys.argv[1:]); print(time.perf_counter() - t); sys.exit(code)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", timed_main, "generate", "--config", str(cfg), "--out", str(out)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "samples_per_recording must be positive, got 0" in proc.stderr
+    assert float(proc.stdout) < 1.0
+    assert not out.exists()
+
+
 def test_unknown_config_key_exits_2_and_names_it(tmp_path, capsys):
     cfg = write_config(tmp_path, "no_such_knob = 5\n")
     code = main(["generate", "--config", str(cfg), "--out", str(tmp_path / "o")])

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from oracles import rmsprop_oracle
 from test_memory import MIB, traced_peak
 
+from uavfuse import worker
 from uavfuse.data import Label, Modality, ModalitySet, ShapeProfile
 from uavfuse.errors import (
     CompatibilityError,
@@ -38,12 +39,14 @@ from uavfuse.model import (
     build_model,
     classify_probability,
     load_weights,
+    record_maps,
     record_rows,
     save_weights,
     serialize_model,
     weights_digest,
     _spec_bytes,
 )
+from uavfuse import ops
 from uavfuse.msfr import shape_block
 from uavfuse.ops import (
     BCE_EPS,
@@ -748,6 +751,8 @@ class TestTrainStep:
 class TestSharedWorkspaces:
     """Workspaces on the leading rows of a 12-row set against separate buffers and the oracle."""
 
+    dataset, spec = staticmethod(tiny_dataset), staticmethod(tiny_spec)
+
     class Run:
         """A model, its gradient, its optimizer and its dropout stream, stepped in workspaces."""
 
@@ -778,8 +783,8 @@ class TestSharedWorkspaces:
     @pytest.mark.parametrize("dropout", [0.0, 0.5])
     @pytest.mark.parametrize("modality_set", list(ModalitySet))
     def test_bit_identical_to_separate_buffers_and_the_oracle(self, modality_set, dropout, dtype):
-        x, r, y = batch_arrays(tiny_dataset(modality_set).samples, dtype=dtype)
-        oracle = build_model(tiny_spec(modality_set, dropout), Rng(50), dtype)
+        x, r, y = batch_arrays(self.dataset(modality_set).samples, dtype=dtype)
+        oracle = build_model(self.spec(modality_set, dropout), Rng(50), dtype)
         shared, separate = self.Run(oracle.clone(), 12), self.Run(oracle.clone(), None)
         ms_oracle, rng_oracle = np.zeros_like(oracle.theta), Rng(51)
         order = Rng(52).permutation(len(y))
@@ -812,8 +817,8 @@ class TestSharedWorkspaces:
     @pytest.mark.parametrize("dropout", [0.0, 0.5])
     @pytest.mark.parametrize("modality_set", list(ModalitySet))
     def test_an_eval_forward_between_steps_changes_nothing(self, modality_set, dropout, dtype):
-        x, r, y = batch_arrays(tiny_dataset(modality_set).samples, dtype=dtype)
-        model = build_model(tiny_spec(modality_set, dropout), Rng(53), dtype)
+        x, r, y = batch_arrays(self.dataset(modality_set).samples, dtype=dtype)
+        model = build_model(self.spec(modality_set, dropout), Rng(53), dtype)
         plain, interleaved = self.Run(model.clone(), 12), self.Run(model.clone(), 12)
         order = Rng(54).permutation(len(y))
         first, second = order[:7], order[7:12]
@@ -827,11 +832,11 @@ class TestSharedWorkspaces:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("modality_set", list(ModalitySet))
     def test_a_batch_gathered_from_the_records_has_the_arrays_bits(self, modality_set, dtype):
-        ds = tiny_dataset(modality_set)
+        ds = self.dataset(modality_set)
         x, r, y = batch_arrays(ds.samples, dtype=dtype)
         rows = record_rows(ds.samples)
         assert np.shares_memory(rows, ds.samples)
-        model = build_model(tiny_spec(modality_set), Rng(55), dtype)
+        model = build_model(self.spec(modality_set), Rng(55), dtype)
         base = TrainStep(model, 12, np.empty_like(model.theta), records=ds.samples.dtype)
         from_records = TrainStep(model, 7, base.grads.theta, base, ds.samples.dtype)
         from_arrays = TrainStep(model, 7, np.empty_like(model.theta))
@@ -846,6 +851,108 @@ class TestSharedWorkspaces:
             rb = None if r is None else r[idx]
             p_o = oracle_forward(model, x[idx], rb, "eval", None)[0]
             assert _bits(evaluator.gather(rows, idx)) == _bits(p_o)
+
+
+# Products that pass worker.SPLIT_MACS from 5 rows (the conv forward and kernel
+# gradient of the stacked maps) and at 12 rows (all five), at widths that
+# split (32 filters, 2048 units, 864 or 800 dense inputs), and 30 RMSprop blocks
+SPLIT = ShapeProfile("split", (7, 7, 256), (7, 7, 256), (64,))
+SPLIT_PRODUCTS = ("_conv_forward", "_dense1_forward", "_dense1_dh", "_dense1_dw", "_conv_dk")
+
+
+def split_spec(modality_set=ModalitySet.THERMAL_OPTRONIC_RADAR, dropout=0.5):
+    return ModelSpec.for_profile(
+        modality_set, SPLIT, conv_filters=32, dense_units=2048, dropout_rate=dropout
+    )
+
+
+class TestSplitWorkspaces(TestSharedWorkspaces):
+    """TestSharedWorkspaces' cases with the gate on, so the large products and RMSprop split.
+
+    The threshold stays as it is: below it, OpenBLAS picks kernels for small
+    sizes that can give a half other bits than the whole product.
+    """
+
+    spec = staticmethod(split_spec)
+
+    @staticmethod
+    def dataset(modality_set):
+        return tiny_dataset(modality_set, shape_profile=SPLIT)
+
+    @pytest.fixture(autouse=True)
+    def split_on(self, monkeypatch):
+        monkeypatch.setattr(worker, "_gate", True)
+
+    @pytest.mark.parametrize("modality_set", list(ModalitySet))
+    def test_the_large_products_and_the_update_split(self, modality_set):
+        model = build_model(self.spec(modality_set), Rng(58))
+        grad = np.empty_like(model.theta)
+        split = {}
+        for n in (1, 5, 12):
+            ws = TrainStep(model, n, grad)
+            split[n] = {name for name in SPLIT_PRODUCTS
+                        if getattr(ws, name).func is worker.run_halves}
+        conv = set() if modality_set is ModalitySet.THERMAL else {"_conv_forward", "_conv_dk"}
+        assert split == {1: set(), 5: conv, 12: set(SPLIT_PRODUCTS)}
+        assert TrainStep(model, 12)._conv_forward.func is worker.run_halves
+        update = RmspropUpdate(model.theta, grad, np.zeros_like(grad))
+        first, second = update._halves
+        assert len(first) == len(update._blocks) // 2 >= 13 and first + second == update._blocks
+
+
+@pytest.fixture(scope="module")
+def paper_smoke_dataset():
+    """The data of acceptance criterion 3's full-scale smoke fit: 23 paper-profile samples."""
+    data = generate_synthetic_dataset(
+        SynthConfig(
+            recordings_per_modality=1, samples_per_recording=30,
+            shape_profile=ShapeProfile.paper(), seed=1,
+        )
+    )
+    return fuse_dataset(
+        data[Modality.THERMAL], data[Modality.OPTRONIC], data[Modality.RADAR],
+        ModalitySet.THERMAL_OPTRONIC_RADAR,
+    )
+
+
+@pytest.mark.parametrize("gate", [False, True], ids=["whole", "split"])
+def test_golden_paper_profile_fit_and_probabilities(paper_smoke_dataset, monkeypatch, gate):
+    # Pinned output of criterion 3's smoke fit, one epoch of the 14,484,993-parameter
+    # network, with the large products and RMSprop split or whole: the same bits.
+    monkeypatch.setattr(worker, "_gate", gate)
+    spec = ModelSpec.for_profile(ModalitySet.THERMAL_OPTRONIC_RADAR, ShapeProfile.paper())
+    trained, report = train(
+        build_model(spec, Rng(7).spawn("init")), paper_smoke_dataset,
+        TrainConfig(max_epochs=1, patience=1, seed=7),
+    )
+    assert report.weights_digest == (
+        "53fdf856ffc47e2ce09ced8c6a7dff5cbb865799e9a68a520e531288be09c9d1"
+    )
+    x, r = record_maps(paper_smoke_dataset.samples)
+    assert hashlib.sha256(evaluate_probabilities(trained, x[:1], r[:1])).hexdigest() == (
+        "60729c6445b3b3ae93afd93c258132014dd6c7ac8a7c94bfa07dd61c949b6688"
+    )
+    assert hashlib.sha256(evaluate_probabilities(trained, x, r)).hexdigest() == (
+        "b45125d7a0222fb4a4bf0fd961619e4c30241c99bcaf4e48ba9b7c3e6980ce81"
+    )
+    split = trained._eval_steps[len(x)]._conv_forward.func is worker.run_halves
+    assert split == gate
+
+
+def test_golden_weights_digest_with_the_update_split(monkeypatch):
+    # The reduced golden's products stay below the threshold; its 69,281
+    # parameters make two RMSprop blocks, which split at a lowered count.
+    monkeypatch.setattr(worker, "_gate", True)
+    monkeypatch.setattr(ops, "_SPLIT_BLOCKS", 2)
+    calls = []
+
+    def counted(first, second):
+        calls.append(1)
+        worker.run_halves(first, second)
+
+    monkeypatch.setattr(ops, "run_halves", counted)
+    TestTraining().test_golden_weights_digest()
+    assert calls
 
 
 def _first_logit_reaching(target, dtype):

@@ -10,6 +10,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from oracles import rmsprop_oracle
 
+from uavfuse import worker
 from uavfuse.errors import ConfigError, NumericFault, ShapeError
 from uavfuse.ops import (
     _RMSPROP_BLOCK,
@@ -626,6 +627,55 @@ class TestRmspropUpdate:
             update(1e-3)
             want_p, want_e = rmsprop_oracle(want_p, grad, want_e, 0, 1e-3, 0)
             assert np.array_equal(param, want_p) and np.array_equal(mean_square, want_e)
+
+
+class TestSplitRmspropUpdate:
+    """The update with its blocks in two halves, the second on the package's worker thread."""
+
+    @pytest.fixture(autouse=True)
+    def split_on(self, monkeypatch):
+        monkeypatch.setattr(worker, "_gate", True)
+
+    @staticmethod
+    def _update(size, dtype, seed):
+        rng = Rng(seed)
+        param, mean_square = rng.normal(size).astype(dtype), np.zeros(size, dtype)
+        grad = np.empty(size, dtype)
+        return RmspropUpdate(param, grad, mean_square), param, grad, mean_square, rng
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("blocks, tail", [(8, 0), (9, 0), (10, 3), (11, _RMSPROP_BLOCK - 1)])
+    def test_halves_match_the_whole_tensor_expression_bitwise(self, blocks, tail, dtype):
+        size = blocks * _RMSPROP_BLOCK + tail
+        update, param, grad, mean_square, rng = self._update(size, dtype, blocks)
+        first, second = update._halves
+        assert len(first) + len(second) == blocks + (tail > 0) and len(second) - len(first) in (0, 1)
+        assert not np.shares_memory(first[-1][3], second[-1][3])  # temporary rows of their own
+        want_p, want_e = param.copy(), mean_square.copy()
+        for step in range(3):
+            grad[...] = rng.normal(size) * 10.0 ** -step
+            update(1e-3 / (1.0 + 1e-2 * step))
+            want_p, want_e = rmsprop_oracle(want_p, grad, want_e, step, 1e-3, 1e-2)
+            assert np.array_equal(param, want_p) and np.array_equal(mean_square, want_e)
+
+    def test_fewer_blocks_stay_whole(self):
+        update = self._update(7 * _RMSPROP_BLOCK, np.float32, 1)[0]
+        assert update._halves is None and len(update._blocks) == 7
+
+    @pytest.mark.parametrize("at", [0, -1], ids=["first_half", "second_half"])
+    def test_a_non_finite_gradient_in_either_half_faults_and_the_next_update_works(self, at):
+        update, param, grad, mean_square, rng = self._update(9 * _RMSPROP_BLOCK + 3, np.float32, 2)
+        grad[...] = rng.normal(grad.size)
+        grad[at] = np.inf
+        before = param.copy()
+        with pytest.raises(NumericFault, match="non-finite gradient"):
+            update(1e-3)
+        # the faulting element's block is left alone; the other half ran to its end
+        assert param[at] == before[at] and param[-1 - at] != before[-1 - at]
+        grad[at] = 0.5
+        want_p, want_e = rmsprop_oracle(param, grad, mean_square, 0, 1e-3, 0)
+        update(1e-3)
+        assert np.array_equal(param, want_p) and np.array_equal(mean_square, want_e)
 
 
 class TestGradCheckHarness:
