@@ -6,6 +6,8 @@ network is trained with RMSprop, batch 12, early stopping on validation
 loss. Runs in about a minute.
 """
 
+import numpy as np
+
 from uavfuse import (
     Modality,
     ModalitySet,
@@ -25,7 +27,7 @@ from uavfuse import (
     roc_curve,
     train,
 )
-from uavfuse.model import batch_arrays
+from uavfuse.model import record_maps
 
 profile = ShapeProfile.reduced()
 config = SynthConfig(
@@ -61,8 +63,9 @@ print("val loss per epoch:",
       " ".join(f"{v:.3f}" for v in report.val_loss[:10]),
       "..." if len(report.val_loss) > 10 else "")
 
-# the model takes aligned arrays: batch_arrays copies the record columns
-x, r, y = batch_arrays(test_ds.samples)
+# the maps are read from the records in place; the labels are the one copy
+x, r = record_maps(test_ds.samples)
+y = np.array(test_ds.samples["label"], np.float32)
 p = evaluate_probabilities(trained, x, r)
 cm = confusion_at_threshold(y, p)
 rep = classification_report(cm)

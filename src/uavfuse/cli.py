@@ -52,6 +52,7 @@ from .metrics import (
 )
 from .model import build_model, load_weights, record_maps, save_weights, weights_digest
 from .msfr import (
+    provenance_block,
     read_fused,
     read_manifest,
     read_recording,
@@ -122,7 +123,12 @@ def cmd_register(cfg: RunConfig, data_dir: Path, out_dir: Path) -> int:
     fused = {}
     for split, (split_dir, chosen) in splits.items():
         parts = ([r for r in recordings[m] if r.recording_id in chosen] for m in Modality)
-        fused[split] = split_dir, fuse_dataset(*parts, cfg.modality_set, cfg.match)
+        dataset = fuse_dataset(*parts, cfg.modality_set, cfg.match)
+        try:
+            provenance_block(dataset)  # its u16 length, checked before any output
+        except ValidationError as exc:
+            raise ValidationError(f"split {split!r}: {exc}") from None
+        fused[split] = split_dir, dataset
 
     cfg.write_resolved(out_dir)
     name = f"fused_{cfg.modalities}.msfr"

@@ -229,31 +229,22 @@ def _check_batch(model: Model, x: np.ndarray, r: np.ndarray | None) -> None:
         raise CompatibilityError("model takes no radar input but the batch has one")
 
 
-# Eval workspaces a model caches, one per row count, since gemm bits depend
-# on it: a chunked evaluation needs two (the chunk and a short last chunk)
-# and single-sample classification a third. Every one views the buffers of
-# the largest; a larger row count, or a fourth beside the largest, replaces them.
-_EVAL_STEPS = 3
-
-
 def _forward(model: Model, x, r) -> np.ndarray:
     """Eval-mode UAV probabilities of a checked batch, in the model's workspace for its row count.
 
-    The result is that workspace's ``p`` buffer, which the next call on any
-    row count may overwrite.
+    The model caches one workspace per row count, since gemm bits depend on
+    it. Each views the buffers of the largest, so the cache holds one set of
+    buffers; a larger row count replaces them all. The result is that
+    workspace's ``p`` buffer, which the next call on any row count may
+    overwrite.
     """
     steps, n = model._eval_steps, len(x)
     ws = steps.get(n)
     if ws is None:
         largest = max(steps, default=0)
-        if n > largest:
+        base = steps[largest] if n < largest else None
+        if base is None:
             steps.clear()
-            base = None
-        else:
-            base = steps[largest]
-            if len(steps) == _EVAL_STEPS:
-                steps.clear()
-                steps[largest] = base
         ws = steps[n] = TrainStep(model, n, base=base)
     return ws.forward(x, r)
 
@@ -560,11 +551,6 @@ def _weight_chunks(model: Model):
         flat = arr.reshape(-1)
         for lo in range(0, flat.size, _BLOCK):
             yield np.ascontiguousarray(flat[lo : lo + _BLOCK], dtype="<f4")
-
-
-def serialize_model(model: Model) -> bytes:
-    """MSFW bytes: magic, version, spec fields, then tensors in fixed order."""
-    return b"".join(_weight_chunks(model))
 
 
 def save_weights(model: Model, destination) -> int:

@@ -56,11 +56,16 @@ def shape_block(shape: tuple[int, ...]) -> bytes:
     return struct.pack("<B", len(shape)) + struct.pack(f"<{len(shape)}I", *shape)
 
 
-def _id_block(text: str) -> bytes:
+def _id_block(text: str, what: str) -> bytes:
     raw = text.encode("utf-8")
     if len(raw) > 0xFFFF:
-        raise ValidationError(f"recording id of {len(raw)} bytes exceeds the u16 limit")
+        raise ValidationError(f"{what} of {len(raw)} bytes exceeds the u16 limit")
     return struct.pack("<H", len(raw)) + raw
+
+
+def provenance_block(dataset: FusedDataset) -> bytes:
+    """A fused file's id block: the provenance, its recording ids joined by commas."""
+    return _id_block(",".join(dataset.provenance), "provenance")
 
 
 class BinaryReader:
@@ -182,7 +187,8 @@ def write_recording(recording: Recording, destination) -> int:
     """Serialize one recording; returns the byte count written."""
     recording.validate()
     header = [MAGIC, struct.pack("<HB", VERSION, int(recording.modality)),
-              _id_block(recording.recording_id), shape_block(recording.feature_shape)]
+              _id_block(recording.recording_id, "recording id"),
+              shape_block(recording.feature_shape)]
     return _write(destination, header, recording.samples)
 
 
@@ -204,7 +210,7 @@ def write_fused(dataset: FusedDataset, destination) -> int:
     header = [
         MAGIC,
         struct.pack("<HBB", VERSION, FUSED_MODALITY_BYTE, dataset.modality_set.count),
-        _id_block(",".join(dataset.provenance)),
+        provenance_block(dataset),
         shape_block(dataset.stacked_shape),
         shape_block((dataset.radar_len,)),
     ]

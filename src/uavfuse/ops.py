@@ -2,13 +2,13 @@
 
 Valid 2-D convolution, fully connected layers, ReLU, sigmoid, inverted
 dropout and binary cross entropy, each with an exact analytic backward
-pass, plus a central-difference gradient checker. These allocate their
-results, never mutate their inputs, and are the test oracle of
-model.TrainStep, which runs the network in preallocated buffers.
-dropout_keep fills the bool array it is given. RmspropUpdate, which
-training builds once and calls every step, updates a parameter and a
-mean-square array in place; rmsprop_step is its pure form. Identical
-inputs (including generator state) give bit-identical outputs.
+pass. These allocate their results, never mutate their inputs, and are
+the test oracle of model.TrainStep, which runs the network in
+preallocated buffers. dropout_keep fills the bool array it is given.
+RmspropUpdate, which training builds once and calls every step, updates a
+parameter and a mean-square array in place; rmsprop_step is its pure
+form. Identical inputs (including generator state) give bit-identical
+outputs.
 
 Layout conventions: feature maps are (H, W, C) row-major, kernels are
 (kh, kw, C_in, C_out), dense weights are (n_in, n_out). Spatial functions
@@ -291,8 +291,7 @@ class RmspropUpdate:
         # each half gets its own temporary rows; unsplit, the second is empty
         first = _rmsprop_blocks(p_all[:mid], g_all[:mid], e_all[:mid])
         second = _rmsprop_blocks(p_all[mid:], g_all[mid:], e_all[mid:])
-        self._blocks = first + second
-        self._halves = (first, second) if second else None
+        self._halves = first, second
 
     def __call__(self, lr: float) -> None:
         """One update with learning rate ``lr``.
@@ -302,11 +301,11 @@ class RmspropUpdate:
         the pass split in two halves, each half stops at its own first such
         block, and blocks of the other half may already be updated too.
         """
-        if self._halves is None:
-            _rmsprop_pass(self._blocks, lr)
-        else:
-            first, second = self._halves
+        first, second = self._halves
+        if second:
             run_halves(partial(_rmsprop_pass, first, lr), partial(_rmsprop_pass, second, lr))
+        else:
+            _rmsprop_pass(first, lr)
 
 
 def _rmsprop_blocks(param, grad, mean_square) -> list[tuple[np.ndarray, ...]]:
@@ -364,21 +363,3 @@ def rmsprop_step(
     RmspropUpdate(new_param, np.ascontiguousarray(grad), mean_square)(lr)
     return new_param, RmspropState(mean_square, state.step_count + 1)
 
-
-def grad_check(f, x: np.ndarray, analytic_grad: np.ndarray, eps: float = 1e-5) -> float:
-    """Max relative error of an analytic gradient against central differences.
-
-    ``f`` maps an array like ``x`` to a scalar; x should be float64. The
-    relative error per component is |a-n| / max(|a|, |n|, 1e-12).
-    """
-    worst = 0.0
-    for idx in np.ndindex(x.shape):
-        xp = x.copy()
-        xp[idx] += eps
-        xm = x.copy()
-        xm[idx] -= eps
-        numeric = (f(xp) - f(xm)) / (2.0 * eps)
-        a = float(analytic_grad[idx])
-        err = abs(a - numeric) / max(abs(a), abs(numeric), 1e-12)
-        worst = max(worst, err)
-    return worst

@@ -76,13 +76,13 @@ def evaluate_probabilities(model: Model, x, r, batch_size: int = 64) -> np.ndarr
     ``r`` may be the unaligned fields of fused records (``record_maps``):
     each chunk is copied into the workspace, and the input is never copied
     whole. Chunks run in eval ``TrainStep`` workspaces that the model keeps
-    for its life, one per row count, up to three, all on the buffers of the
-    largest (at the paper profile 115 MB for 64 rows; the short last chunk
-    and single samples add nothing beside it), so it is not reentrant for
-    one model. Pair it with ``classify_probability`` for hard labels. At
-    the paper profile, with BLAS on one thread, each chunk's conv product
-    (and for 3 rows or more its dense1 product) runs in two halves on two
-    CPUs (``model.TrainStep``), with the same bits.
+    for its life, one per row count, all on the buffers of the largest (at
+    the paper profile 115 MB for 64 rows; the short last chunk and single
+    samples add nothing beside it), so it is not reentrant for one model.
+    Pair it with ``classify_probability`` for hard labels. At the paper
+    profile, with BLAS on one thread, each chunk's conv product (and for 3
+    rows or more its dense1 product) runs in two halves on two CPUs
+    (``model.TrainStep``), with the same bits.
     """
     if x.shape[0] == 0:
         raise CompatibilityError("empty batch")
@@ -163,7 +163,6 @@ def train(model: Model, dataset: FusedDataset, cfg: TrainConfig) -> tuple[Model,
     best_val = math.inf
     best_epoch = 0
     best_p_val = None
-    since_improve = 0
     stopped = cfg.max_epochs
 
     for epoch in range(1, cfg.max_epochs + 1):
@@ -202,12 +201,9 @@ def train(model: Model, dataset: FusedDataset, cfg: TrainConfig) -> tuple[Model,
             best_epoch = epoch
             np.copyto(best_theta, theta)
             best_p_val = p_val
-            since_improve = 0
-        else:
-            since_improve += 1
-            if since_improve == cfg.patience:
-                stopped = epoch
-                break
+        elif epoch - best_epoch == cfg.patience:
+            stopped = epoch
+            break
 
     if cfg.restore_best:
         theta[:] = best_theta

@@ -12,10 +12,11 @@ its pass by blocks, whose element-wise ops are exact anywhere.
 Work splits only where the handoff (about 20 us) is small beside it and
 the CPUs are not already busy: a product of at least ``SPLIT_MACS``
 multiply-adds, and only when ``split_gate()`` holds, that is when the
-process may run on two or more CPUs and numpy's OpenBLAS runs one thread.
-With OpenBLAS's own threads on, a split oversubscribes the CPUs and slows
-the product down. The worker starts on first use, so importing the
-package starts no thread; a forked child starts its own.
+process may run on two or more CPUs and numpy's OpenBLAS runs one thread
+with the kernels of the core the rule was measured on. With OpenBLAS's own
+threads on, a split oversubscribes the CPUs and slows the product down.
+The worker starts on first use, so importing the package starts no
+thread; a forked child starts its own.
 """
 
 from __future__ import annotations
@@ -41,10 +42,15 @@ SPLIT_MACS = 1 << 24
 # the float64 shapes tried changed bits.
 _COLUMNS = 16
 
-# numpy's bundled OpenBLAS and its thread-count query
+# numpy's bundled OpenBLAS, and its thread-count and core-name queries
 _BLAS_LIBS = Path(np.__file__).parent.parent / "numpy.libs"
 _BLAS_GLOB = "libscipy_openblas*.so*"
 _BLAS_THREADS = "scipy_openblas_get_num_threads64_"
+_BLAS_CORE = "scipy_openblas_get_corename64_"
+# The OpenBLAS core whose kernels the size and width rules were measured on
+# (OpenBLAS 0.3.31 picks them per CPU family at run time); on any other core
+# every product runs whole.
+_CORE = "SkylakeX"
 
 _gate: bool | None = None  # split_gate's answer, once asked
 _worker: tuple[int, object] | None = None  # (pid, job queue) of the running worker
@@ -52,24 +58,27 @@ _start = _thread.allocate_lock()
 
 
 def split_gate() -> bool:
-    """Whether work may split: two or more usable CPUs and OpenBLAS on one thread."""
+    """Whether work may split: two or more usable CPUs, and OpenBLAS on ``_CORE`` and one thread."""
     global _gate
     if _gate is None:
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-        _gate = cpus >= 2 and _blas_threads() == 1
+        _gate = cpus >= 2 and _blas() == (1, _CORE)
     return _gate
 
 
-def _blas_threads() -> int:
-    """OpenBLAS's thread count, asked of numpy's bundled library; 0 if it is not found."""
+def _blas() -> tuple[int, str]:
+    """(Thread count, core name) of numpy's bundled OpenBLAS; (0, "") if it is not found."""
     import ctypes
 
     for lib in sorted(_BLAS_LIBS.glob(_BLAS_GLOB)):
         try:
-            return ctypes.CDLL(str(lib))[_BLAS_THREADS]()
+            blas = ctypes.CDLL(str(lib))
+            core = blas[_BLAS_CORE]
+            core.restype = ctypes.c_char_p
+            return blas[_BLAS_THREADS](), core().decode()
         except (OSError, AttributeError):
             pass
-    return 0
+    return 0, ""
 
 
 def product(call, a: np.ndarray, b: np.ndarray, out: np.ndarray):

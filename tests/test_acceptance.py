@@ -10,6 +10,7 @@ import time
 
 import numpy as np
 
+from oracles import grad_check
 from test_registration import brute_force_match, pairs, stream
 
 from uavfuse.cli import main
@@ -39,7 +40,6 @@ from uavfuse.ops import (
     conv2d_forward,
     dense_backward,
     dense_forward,
-    grad_check,
     relu,
     relu_backward,
     sigmoid,

@@ -402,6 +402,21 @@ class TestRegister:
         assert "no radar recordings to fuse; unmatched recording ids: rec001" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_a_provenance_past_the_u16_limit_exits_3_before_any_output(self, generated, capsys):
+        # each id fits its recording's u16 id block; the two joined by a comma do not
+        cfg, data = generated
+        for name, _, _ in read_manifest(data):
+            rec = read_recording(data / name)
+            long_id = rec.recording_id.ljust(40_000, "x")
+            write_recording(Recording(rec.modality, long_id, rec.samples), data / name)
+        out = data.parent / "fused"
+        code = main(["register", "--config", str(cfg), "--data", str(data), "--out", str(out),
+                     "--modalities", "three"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "data error: split 'all': provenance of 80001 bytes exceeds the u16 limit" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("modalities", ["two", "three"])
     def test_maps_that_cannot_stack_exit_3(self, generated, capsys, modalities):
         cfg, data = generated

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
-from oracles import rmsprop_oracle
+from oracles import grad_check, rmsprop_oracle
 
 from uavfuse import worker
 from uavfuse.errors import ConfigError, NumericFault, ShapeError
@@ -26,7 +26,6 @@ from uavfuse.ops import (
     dense_forward,
     dropout_apply,
     dropout_backward,
-    grad_check,
     relu,
     relu_backward,
     RmspropUpdate,
@@ -660,7 +659,8 @@ class TestSplitRmspropUpdate:
 
     def test_fewer_blocks_stay_whole(self):
         update = self._update(7 * _RMSPROP_BLOCK, np.float32, 1)[0]
-        assert update._halves is None and len(update._blocks) == 7
+        first, second = update._halves
+        assert len(first) == 7 and second == []
 
     @pytest.mark.parametrize("at", [0, -1], ids=["first_half", "second_half"])
     def test_a_non_finite_gradient_in_either_half_faults_and_the_next_update_works(self, at):

@@ -69,6 +69,8 @@ def test_the_gate_is_on_only_with_one_blas_thread_and_two_cpus(threads, gate):
 @pytest.mark.parametrize("patch", [
     "worker._BLAS_LIBS = worker.Path('/no/such/directory')",
     "worker._BLAS_THREADS = 'no_such_symbol'",
+    "worker._BLAS_CORE = 'no_such_symbol'",
+    "worker._CORE = 'Haswell'",  # a core the exactness rule was not measured on
 ])
 def test_the_gate_is_off_without_the_blas_query(patch):
     out = run_python(f"""
