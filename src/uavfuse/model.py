@@ -7,13 +7,16 @@ concatenation; the single-modality variant feeds the thermal map alone.
 A probability strictly above 0.5 is classified as UAV, 0.5 or below as
 false alarm.
 
-``TrainStep`` is the one implementation. Training runs it in train mode,
+``TrainStep`` is the one implementation, and packed fused records are its
+one input layout. Training gathers its batches into them in train mode,
 and so do the gradient checks, which give ``backward_pass`` an outside
-dL/dp; evaluation runs it in eval mode through ``_forward``.
+dL/dp; evaluation copies its maps in through ``_forward`` in eval mode,
+one call per model at a time.
 """
 
 from __future__ import annotations
 
+import _thread
 import hashlib
 import math
 import struct
@@ -22,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Label, ModalitySet, ShapeProfile
+from .data import Label, ModalitySet, ShapeProfile, fused_dtype
 from .errors import CompatibilityError, ConfigError, CorruptionError, ShapeError
 from .msfr import BinaryReader, shape_block
 from .ops import BCE_EPS, TRAIN_DTYPE, ConvParams, DenseParams, conv_windows, dropout_keep
@@ -122,7 +125,8 @@ class Model:
 
     ``conv``, ``dense1`` and ``output`` hold views of ``theta`` in
     PARAM_ORDER, so an in-place update of the vector updates every layer
-    and the eval workspaces cached in ``_eval_steps``.
+    and the eval workspaces cached in ``_eval_steps``, which calls use in
+    turn under ``_lock`` (a clone has its own).
     """
 
     def __init__(self, spec: ModelSpec, theta: np.ndarray):
@@ -141,6 +145,7 @@ class Model:
         self.dense1 = DenseParams(views["dense1_weights"], views["dense1_bias"])
         self.output = DenseParams(views["output_weights"], views["output_bias"])
         self._eval_steps: dict[int, TrainStep] = {}
+        self._lock = _thread.allocate_lock()
 
     def params(self) -> dict[str, np.ndarray]:
         """Every parameter tensor by name, in PARAM_ORDER; each views ``theta``."""
@@ -236,7 +241,7 @@ def _forward(model: Model, x, r) -> np.ndarray:
     it. Each views the buffers of the largest, so the cache holds one set of
     buffers; a larger row count replaces them all. The result is that
     workspace's ``p`` buffer, which the next call on any row count may
-    overwrite.
+    overwrite. The caller holds the model's ``_lock``.
     """
     steps, n = model._eval_steps, len(x)
     ws = steps.get(n)
@@ -259,7 +264,12 @@ def backward_pass(ws: TrainStep, grad_p: np.ndarray) -> dict[str, np.ndarray]:
 class TrainStep:
     """Preallocated buffers for the network on a fixed number of rows.
 
-    Train mode (with ``grad``): ``forward`` runs the network with dropout,
+    The input buffer ``records`` holds whole records of the spec's
+    ``data.fused_dtype``, and the conv windows read their float32 stacked
+    field ``x``, so a float64 model (the gradient checks') reads its maps
+    at float32 precision.
+
+    Train mode (with ``grad``): ``gather`` runs the network with dropout,
     drawing the keep flags of both dropout layers in one call; ``loss``
     takes the batch's labels, returns the loss and writes its gradient
     through the sigmoid into ``dz3``; ``backward`` then writes the loss
@@ -270,17 +280,13 @@ class TrainStep:
     functions make, on the same operand shapes, and each element-wise step
     runs their float ops in their order, so the bits are theirs.
 
-    With ``records``, the dtype of packed fused records, ``gather`` reads a
-    batch from the records' bytes in place of ``forward``: the input buffer
-    holds whole records, and ``x`` is their stacked field.
-
     Given ``base``, a workspace of at least as many rows (in train mode if
-    this one is, with the same ``grad`` and ``records``), every buffer
-    views the leading rows of the base's, so workspaces for several row
-    counts hold one set of buffers. The bits are those of separate buffers,
-    but the workspaces take turns: a forward overwrites what the others
-    hold, so a train step's forward, loss and backward run with no other
-    workspace between them.
+    this one is, with the same ``grad``), every buffer views the leading
+    rows of the base's, so workspaces for several row counts hold one set
+    of buffers. The bits are those of separate buffers, but the workspaces
+    take turns: a forward overwrites what the others hold, so a train
+    step's forward, loss and backward run with no other workspace between
+    them.
 
     The five large products (the conv forward and kernel gradient, and the
     dense1 forward and its two gradient products) are bound once, here, by
@@ -294,10 +300,8 @@ class TrainStep:
     cache it without a reference cycle. The caller checks shapes.
     """
 
-    def __init__(
-        self, model: Model, batch_size: int, grad: np.ndarray | None = None,
-        base: "TrainStep | None" = None, records: np.dtype | None = None,
-    ):
+    def __init__(self, model: Model, batch_size: int, grad: np.ndarray | None = None,
+                 base: "TrainStep | None" = None):
         spec, dt = model.spec, model.theta.dtype
         b, flat, c_out = batch_size, spec.flatten_width, spec.conv_filters
         self.conv, self.dense1, self.output = model.conv, model.dense1, model.output
@@ -321,12 +325,9 @@ class TrainStep:
         self._zero, self._one = const(0), const(1)
         self._tiny = const(np.finfo(dt).tiny)
         self._below_one = const(np.nextafter(dt.type(1), dt.type(0)))
-        if records is None:
-            self.x = buf("x", (b, *spec.stacked_shape))
-        else:
-            # the batch's whole records; the conv windows read their stacked field
-            self.records = buf("records", (b, records.itemsize), np.uint8)
-            self.x, self._radar = record_maps(self.records.view(records)[:, 0])
+        records = fused_dtype(spec.stacked_shape, spec.radar_len)
+        self.records = buf("records", (b, records.itemsize), np.uint8)
+        self.x, self._radar = record_maps(self.records.view(records)[:, 0])
         self._windows = conv_windows(self.x, *spec.kernel)
         self.patches = buf("patches", self._windows.shape)
         self.z1 = buf("z1", (b, *spec.conv_out_shape))  # ReLU'd in place
@@ -376,24 +377,26 @@ class TrainStep:
         self._eps, self._half, self._n = const(BCE_EPS), const(0.5), const(b)
         self._one_minus_eps = const(1 - dt.type(BCE_EPS))
 
-    def forward(self, x: np.ndarray, r: np.ndarray | None, idx=None, rng=None) -> np.ndarray:
-        """UAV probabilities of the batch ``x[idx]``, ``r[idx]``, or of all of ``x``, ``r``.
+    def forward(self, x: np.ndarray, r: np.ndarray | None) -> np.ndarray:
+        """Eval-mode UAV probabilities of a checked batch, copied in: ``x`` into ``self.x``.
 
-        The result is the workspace's ``p`` buffer, which the next call overwrites.
+        ``r`` goes straight into the radar columns of ``h``. The result is the
+        workspace's ``p`` buffer, which the next call overwrites.
         """
-        self._load(self.x, x, idx)
+        np.copyto(self.x, x)
         if r is not None:
-            self._load(self._hr, r, idx)
-        return self._run(rng)
+            np.copyto(self._hr, r)
+        return self._run(None)
 
     def gather(self, rows: np.ndarray, idx: np.ndarray, rng=None) -> np.ndarray:
-        """``forward`` of the records ``idx`` of ``rows`` (``record_rows``), in a record workspace.
+        """UAV probabilities of the records ``idx`` of ``rows`` (``record_rows``).
 
         ``take`` on a record field would copy the whole input first, since the
         field is an unaligned view; so one ``take`` copies the batch's whole
         records into the record buffer, and the conv windows read its field.
         """
-        rows.take(idx, 0, self.records, "clip")  # as in _load: idx holds row numbers of rows
+        # idx holds row numbers of rows, so "clip" never clamps; "raise" takes via a temporary
+        rows.take(idx, 0, self.records, "clip")
         if self._radar is not None:
             np.copyto(self._hr, self._radar)
         return self._run(rng)
@@ -441,7 +444,7 @@ class TrainStep:
         np.maximum(p, self._tiny, out=p)  # np.clip's order: max with the low bound first
         np.minimum(p, self._below_one, out=p)
 
-    def loss(self, y: np.ndarray, idx=None) -> tuple[float, int]:
+    def loss(self, y: np.ndarray, idx: np.ndarray) -> tuple[float, int]:
         """(Loss, correct count) of the last forward batch against the labels ``y[idx]``.
 
         The loss is ``ops.bce_loss``'s, by its expression in its order; its
@@ -450,7 +453,7 @@ class TrainStep:
         """
         p, yb, (m1, m2) = self.p, self.y, self._masks
         a, c, phat, v = self._tmp
-        self._load(yb, y, idx)
+        y.take(idx, 0, yb, "clip")  # as in gather
         np.maximum(p, self._eps, out=phat)  # np.clip(p, eps, 1 - eps)
         np.minimum(phat, self._one_minus_eps, out=phat)
         # mean(-(y * log(phat) + (1 - y) * log1p(-phat)))
@@ -504,15 +507,6 @@ class TrainStep:
         self._dropout_relu_backward(self._dh1, self.s1, self._a1, self.flags1, self._dflat)
         np.add.reduce(self.dz1, axis=(0, 1, 2), out=g.conv.bias)
         self._conv_dk()
-
-    @staticmethod
-    def _load(out, a, idx) -> None:
-        if idx is None:
-            np.copyto(out, a)
-        else:
-            # idx holds row numbers of a (train() takes them from a permutation),
-            # so "clip" never clamps; "raise" would gather through a temporary
-            a.take(idx, 0, out, "clip")
 
     def _dropout_relu_backward(self, upstream, scale, a, flags, out) -> None:
         """out = upstream * scale * (a > 0), in that order; a > 0 exactly where z > 0."""

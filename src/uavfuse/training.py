@@ -14,14 +14,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import FusedDataset
+from .data import FusedDataset, fused_dtype
 from .errors import (
     CompatibilityError, ConfigError, NumericFault, TrainingError, check_finite_fields
 )
 from .metrics import classification_report, confusion_at_threshold
-from .model import (
-    Model, TrainStep, record_maps, record_rows, weights_digest, _check_batch, _forward
-)
+from .model import Model, TrainStep, record_rows, weights_digest, _check_batch, _forward
 from .ops import RmspropUpdate, bce_loss
 from .rng import Rng
 
@@ -74,11 +72,12 @@ def evaluate_probabilities(model: Model, x, r, batch_size: int = 64) -> np.ndarr
     The package's one inference entry point: deterministic, no dropout,
     computed in the model's dtype, in chunks of ``batch_size``. ``x`` and
     ``r`` may be the unaligned fields of fused records (``record_maps``):
-    each chunk is copied into the workspace, and the input is never copied
-    whole. Chunks run in eval ``TrainStep`` workspaces that the model keeps
-    for its life, one per row count, all on the buffers of the largest (at
-    the paper profile 115 MB for 64 rows; the short last chunk and single
-    samples add nothing beside it), so it is not reentrant for one model.
+    each chunk is copied into the workspace (the maps at float32), and the
+    input is never copied whole. Chunks run in eval ``TrainStep``
+    workspaces that the model keeps for its life, one per row count, all on
+    the buffers of the largest (at the paper profile 115 MB for 64 rows;
+    the short last chunk and single samples add nothing beside it). Calls
+    on one model take turns on its lock, so each gets its own results.
     Pair it with ``classify_probability`` for hard labels. At the paper
     profile, with BLAS on one thread, each chunk's conv product (and for 3
     rows or more its dense1 product) runs in two halves on two CPUs
@@ -90,9 +89,10 @@ def evaluate_probabilities(model: Model, x, r, batch_size: int = 64) -> np.ndarr
         raise ConfigError(f"batch_size must be positive, got {batch_size}")
     _check_batch(model, x, r)
     out = np.empty(x.shape[0], model.theta.dtype)
-    for s in range(0, x.shape[0], batch_size):
-        rb = None if r is None else r[s : s + batch_size]
-        out[s : s + batch_size] = _forward(model, x[s : s + batch_size], rb)
+    with model._lock:
+        for s in range(0, x.shape[0], batch_size):
+            rb = None if r is None else r[s : s + batch_size]
+            out[s : s + batch_size] = _forward(model, x[s : s + batch_size], rb)
     return out
 
 
@@ -111,18 +111,20 @@ def train(model: Model, dataset: FusedDataset, cfg: TrainConfig) -> tuple[Model,
     epoch's, otherwise the last epoch's; the report's val_weighted_f1 is
     that epoch's.
 
-    Batches and validation chunks are gathered from the dataset's records
-    by row number; the labels are the only per-sample copy. Besides the
-    caller's model it holds four vectors of theta's size (the clone, its
-    gradient, the mean square and the best epoch's copy) and one set of
-    workspace buffers for the largest row count; the returned model caches
-    no workspace.
+    Batches and validation chunks are gathered from the dataset's records,
+    in the model's layout, by row number; the labels are the only
+    per-sample copy. Besides the caller's model it holds four vectors of
+    theta's size (the clone, its gradient, the mean square and the best
+    epoch's copy) and one set of workspace buffers for the largest row
+    count; the returned model caches no workspace.
     """
     cfg.validate()
     samples = dataset.samples
     if len(samples) == 0:
         raise TrainingError("dataset is empty")
-    _check_batch(model, *record_maps(samples))
+    layout = fused_dtype(model.spec.stacked_shape, model.spec.radar_len)
+    if samples.dtype != layout:
+        raise CompatibilityError(f"records {samples.dtype} are not the model's layout {layout}")
     y = np.array(samples["label"], dtype=model.theta.dtype)
 
     rng = Rng(cfg.seed)
@@ -151,10 +153,10 @@ def train(model: Model, dataset: FusedDataset, cfg: TrainConfig) -> tuple[Model,
     train_sizes = _step_sizes(train_n, cfg.batch_size)
     val_sizes = _step_sizes(val_n, cfg.batch_size)
     largest = max(train_sizes | val_sizes)
-    rows, records = record_rows(samples), samples.dtype
-    base = TrainStep(model, largest, grad, records=records)
-    workspaces = {n: TrainStep(model, n, grad, base, records) for n in train_sizes}
-    evaluators = {n: TrainStep(model, n, None, base, records) for n in val_sizes}
+    rows = record_rows(samples)
+    base = TrainStep(model, largest, grad)
+    workspaces = {n: TrainStep(model, n, grad, base) for n in train_sizes}
+    evaluators = {n: TrainStep(model, n, None, base) for n in val_sizes}
     step = 0
 
     y_val = y[val_idx]

@@ -1,6 +1,9 @@
-"""Independent reference expressions shared by the test modules."""
+"""Independent reference expressions, and a record-packing helper, shared by the test modules."""
 
 import numpy as np
+
+from uavfuse.data import fused_dtype
+from uavfuse.model import record_rows
 
 
 def rmsprop_oracle(param, grad, mean_square, step, lr0, decay, rho=0.9, eps=1e-7):
@@ -30,3 +33,16 @@ def grad_check(f, x: np.ndarray, analytic_grad: np.ndarray, eps: float = 1e-5) -
         err = abs(a - numeric) / max(abs(a), abs(numeric), 1e-12)
         worst = max(worst, err)
     return worst
+
+
+def fused_rows(x, r, y):
+    """Maps ``x``, radar-or-None ``r`` and labels ``y`` packed into fused records.
+
+    The (records, record bytes) rows that ``TrainStep.gather`` takes, as
+    ``record_rows`` gives them; the payloads are stored as float32.
+    """
+    samples = np.zeros(len(x), fused_dtype(x.shape[1:], 0 if r is None else r.shape[1]))
+    samples["stacked"], samples["label"] = x, y
+    if r is not None:
+        samples["radar"] = r
+    return record_rows(samples)

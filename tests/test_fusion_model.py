@@ -4,18 +4,21 @@ import gc
 import hashlib
 import math
 import struct
+import sys
+import threading
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import grad_check, rmsprop_oracle
+from oracles import fused_rows, grad_check, rmsprop_oracle
 from test_memory import MIB, traced_peak
 
 from uavfuse import worker
-from uavfuse.data import Label, Modality, ModalitySet, ShapeProfile
+from uavfuse.data import FusedDataset, Label, Modality, ModalitySet, ShapeProfile
 from uavfuse.errors import (
     CompatibilityError,
     ConfigError,
@@ -291,9 +294,9 @@ class TestForward:
 
     def test_train_mode_reproducible_given_seed(self):
         model = build_model(tiny_spec(), Rng(4))
-        x, r, _ = batch_arrays(tiny_dataset().samples[:6])
-        p1 = TrainStep(model, 6, np.empty_like(model.theta)).forward(x, r, None, Rng(55))
-        p2 = TrainStep(model, 6, np.empty_like(model.theta)).forward(x, r, None, Rng(55))
+        rows, idx = record_rows(tiny_dataset().samples), np.arange(6)
+        p1 = TrainStep(model, 6, np.empty_like(model.theta)).gather(rows, idx, Rng(55))
+        p2 = TrainStep(model, 6, np.empty_like(model.theta)).gather(rows, idx, Rng(55))
         assert np.array_equal(p1, p2)
 
     def test_shape_mismatch_rejected(self):
@@ -433,11 +436,12 @@ class TestEndToEndGradient:
         model = build_model(spec, Rng(11), dtype=np.float64)
         ds = tiny_dataset()
         x, r, y = batch_arrays(ds.samples[:4], dtype=np.float64)
+        rows = fused_rows(x, r, y)
 
         def loss_with(m):
             # fresh Rng per evaluation so the dropout masks repeat exactly
             ws = TrainStep(m, len(x), np.empty_like(m.theta))
-            loss, grad_p = bce_loss(ws.forward(x, r, None, Rng(321)), y)
+            loss, grad_p = bce_loss(ws.gather(rows, np.arange(len(x)), Rng(321)), y)
             return loss, ws, grad_p
 
         loss, ws, grad_p = loss_with(model)
@@ -615,6 +619,30 @@ class TestTraining:
         with pytest.raises(CompatibilityError):
             train(model, tiny_dataset(data_set), TrainConfig(max_epochs=1, patience=1))
 
+    @pytest.mark.parametrize("layout", ["big-endian payloads", "reordered fields"])
+    def test_records_in_another_layout_are_rejected_before_any_step(self, layout, monkeypatch):
+        # The same values in another layout: evaluation reads them by field,
+        # but a training step copies record bytes into the model's layout.
+        ds = tiny_dataset()
+        f4 = ">f4" if layout == "big-endian payloads" else "<f4"
+        payloads = [(name, f4, ds.samples.dtype[name].shape) for name in ("stacked", "radar")]
+        if layout == "reordered fields":
+            payloads.reverse()
+        samples = np.recarray(len(ds.samples), [("timestamp", "<f8"), ("label", "u1"), *payloads])
+        for name in samples.dtype.names:
+            samples[name] = ds.samples[name]
+        model = build_model(tiny_spec(), Rng(27))
+        assert _bits(evaluate_probabilities(model, *record_maps(samples))) == _bits(
+            evaluate_probabilities(model, *record_maps(ds.samples))
+        )
+
+        def no_step(*args):
+            raise AssertionError("a step ran")
+
+        monkeypatch.setattr(TrainStep, "gather", no_step)
+        with pytest.raises(CompatibilityError, match="not the model's layout"):
+            train(model, FusedDataset(ds.modality_set, samples, ds.provenance), TrainConfig())
+
     def test_non_finite_gradient_faults_and_leaves_the_input_alone(self, monkeypatch):
         # a finite loss with an infinite gradient in the last tensor, so the
         # fault comes from the optimizer's own check
@@ -700,6 +728,7 @@ class TestTrainStep:
         ds = tiny_dataset(modality_set)
         x, r, y = batch_arrays(ds.samples, dtype=dtype)
         assert (r is not None) == modality_set.has_radar
+        rows = fused_rows(x, r, y)
         oracle = build_model(tiny_spec(modality_set, dropout), Rng(30), dtype)
         model = oracle.clone()
         grad = np.empty_like(model.theta)
@@ -716,7 +745,7 @@ class TestTrainStep:
                 if len(idx) not in workspaces:
                     workspaces[len(idx)] = TrainStep(model, len(idx), grad)
                 ws = workspaces[len(idx)]
-                p = ws.forward(x, r, idx, rng)
+                p = ws.gather(rows, idx, rng)
                 loss, correct = ws.loss(y, idx)
                 ws.backward()
                 assert _bits(p) == _bits(p_o)
@@ -760,27 +789,31 @@ class TestSharedWorkspaces:
             self.base = None if base_rows is None else TrainStep(model, base_rows, self.grad)
             self.steps = {}
 
-        def step(self, x, r, y, idx):
+        def step(self, rows, y, idx):
             n = len(idx)
             if n not in self.steps:
                 self.steps[n] = TrainStep(self.model, n, self.grad, self.base)
             ws = self.steps[n]
-            p = ws.forward(x, r, idx, self.rng).copy()
+            p = ws.gather(rows, idx, self.rng).copy()
             loss, _ = ws.loss(y, idx)
             ws.backward()
             self.update(1e-2)
             return p, loss, self.grad.copy(), self.model.theta.copy()
 
-        def evaluate(self, x, r, rows):
-            return TrainStep(self.model, rows.stop - rows.start, base=self.base).forward(
-                x[rows], None if r is None else r[rows]
-            ).copy()
+        def evaluate(self, x, r, rows, idx):
+            """Eval-mode probabilities of the batch idx: (copied in, gathered from rows)."""
+            ws = TrainStep(self.model, len(idx), base=self.base)
+            copied = ws.forward(x[idx], None if r is None else r[idx]).copy()
+            return copied, ws.gather(rows, idx).copy()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("dropout", [0.0, 0.5])
     @pytest.mark.parametrize("modality_set", list(ModalitySet))
     def test_bit_identical_to_separate_buffers_and_the_oracle(self, modality_set, dropout, dtype):
-        x, r, y = batch_arrays(self.dataset(modality_set).samples, dtype=dtype)
+        ds = self.dataset(modality_set)
+        x, r, y = batch_arrays(ds.samples, dtype=dtype)
+        rows = record_rows(ds.samples)
+        assert np.shares_memory(rows, ds.samples)
         oracle = build_model(self.spec(modality_set, dropout), Rng(50), dtype)
         shared, separate = self.Run(oracle.clone(), 12), self.Run(oracle.clone(), None)
         ms_oracle, rng_oracle = np.zeros_like(oracle.theta), Rng(51)
@@ -794,7 +827,7 @@ class TestSharedWorkspaces:
                 oracle.theta, grad_o, ms_oracle, 0, 1e-2, 0
             )
             for run in (shared, separate):
-                p, loss, grad, theta = run.step(x, r, y, idx)
+                p, loss, grad, theta = run.step(rows, y, idx)
                 assert _bits(p) == _bits(p_o)
                 assert loss == loss_o
                 assert _bits(grad) == _bits(grad_o)
@@ -804,50 +837,30 @@ class TestSharedWorkspaces:
             assert not np.shares_memory(separate.steps[n].x, shared.base.x)
         want = rng_oracle.u64(5)
         assert _bits(shared.rng.u64(5)) == _bits(want) == _bits(separate.rng.u64(5))
-        # eval mode on the same buffers: 1, 5 and 7 rows against the oracle
-        for rows in (slice(0, 1), slice(3, 8), slice(10, 17)):
-            rb = None if r is None else r[rows]
-            p_o = oracle_forward(oracle, x[rows], rb, "eval", None)[0]
-            assert _bits(shared.evaluate(x, r, rows)) == _bits(p_o)
+        # eval mode on the same buffers: 1, 5 and 7 rows, and 7 shuffled, against the oracle
+        for idx in (np.arange(1), np.arange(3, 8), np.arange(10, 17), order[40:47]):
+            rb = None if r is None else r[idx]
+            p_o = oracle_forward(oracle, x[idx], rb, "eval", None)[0]
+            copied, gathered = shared.evaluate(x, r, rows, idx)
+            assert _bits(copied) == _bits(p_o) == _bits(gathered)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("dropout", [0.0, 0.5])
     @pytest.mark.parametrize("modality_set", list(ModalitySet))
     def test_an_eval_forward_between_steps_changes_nothing(self, modality_set, dropout, dtype):
-        x, r, y = batch_arrays(self.dataset(modality_set).samples, dtype=dtype)
+        ds = self.dataset(modality_set)
+        x, r, y = batch_arrays(ds.samples, dtype=dtype)
+        rows = record_rows(ds.samples)
         model = build_model(self.spec(modality_set, dropout), Rng(53), dtype)
         plain, interleaved = self.Run(model.clone(), 12), self.Run(model.clone(), 12)
         order = Rng(54).permutation(len(y))
         first, second = order[:7], order[7:12]
-        plain.step(x, r, y, first)
-        interleaved.step(x, r, y, first)
-        interleaved.evaluate(x, r, slice(20, 32))
-        got, want = interleaved.step(x, r, y, second), plain.step(x, r, y, second)
+        plain.step(rows, y, first)
+        interleaved.step(rows, y, first)
+        interleaved.evaluate(x, r, rows, np.arange(20, 32))
+        got, want = interleaved.step(rows, y, second), plain.step(rows, y, second)
         for a, b in zip(got, want):
             assert _bits(a) == _bits(b)
-
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("modality_set", list(ModalitySet))
-    def test_a_batch_gathered_from_the_records_has_the_arrays_bits(self, modality_set, dtype):
-        ds = self.dataset(modality_set)
-        x, r, y = batch_arrays(ds.samples, dtype=dtype)
-        rows = record_rows(ds.samples)
-        assert np.shares_memory(rows, ds.samples)
-        model = build_model(self.spec(modality_set), Rng(55), dtype)
-        base = TrainStep(model, 12, np.empty_like(model.theta), records=ds.samples.dtype)
-        from_records = TrainStep(model, 7, base.grads.theta, base, ds.samples.dtype)
-        from_arrays = TrainStep(model, 7, np.empty_like(model.theta))
-        evaluator = TrainStep(model, 7, None, base, ds.samples.dtype)
-        for idx in np.split(Rng(56).permutation(len(y))[:21], 3):
-            p = from_records.gather(rows, idx, Rng(57))
-            assert _bits(p) == _bits(from_arrays.forward(x, r, idx, Rng(57)))
-            assert from_records.loss(y, idx) == from_arrays.loss(y, idx)
-            from_records.backward()
-            from_arrays.backward()
-            assert _bits(from_records.grads.theta) == _bits(from_arrays.grads.theta)
-            rb = None if r is None else r[idx]
-            p_o = oracle_forward(model, x[idx], rb, "eval", None)[0]
-            assert _bits(evaluator.gather(rows, idx)) == _bits(p_o)
 
 
 # Products that pass worker.SPLIT_MACS from 5 rows (the conv forward and kernel
@@ -990,7 +1003,7 @@ class TestWorkspaceHead:
         return TrainStep(model, batch_size, np.empty_like(model.theta))
 
     def _check(self, ws, p_want, y):
-        loss, correct = ws.loss(y)
+        loss, correct = ws.loss(y, np.arange(len(y)))
         loss_want, grad_p = bce_loss(p_want, y)
         assert loss == loss_want or not (math.isfinite(loss) or math.isfinite(loss_want))
         dz3_want = sigmoid_backward(grad_p.reshape(-1, 1), p_want.reshape(-1, 1))
@@ -1043,12 +1056,43 @@ class TestEvalWorkspaces:
         assert _bits(after) == _bits(evaluate_probabilities(other, x, r, 12))
         assert _bits(after) != _bits(before)
 
-    def test_at_most_three_row_counts_are_cached(self):
+    def test_each_larger_row_count_replaces_the_cache(self):
         model = build_model(tiny_spec(), Rng(37))
         x, r, _ = batch_arrays(tiny_dataset().samples[:10])
         for n in range(1, 11):
             evaluate_probabilities(model, x[:n], r[:n])
-            assert n in model._eval_steps and len(model._eval_steps) <= 3
+            assert sorted(model._eval_steps) == [n]
+
+    def test_overlapping_calls_on_one_model_take_turns(self):
+        # Three threads, more than two CPUs' worth, serve one model with one
+        # row count, so every call uses one workspace; each result must be
+        # its own batch's single-thread bits.
+        spec = ModelSpec.for_profile(
+            ModalitySet.THERMAL_OPTRONIC_RADAR, ShapeProfile.reduced(),
+            conv_filters=16, dense_units=32,
+        )
+        model, rng = build_model(spec, Rng(42)), Rng(43)
+        batches = [
+            (rng.normal((64, *spec.stacked_shape)).astype(np.float32),
+             rng.normal((64, spec.radar_len)).astype(np.float32))
+            for _ in range(3)
+        ]
+        want = [_bits(evaluate_probabilities(model, x, r)) for x, r in batches]
+        barrier = threading.Barrier(len(batches))
+
+        def serve(k):
+            x, r = batches[k]
+            barrier.wait(timeout=60)
+            return sum(_bits(evaluate_probabilities(model, x, r)) != want[k] for _ in range(200))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(len(batches)) as pool:
+                wrong = list(pool.map(serve, range(len(batches)), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert wrong == [0] * len(batches)
 
     def test_smaller_row_counts_view_the_largest_workspace(self):
         model = build_model(tiny_spec(), Rng(41))

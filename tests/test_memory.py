@@ -146,7 +146,7 @@ def test_training_memory_does_not_grow_with_the_data(reduced_set):
 def test_a_training_step_gathers_the_batch_alone(reduced_set):
     samples = reduced_set.samples
     model = build_model(SMALL, Rng(8))
-    ws = TrainStep(model, 12, np.empty_like(model.theta), records=samples.dtype)
+    ws = TrainStep(model, 12, np.empty_like(model.theta))
     rows = record_rows(samples)
     y = np.array(samples["label"], model.theta.dtype)
     idx, rng = Rng(9).permutation(len(samples))[:12], Rng(10)
