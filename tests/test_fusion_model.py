@@ -862,6 +862,26 @@ class TestSharedWorkspaces:
         for a, b in zip(got, want):
             assert _bits(a) == _bits(b)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("modality_set", list(ModalitySet))
+    def test_a_batch_gathered_from_the_records_has_the_arrays_bits(self, modality_set, dtype):
+        # the dataset's own records, in a workspace on a shared base, against
+        # records packed from its column arrays, in a workspace of its own
+        ds = self.dataset(modality_set)
+        x, r, y = batch_arrays(ds.samples, dtype=dtype)
+        records, arrays = record_rows(ds.samples), fused_rows(x, r, y)
+        model = build_model(self.spec(modality_set), Rng(55), dtype)
+        base = TrainStep(model, 12, np.empty_like(model.theta))
+        from_records = TrainStep(model, 7, base.grads.theta, base)
+        from_arrays = TrainStep(model, 7, np.empty_like(model.theta))
+        for idx in np.split(Rng(56).permutation(len(y))[:21], 3):
+            p = from_records.gather(records, idx, Rng(57))
+            assert _bits(p) == _bits(from_arrays.gather(arrays, idx, Rng(57)))
+            assert from_records.loss(y, idx) == from_arrays.loss(y, idx)
+            from_records.backward()
+            from_arrays.backward()
+            assert _bits(from_records.grads.theta) == _bits(from_arrays.grads.theta)
+
 
 # Products that pass worker.SPLIT_MACS from 5 rows (the conv forward and kernel
 # gradient of the stacked maps) and at 12 rows (all five), at widths that
