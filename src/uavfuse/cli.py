@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig, load_run_config
-from .data import Modality, ModalitySet
+from .data import Modality, ModalitySet, ShapeProfile
 from .errors import (
     CompatibilityError,
     ConfigError,
@@ -131,7 +131,7 @@ def cmd_register(cfg: RunConfig, data_dir: Path, out_dir: Path) -> int:
         fused[split] = split_dir, dataset
 
     cfg.write_resolved(out_dir)
-    name = f"fused_{cfg.modalities}.msfr"
+    name = _fused_name(cfg)
     for split, (split_dir, dataset) in fused.items():
         cfg.write_resolved(split_dir)
         write_fused(dataset, split_dir / name)
@@ -142,10 +142,14 @@ def cmd_register(cfg: RunConfig, data_dir: Path, out_dir: Path) -> int:
     return 0
 
 
+def _fused_name(cfg: RunConfig) -> str:
+    return f"fused_{cfg.modalities}.msfr"
+
+
 def _fused_path(data: Path, cfg: RunConfig) -> Path:
     if data.is_file():
         return data
-    candidate = data / f"fused_{cfg.modalities}.msfr"
+    candidate = data / _fused_name(cfg)
     if candidate.is_file():
         return candidate
     raise DataError(f"no fused dataset at {data} (looked for {candidate.name})")
@@ -270,7 +274,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", type=Path, help="key = value configuration file")
         p.add_argument("--seed", type=int)
-        p.add_argument("--profile", choices=["paper", "reduced"])
+        p.add_argument("--profile", choices=ShapeProfile.NAMES)
         p.add_argument("--modalities", choices=[s.value for s in ModalitySet])
         p.add_argument("--repeats", type=int)
         p.add_argument("--out", type=Path, required=True, help="output directory")

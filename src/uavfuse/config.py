@@ -64,8 +64,10 @@ class RunConfig:
         return owners
 
     def resolve(self) -> None:
-        if self.profile not in ("paper", "reduced"):
-            raise ConfigError(f"profile must be paper or reduced, got {self.profile!r}")
+        try:
+            ShapeProfile.named(self.profile)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if self.modalities not in [s.value for s in ModalitySet]:
             raise ConfigError(
                 f"modalities must be one, two or three, got {self.modalities!r}"

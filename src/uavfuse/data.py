@@ -81,6 +81,8 @@ def network_input(modality_set: ModalitySet, thermal, optronic, radar) -> tuple[
 class ShapeProfile:
     """Per-modality feature tensor shapes, fixed for a whole dataset."""
 
+    NAMES = ("paper", "reduced")  # the profiles, each a constructor below
+
     name: str
     thermal: tuple[int, ...]
     optronic: tuple[int, ...]
@@ -98,9 +100,9 @@ class ShapeProfile:
 
     @classmethod
     def named(cls, name: str) -> "ShapeProfile":
-        if name in ("paper", "reduced"):
+        if name in cls.NAMES:
             return getattr(cls, name)()
-        raise ValueError(f"profile must be paper or reduced, got {name!r}")
+        raise ValueError(f"profile must be {' or '.join(cls.NAMES)}, got {name!r}")
 
     def shape_for(self, modality: Modality) -> tuple[int, ...]:
         return getattr(self, modality.name.lower())

@@ -293,8 +293,8 @@ class TrainStep:
     ``worker.product``. With BLAS on one thread and two CPUs, each one of
     at least ``worker.SPLIT_MACS`` multiply-adds (at the paper profile the
     conv products from one row, all five from three) runs as two column
-    halves, one on the package's worker thread, with the bits of the whole
-    product; every other product is the plain numpy call.
+    halves, one on a thread that lives for the call, with the bits of the
+    whole product; every other product is the plain numpy call.
 
     A workspace holds the model's layers, not the model, so a model can
     cache it without a reference cycle. The caller checks shapes.

@@ -6,8 +6,9 @@ pass. These allocate their results, never mutate their inputs, and are
 the test oracle of model.TrainStep, which runs the network in
 preallocated buffers. dropout_keep fills the bool array it is given.
 RmspropUpdate, which training builds once and calls every step, updates a
-parameter and a mean-square array in place; rmsprop_step is its pure
-form. Identical inputs (including generator state) give bit-identical
+parameter and a mean-square array in place, half of a long pass on a
+thread that lives for the call (``worker.run_halves``); rmsprop_step is
+its pure form. Identical inputs (including generator state) give bit-identical
 outputs.
 
 Layout conventions: feature maps are (H, W, C) row-major, kernels are
@@ -39,9 +40,9 @@ RMSPROP_EPS = 1e-7
 # Elements per RMSprop pass: 256 KB of float32 per operand, so the five
 # operands of one block (1.25 MB) stay in a 2 MB L2.
 _RMSPROP_BLOCK = 65536
-# Blocks from which the pass splits in two halves, one on the package's
-# worker thread (``worker.split_gate``): the paper model has 221, the
-# reduced benchmark model 1.
+# Blocks from which the pass splits in two halves, one on a thread of its
+# own (``worker.split_gate``): the paper model has 221, the reduced
+# benchmark model 1.
 _SPLIT_BLOCKS = 8
 
 

@@ -1,22 +1,23 @@
 """A second CPU for the paper-scale products and the RMSprop pass.
 
-``run_halves(first, second)`` runs ``second`` on one package-owned worker
-thread while the caller runs ``first``, and returns when both are done.
-The halves write disjoint outputs and read nothing the other writes, and
-neither submits work of its own. ``product`` splits a matrix product by
-its output columns. Within its size and width rules, each element is
-then still the same BLAS dot product over the same K, in the same order,
-so the bits are those of the whole product. ``ops.RmspropUpdate`` splits
-its pass by blocks, whose element-wise ops are exact anywhere.
+``run_halves(first, second)`` starts one thread that runs ``second`` while
+the caller runs ``first``, and returns when both are done. The halves
+write disjoint outputs and read nothing the other writes. A half that
+splits its own work starts a thread of its own.
+``product`` splits a matrix product by its output columns. Within its
+size and width rules, each element is then still the same BLAS dot
+product over the same K, in the same order, so the bits are those of the
+whole product. ``ops.RmspropUpdate`` splits its pass by blocks, whose
+element-wise ops are exact anywhere.
 
-Work splits only where the handoff (about 20 us) is small beside it and
+Work splits only where the handoff (about 30 us) is small beside it and
 the CPUs are not already busy: a product of at least ``SPLIT_MACS``
 multiply-adds, and only when ``split_gate()`` holds, that is when the
 process may run on two or more CPUs and numpy's OpenBLAS runs one thread
 with the kernels of the core the rule was measured on. With OpenBLAS's own
 threads on, a split oversubscribes the CPUs and slows the product down.
-The worker starts on first use, so importing the package starts no
-thread; a forked child starts its own.
+A split's thread exits with its half, so importing the package starts
+none and a forked child inherits none.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 # Multiply-adds from which a product splits: about 0.4 ms of one core's
-# sgemm, some 20 times the handoff. Every product of the reduced profile
+# sgemm, some 13 times the handoff. Every product of the reduced profile
 # (at most 11.1M at 64 rows, 16 filters) and the paper dense1 forward at
 # 1 row (7.4M, a gemv that runs slower split) stay whole. It is also a
 # floor for the bits: OpenBLAS picks its kernels by size, so a small half
@@ -53,8 +54,6 @@ _BLAS_CORE = "scipy_openblas_get_corename64_"
 _CORE = "SkylakeX"
 
 _gate: bool | None = None  # split_gate's answer, once asked
-_worker: tuple[int, object] | None = None  # (pid, job queue) of the running worker
-_start = _thread.allocate_lock()
 
 
 def split_gate() -> bool:
@@ -103,47 +102,32 @@ def product(call, a: np.ndarray, b: np.ndarray, out: np.ndarray):
 
 
 def run_halves(first, second) -> None:
-    """Run ``second`` on the worker and ``first`` here; return when both are done.
+    """Run ``second`` on a thread of its own and ``first`` here; return when both are done.
 
-    An exception of either half is raised here once both are done (the
-    caller's own first), so no half still writes when the caller goes on.
+    The thread exits with its half, and a half may split its own work on
+    further threads. An exception of either half is raised here once both
+    are done (the caller's own first), so no half still writes when the
+    caller goes on.
     """
     done = _thread.allocate_lock()
     done.acquire()
-    failed = []
-    _jobs().put((second, done, failed))
+    # the thread pops its half: its start arguments live until it exits, maybe after this returns
+    job = [second]
+    _thread.start_new_thread(_serve, (job, done))
     try:
         first()
     finally:
         done.acquire()
-    if failed:
-        raise failed.pop()  # popped: this frame, kept by the traceback, keeps no cycle
+    if job:
+        raise job.pop()  # popped: this frame, kept by the traceback, keeps no cycle
 
 
-def _jobs():
-    """The worker's job queue; starts the worker on first use, and again in a forked child."""
-    global _worker
-    pid = os.getpid()
-    if _worker is None or _worker[0] != pid:
-        with _start:
-            if _worker is None or _worker[0] != pid:
-                import queue
-                import threading
-
-                jobs = queue.SimpleQueue()
-                threading.Thread(target=_serve, args=(jobs,), name="uavfuse-worker",
-                                 daemon=True).start()
-                _worker = (pid, jobs)
-    return _worker[1]
-
-
-def _serve(jobs) -> None:
-    while True:
-        work, done, failed = jobs.get()
-        try:
-            work()
-        except BaseException as exc:  # raised in the caller, which waits on ``done``
-            failed.append(exc)
-        # keep nothing of a finished job: its views may hold the buffers of a freed model
-        del work, failed
-        done.release()
+def _serve(job, done) -> None:
+    work = job.pop()
+    try:
+        work()
+    except BaseException as exc:  # raised in the caller, which waits on ``done``
+        job.append(exc)
+    # keep nothing of a finished job: its views may hold the buffers of a freed model
+    del work, job
+    done.release()

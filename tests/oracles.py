@@ -1,7 +1,13 @@
-"""Independent reference expressions, and a record-packing helper, shared by the test modules."""
+"""Independent reference expressions and helpers shared by the test modules.
+
+The helpers pack records (``fused_rows``) and name the compute environment
+for the goldens' assertion messages (``environment``).
+"""
 
 import numpy as np
+from numpy._core import _multiarray_umath as umath
 
+from uavfuse import worker
 from uavfuse.data import fused_dtype
 from uavfuse.model import record_rows
 
@@ -46,3 +52,17 @@ def fused_rows(x, r, y):
     if r is not None:
         samples["radar"] = r
     return record_rows(samples)
+
+
+def environment() -> str:
+    """What a digest golden's bits depend on, as the message of its assertion.
+
+    That is the OpenBLAS core and thread count (``worker._blas()``), the
+    numpy version and the highest numpy SIMD target enabled. The goldens
+    were recorded with SkylakeX at 1 and 2 BLAS threads, numpy 2.4.6 and
+    AVX512_SPR.
+    """
+    threads, core = worker._blas()
+    simd = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+    return (f"BLAS core {core or '?'}, BLAS threads {threads}, numpy {np.__version__}, "
+            f"SIMD {simd[-1] if simd else 'baseline'}")

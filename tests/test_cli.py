@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import environment
 from uavfuse import registration
 from uavfuse.cli import main
 from uavfuse.config import load_run_config
@@ -24,7 +25,7 @@ from uavfuse.data import (
     fused_dtype,
     recording_dtype,
 )
-from uavfuse.errors import TrainingError
+from uavfuse.errors import ConfigError, TrainingError
 from uavfuse.model import ModelSpec, build_model, save_weights
 from uavfuse.msfr import (
     read_fused,
@@ -111,6 +112,11 @@ def test_bad_config_value_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, "seed = banana\n")
     assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert "seed" in capsys.readouterr().err
+
+
+def test_an_unknown_profile_is_a_config_error():
+    with pytest.raises(ConfigError, match=r"^profile must be paper or reduced, got 'huge'$"):
+        load_run_config(overrides={"profile": "huge"})
 
 
 def test_non_utf8_config_file_exits_2(tmp_path, capsys):
@@ -740,7 +746,7 @@ def test_golden_evaluation_digest(tmp_path):
          "--data", str(fused_dir), "--out", str(out)]
     ) == 0
     digest = hashlib.sha256((out / "evaluation.txt").read_bytes()).hexdigest()
-    assert digest == "fabe4151837e9c199818ab7041065b034fa2332d92a9b3f2996cd562c3ad6c0e"
+    assert digest == "fabe4151837e9c199818ab7041065b034fa2332d92a9b3f2996cd562c3ad6c0e", environment()
 
 
 def test_golden_roc_csv_digest(tmp_path):
@@ -775,7 +781,7 @@ def test_golden_training_report_digest(tmp_path):
     assert main(["register", "--config", str(cfg), "--data", str(data), "--out", str(fused_dir)]) == 0
     assert main(["train", "--config", str(cfg), "--data", str(fused_dir), "--out", str(models)]) == 0
     digest = hashlib.sha256((models / "report_000.txt").read_bytes()).hexdigest()
-    assert digest == "85888efd1e667a884f147a94cf98da69c5246ce5c9e8d0a2074a0306df380755"
+    assert digest == "85888efd1e667a884f147a94cf98da69c5246ce5c9e8d0a2074a0306df380755", environment()
 
 
 def test_evaluate_nan_weights_exits_3(fused, tmp_path):

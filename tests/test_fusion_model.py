@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import fused_rows, grad_check, rmsprop_oracle
+from oracles import environment, fused_rows, grad_check, rmsprop_oracle
 from test_memory import MIB, traced_peak
 
 from uavfuse import worker
@@ -586,7 +586,7 @@ class TestTraining:
         assert report.stopped_epoch == 4
         assert report.weights_digest == (
             "4e0c91ce3b95c838b26011de7d238c60e2d5ed7276121d39e4f8460a8a421826"
-        )
+        ), environment()
 
     def test_input_model_is_not_mutated(self):
         ds = tiny_dataset()
@@ -957,14 +957,14 @@ def test_golden_paper_profile_fit_and_probabilities(paper_smoke_dataset, monkeyp
     )
     assert report.weights_digest == (
         "53fdf856ffc47e2ce09ced8c6a7dff5cbb865799e9a68a520e531288be09c9d1"
-    )
+    ), environment()
     x, r = record_maps(paper_smoke_dataset.samples)
     assert hashlib.sha256(evaluate_probabilities(trained, x[:1], r[:1])).hexdigest() == (
         "60729c6445b3b3ae93afd93c258132014dd6c7ac8a7c94bfa07dd61c949b6688"
-    )
+    ), environment()
     assert hashlib.sha256(evaluate_probabilities(trained, x, r)).hexdigest() == (
         "b45125d7a0222fb4a4bf0fd961619e4c30241c99bcaf4e48ba9b7c3e6980ce81"
-    )
+    ), environment()
     split = trained._eval_steps[len(x)]._conv_forward.func is worker.run_halves
     assert split == gate
 

@@ -629,7 +629,7 @@ class TestRmspropUpdate:
 
 
 class TestSplitRmspropUpdate:
-    """The update with its blocks in two halves, the second on the package's worker thread."""
+    """The update with its blocks in two halves, the second on a thread of its own."""
 
     @pytest.fixture(autouse=True)
     def split_on(self, monkeypatch):

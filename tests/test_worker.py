@@ -1,11 +1,12 @@
-"""The package's worker thread: when work splits, and its life across imports and forks.
+"""The split's second thread: when work splits, and a thread's life across one call.
 
-Each lifecycle test runs in a fresh interpreter, since the worker and the
-gate live for the life of a process.
+Each lifecycle test runs in a fresh interpreter, since the gate lives for
+the life of a process and the tests count its threads.
 """
 
 import gc
 import os
+import platform
 import subprocess
 import sys
 import textwrap
@@ -57,20 +58,28 @@ def test_importing_the_cli_starts_no_thread_and_no_pool_module():
     assert out.split() == ["0", "False", "False"]
 
 
+GATE = "from uavfuse import worker; print(worker.split_gate()); print(worker._blas()[1])"
+
+
 @pytest.mark.parametrize("threads, gate", [("1", TWO_CPUS), ("2", False)])
 def test_the_gate_is_on_only_with_one_blas_thread_and_two_cpus(threads, gate):
-    out = run_python(
-        "from uavfuse import worker; print(worker.split_gate())",
-        OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
-    )
-    assert out.split() == [str(gate)]
+    # on a core other than the one the split's rule was measured on it is off
+    on, core = run_python(GATE, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads).splitlines()
+    assert on == str(gate and core == worker._CORE)
+
+
+@pytest.mark.skipif(platform.machine() != "x86_64", reason="an x86-64 OpenBLAS core")
+def test_the_gate_is_off_on_another_core():
+    # OpenBLAS 0.3.31 reports the Prescott kernels as Katmai
+    on, core = run_python(GATE, OPENBLAS_NUM_THREADS="1", OPENBLAS_CORETYPE="Prescott").splitlines()
+    assert on == "False" and core != worker._CORE
 
 
 @pytest.mark.parametrize("patch", [
     "worker._BLAS_LIBS = worker.Path('/no/such/directory')",
     "worker._BLAS_THREADS = 'no_such_symbol'",
     "worker._BLAS_CORE = 'no_such_symbol'",
-    "worker._CORE = 'Haswell'",  # a core the exactness rule was not measured on
+    "worker._CORE = 'NoSuchCore'",  # a core that OpenBLAS does not report
 ])
 def test_the_gate_is_off_without_the_blas_query(patch):
     out = run_python(f"""
@@ -81,38 +90,67 @@ def test_the_gate_is_off_without_the_blas_query(patch):
     assert out.split() == ["False"]
 
 
-def test_a_forked_child_starts_its_own_worker():
+def test_a_forked_child_runs_a_split():
     out = run_python(FORCED + """
-import os, signal, threading
+import os, signal
 split_product()
 pid = os.fork()
 if pid == 0:
     signal.alarm(20)  # a child that hangs ends itself, and the parent reports it
-    split_product()  # queued to the parent's worker, this would wait forever
-    os._exit(0 if threading.active_count() == 2 else 1)
+    split_product()
+    os._exit(0)
 _, status = os.waitpid(pid, 0)
-print(os.waitstatus_to_exitcode(status), threading.active_count())
+print(os.waitstatus_to_exitcode(status))
 """, timeout=30)
-    assert out.split() == ["0", "2"]
+    assert out.split() == ["0"]
 
 
 def test_an_exception_of_the_workers_half_reaches_the_caller_after_both_halves():
     out = run_python(FORCED + """
-import threading, time
-ran = []
+import _thread, time
+caller, ran = _thread.get_ident(), []
 def slow():
     time.sleep(0.05)
     ran.append("first")
 def fail():
-    ran.append(threading.current_thread().name)
+    ran.append("elsewhere" if _thread.get_ident() != caller else "caller")
     raise KeyError("second half")
 try:
     worker.run_halves(slow, fail)
 except KeyError as exc:
     print(exc, *ran)
-split_product()  # the worker still serves
+split_product()  # a split still runs after a failed one
 """)
-    assert out.split() == ["'second", "half'", "uavfuse-worker", "first"]
+    assert out.split() == ["'second", "half'", "elsewhere", "first"]
+
+
+def test_a_half_that_splits_its_own_work_completes():
+    # each product checks its own bits; a single resident worker deadlocked here
+    out = run_python(FORCED + """
+worker.run_halves(split_product, split_product)
+print("done")
+""", timeout=20)
+    assert out.split() == ["done"]
+
+
+@pytest.mark.parametrize("fails", [False, True])
+def test_no_thread_outlives_a_split(fails):
+    out = run_python(FORCED + f"""
+import _thread, time
+def second():
+    if {fails}:
+        raise KeyError("second half")
+before = _thread._count()
+try:
+    worker.run_halves(lambda: None, second)
+except KeyError:
+    pass
+deadline = time.monotonic() + 1
+while _thread._count() != before and time.monotonic() < deadline:
+    time.sleep(0.001)
+print(_thread._count() - before)
+""")
+    assert out.split() == ["0"]
 
 
 def test_the_callers_exception_wins_and_waits_for_the_worker():
@@ -148,6 +186,29 @@ def test_nothing_of_a_finished_job_stays_alive(fails):
         assert ref() is None
     finally:
         gc.enable()
+
+
+def test_nothing_of_a_finished_job_stays_alive_at_short_switch_intervals():
+    # A thread's start arguments live until it exits, which can be after the
+    # call returns. With 1 us switches, a half passed in them outlived the
+    # call in 1 to 3 of 20,000 calls.
+    class Buffer:
+        pass
+
+    kept, interval = 0, sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    gc.disable()
+    try:
+        for _ in range(20000):
+            buffer = Buffer()
+            ref = weakref.ref(buffer)
+            worker.run_halves(lambda: None, partial(id, buffer))
+            del buffer
+            kept += ref() is not None
+    finally:
+        gc.enable()
+        sys.setswitchinterval(interval)
+    assert kept == 0
 
 
 def test_only_products_past_the_threshold_and_of_aligned_width_split(monkeypatch):
