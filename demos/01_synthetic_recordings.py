@@ -38,7 +38,7 @@ data = generate_synthetic_dataset(config)
 print("one recording per modality per index:")
 for modality in Modality:
     rec = data[modality][0]
-    print(f"  {modality.name.lower():8s} {rec.recording_id}: "
+    print(f"  {modality.kind:8s} {rec.recording_id}: "
           f"{len(rec.samples)} samples of shape {rec.feature_shape}")
 
 # a recording's samples are packed records, the MSFR file's layout, with

@@ -68,8 +68,6 @@ from .training import evaluate_probabilities, train
 
 log = logging.getLogger("uavfuse")
 
-_KINDS = {m: m.name.lower() for m in Modality}
-
 
 def cmd_generate(cfg: RunConfig, out_dir: Path) -> int:
     data = generate_synthetic_dataset(cfg.synth_config())
@@ -77,9 +75,9 @@ def cmd_generate(cfg: RunConfig, out_dir: Path) -> int:
     entries = []
     for modality in Modality:
         for rec in data[modality]:
-            name = f"{rec.recording_id}_{_KINDS[modality]}.msfr"
+            name = f"{rec.recording_id}_{modality.kind}.msfr"
             write_recording(rec, out_dir / name)
-            entries.append((name, _KINDS[modality], len(rec.samples)))
+            entries.append((name, modality.kind, len(rec.samples)))
     entries.sort()
     write_manifest(out_dir, entries)
     total = sum(count for _, _, count in entries)
@@ -94,9 +92,9 @@ def _load_recordings(data_dir: Path) -> dict[Modality, list]:
     recordings = {m: [] for m in Modality}
     for name, kind, count in read_manifest(data_dir):
         rec = read_recording(data_dir / name)
-        if _KINDS[rec.modality] != kind:  # also rejects a kind that names no modality
+        if rec.modality.kind != kind:  # also rejects a kind that names no modality
             raise ValidationError(
-                f"{name}: the manifest lists kind {kind!r}, but the file is {_KINDS[rec.modality]}"
+                f"{name}: the manifest lists kind {kind!r}, but the file is {rec.modality.kind}"
             )
         if len(rec.samples) != count:
             raise ValidationError(

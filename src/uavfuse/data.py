@@ -19,12 +19,21 @@ class Modality(enum.IntEnum):
     OPTRONIC = 1
     RADAR = 2
 
+    @property
+    def kind(self) -> str:
+        """The text name: manifest kind, audit column, config key prefix and RNG label."""
+        return self.name.lower()
+
 
 class Label(enum.IntEnum):
     """Binary class; values are the on-disk label bytes."""
 
     FALSE_ALARM = 0
     UAV = 1
+
+
+# A probability strictly above this is a UAV, at or below it a false alarm.
+DECISION_THRESHOLD = 0.5
 
 
 class ModalitySet(enum.Enum):
@@ -105,7 +114,7 @@ class ShapeProfile:
         raise ValueError(f"profile must be {' or '.join(cls.NAMES)}, got {name!r}")
 
     def shape_for(self, modality: Modality) -> tuple[int, ...]:
-        return getattr(self, modality.name.lower())
+        return getattr(self, modality.kind)
 
     def network_input(self, modality_set: ModalitySet) -> tuple[tuple[int, ...], int]:
         """``network_input`` for this profile's shapes."""

@@ -1,6 +1,6 @@
 """Binary classification metrics with UAV as the positive class.
 
-Confusion matrix at a decision threshold, per-class and support-weighted
+Confusion matrix at the decision threshold, per-class and support-weighted
 precision/recall/F1, accuracy, and the ROC curve swept over grouped score
 thresholds with trapezoidal AUC. Degenerate 0/0 ratios are defined as 0.
 """
@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import DECISION_THRESHOLD
 from .errors import ShapeError, ValidationError
 from .text import format_value
 
@@ -60,13 +61,26 @@ class RocCurve:
     auc: float
 
 
-def confusion_at_threshold(labels, probabilities, threshold: float = 0.5) -> ConfusionMatrix:
-    """Counts with prediction UAV iff p > threshold (strictly)."""
+def _scored(labels, probabilities, caller: str) -> tuple[np.ndarray, np.ndarray]:
+    """(Boolean labels, float64 scores) of one shape; every score must be finite.
+
+    A NaN compares false with everything, so it would pass silently as a
+    false-alarm prediction or break a ranking.
+    """
     y = np.asarray(labels).astype(bool)
     p = np.asarray(probabilities, dtype=np.float64)
     if y.shape != p.shape:
         raise ShapeError(f"labels shape {y.shape} != probabilities shape {p.shape}")
-    pred = p > threshold
+    non_finite = int(np.count_nonzero(~np.isfinite(p)))
+    if non_finite:
+        raise ValidationError(f"{caller} got {non_finite} non-finite probabilities")
+    return y, p
+
+
+def confusion_at_threshold(labels, probabilities) -> ConfusionMatrix:
+    """Counts with prediction UAV iff p > ``DECISION_THRESHOLD`` (strictly)."""
+    y, p = _scored(labels, probabilities, "confusion_at_threshold")
+    pred = p > DECISION_THRESHOLD
     return ConfusionMatrix(
         tp=int(np.sum(pred & y)),
         fp=int(np.sum(pred & ~y)),
@@ -116,13 +130,7 @@ def roc_curve(labels, probabilities) -> RocCurve:
     rule. Both classes must be present, or a rate is undefined, and every
     score must be finite: a NaN never equals itself, so it cannot be ranked.
     """
-    y = np.asarray(labels).astype(bool)
-    p = np.asarray(probabilities, dtype=np.float64)
-    if y.shape != p.shape:
-        raise ShapeError(f"labels shape {y.shape} != probabilities shape {p.shape}")
-    non_finite = int(np.count_nonzero(~np.isfinite(p)))
-    if non_finite:
-        raise ValidationError(f"roc_curve got {non_finite} non-finite probabilities")
+    y, p = _scored(labels, probabilities, "roc_curve")
     n_pos = int(y.sum())
     n_neg = int(y.size - n_pos)
     if n_pos == 0 or n_neg == 0:

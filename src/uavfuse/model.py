@@ -4,14 +4,15 @@ Three-modality graph: stacked thermal+optronic input -> 3x3 valid conv ->
 ReLU -> flatten -> dropout -> concatenate radar vector -> dense -> ReLU ->
 dropout -> dense(1) -> sigmoid. The two-modality variant removes the radar
 concatenation; the single-modality variant feeds the thermal map alone.
-A probability strictly above 0.5 is classified as UAV, 0.5 or below as
-false alarm.
+A probability strictly above ``data.DECISION_THRESHOLD`` (0.5) is
+classified as UAV, at or below it as false alarm.
 
 ``TrainStep`` is the one implementation, and packed fused records are its
-one input layout. Training gathers its batches into them in train mode,
-and so do the gradient checks, which give ``backward_pass`` an outside
-dL/dp; evaluation copies its maps in through ``_forward`` in eval mode,
-one call per model at a time.
+one input layout. Training gathers its batches and validation chunks into
+them in train mode (the chunks with no rng, so they drop nothing), and so
+do the gradient checks, which give ``backward_pass`` an outside dL/dp;
+evaluation copies its maps in through ``_forward`` in eval mode, one call
+per model at a time. ``workspace`` builds every set of them.
 """
 
 from __future__ import annotations
@@ -25,8 +26,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Label, ModalitySet, ShapeProfile, fused_dtype
-from .errors import CompatibilityError, ConfigError, CorruptionError, ShapeError
+from .data import DECISION_THRESHOLD, Label, ModalitySet, ShapeProfile, fused_dtype
+from .errors import (
+    CompatibilityError, ConfigError, CorruptionError, ShapeError, ValidationError
+)
 from .msfr import BinaryReader, shape_block
 from .ops import BCE_EPS, TRAIN_DTYPE, ConvParams, DenseParams, conv_windows, dropout_keep
 # perfbench/tests/test_helpers.py::test_uninstall_restores_the_real_package reads this name
@@ -234,24 +237,29 @@ def _check_batch(model: Model, x: np.ndarray, r: np.ndarray | None) -> None:
         raise CompatibilityError("model takes no radar input but the batch has one")
 
 
-def _forward(model: Model, x, r) -> np.ndarray:
-    """Eval-mode UAV probabilities of a checked batch, in the model's workspace for its row count.
+def workspace(steps: dict, model: Model, n: int, grad: np.ndarray | None = None) -> "TrainStep":
+    """The workspace for ``n`` rows from the set ``steps``, built if it holds none.
 
-    The model caches one workspace per row count, since gemm bits depend on
-    it. Each views the buffers of the largest, so the cache holds one set of
-    buffers; a larger row count replaces them all. The result is that
-    workspace's ``p`` buffer, which the next call on any row count may
-    overwrite. The caller holds the model's ``_lock``.
+    A set holds one workspace per row count (gemm bits depend on it), all
+    in train mode with ``grad`` or all in eval mode, each on the buffers of
+    the largest, which a larger row count replaces; they take turns on them.
     """
-    steps, n = model._eval_steps, len(x)
     ws = steps.get(n)
     if ws is None:
         largest = max(steps, default=0)
         base = steps[largest] if n < largest else None
         if base is None:
             steps.clear()
-        ws = steps[n] = TrainStep(model, n, base=base)
-    return ws.forward(x, r)
+        ws = steps[n] = TrainStep(model, n, grad, base)
+    return ws
+
+
+def _forward(model: Model, x, r) -> np.ndarray:
+    """Eval-mode UAV probabilities of a checked batch, in the model's cached workspace set.
+
+    The result is a ``p`` buffer that the next call may overwrite; the caller holds ``_lock``.
+    """
+    return workspace(model._eval_steps, model, len(x)).forward(x, r)
 
 
 def backward_pass(ws: TrainStep, grad_p: np.ndarray) -> dict[str, np.ndarray]:
@@ -269,16 +277,17 @@ class TrainStep:
     field ``x``, so a float64 model (the gradient checks') reads its maps
     at float32 precision.
 
-    Train mode (with ``grad``): ``gather`` runs the network with dropout,
-    drawing the keep flags of both dropout layers in one call; ``loss``
-    takes the batch's labels, returns the loss and writes its gradient
-    through the sigmoid into ``dz3``; ``backward`` then writes the loss
-    gradient into ``grad``, a flat vector laid out like ``theta`` (``grads``
-    holds its per-tensor views), reusing the patch matrix of the conv
-    forward. Eval mode (no ``grad``) holds the forward buffers alone and
-    drops nothing. Each product is the one the allocating ``ops`` layer
-    functions make, on the same operand shapes, and each element-wise step
-    runs their float ops in their order, so the bits are theirs.
+    Train mode (with ``grad``): ``gather`` given an rng runs the network
+    with dropout, drawing the keep flags of both dropout layers in one call;
+    ``loss`` takes the batch's labels, returns the loss and writes its
+    gradient through the sigmoid into ``dz3``; ``backward`` then writes the
+    loss gradient into ``grad``, a flat vector laid out like ``theta``
+    (``grads`` holds its per-tensor views), reusing the conv forward's patch
+    matrix. Eval mode (no ``grad``) holds the forward buffers alone; in
+    either mode, a call without an rng drops nothing. Each product is the
+    one the allocating ``ops`` layer functions make, on the same operand
+    shapes, and each element-wise step runs their float ops in their order,
+    so the bits are theirs.
 
     Given ``base``, a workspace of at least as many rows (in train mode if
     this one is, with the same ``grad``), every buffer views the leading
@@ -374,7 +383,8 @@ class TrainStep:
         self._dense1_dh = product(np.matmul, self.dz2, self.dense1.weights.T, self.dh)
         self._dense1_dw = product(np.matmul, self.h.T, self.dz2, self.grads.dense1.weights)
         self._conv_dk = product(np.dot, self._p.T, self._dz1, self._gk)
-        self._eps, self._half, self._n = const(BCE_EPS), const(0.5), const(b)
+        self._eps, self._n = const(BCE_EPS), const(b)
+        self._threshold = const(DECISION_THRESHOLD)
         self._one_minus_eps = const(1 - dt.type(BCE_EPS))
 
     def forward(self, x: np.ndarray, r: np.ndarray | None) -> np.ndarray:
@@ -402,11 +412,12 @@ class TrainStep:
         return self._run(rng)
 
     def _run(self, rng) -> np.ndarray:
+        drop = rng is not None and self.rate
         np.copyto(self.patches, self._windows)
         self._conv_forward()
         np.add(self._z1, self.conv.bias, out=self._z1)
         np.maximum(self._z1, self._zero, out=self._z1)
-        if self.rate:
+        if drop:
             # the words of flags1 then flags2, in the order of two separate draws
             dropout_keep(rng, self.rate, self._keep)
             np.multiply(self._keep, self.scale, out=self._scales)
@@ -416,9 +427,9 @@ class TrainStep:
         self._dense1_forward()
         np.add(self.z2, self.dense1.bias, out=self.z2)
         np.maximum(self.z2, self._zero, out=self.z2)
-        if self.rate:  # at rate 0, d2 is z2
+        if drop:
             np.multiply(self.z2, self.s2, out=self.d2)
-        np.matmul(self.d2, self.output.weights, out=self.z3)
+        np.matmul(self.d2 if drop else self.z2, self.output.weights, out=self.z3)
         np.add(self.z3, self.output.bias, out=self.z3)
         self._sigmoid()
         return self.p
@@ -449,7 +460,8 @@ class TrainStep:
 
         The loss is ``ops.bce_loss``'s, by its expression in its order; its
         gradient, through the sigmoid, goes into ``dz3`` for ``backward``. A
-        prediction is correct when p > 0.5 and y > 0.5 agree.
+        prediction is correct when p and y are both above ``DECISION_THRESHOLD``
+        or both not.
         """
         p, yb, (m1, m2) = self.p, self.y, self._masks
         a, c, phat, v = self._tmp
@@ -479,8 +491,8 @@ class TrainStep:
         np.copyto(a, self._zero, where=m1)
         np.divide(a, self._n, out=a)
         self._head_backward(a)
-        np.greater(p, self._half, out=m1)
-        np.greater(yb, self._half, out=m2)
+        np.greater(p, self._threshold, out=m1)
+        np.greater(yb, self._threshold, out=m2)  # the labels are 0 or 1
         np.equal(m1, m2, out=m1)
         return loss, int(np.count_nonzero(m1))
 
@@ -519,8 +531,13 @@ class TrainStep:
 
 
 def classify_probability(p: float) -> Label:
-    """UAV iff p > 0.5 strictly; exactly 0.5 is a false alarm."""
-    return Label.UAV if p > 0.5 else Label.FALSE_ALARM
+    """UAV iff p > ``DECISION_THRESHOLD`` strictly; exactly the threshold is a false alarm.
+
+    A value outside [0, 1], NaN among them, is no probability and gets no label.
+    """
+    if not 0 <= p <= 1:
+        raise ValidationError(f"{p} is not a probability")
+    return Label.UAV if p > DECISION_THRESHOLD else Label.FALSE_ALARM
 
 
 def _spec_bytes(spec: ModelSpec) -> bytes:

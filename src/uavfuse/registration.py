@@ -179,7 +179,7 @@ def fuse_dataset(
     cfg.validate()
     by_id, shapes = [], []
     for modality, recordings in zip(Modality, (thermal, optronic, radar)):
-        name = modality.name.lower()
+        name = modality.kind
         by_id.append(_by_id(recordings, name))
         shapes.append(_feature_shape(by_id[-1], name))
         if shapes[-1] is None and modality in modality_set.modalities:
@@ -205,7 +205,7 @@ def fuse_dataset(
                 if source is None:
                     if modality in modality_set.modalities:
                         log.warning("recording %s: no %s counterpart, skipped",
-                                    rec_id, modality.name.lower())
+                                    rec_id, modality.kind)
                     break
                 i = rows[Modality.THERMAL]  # the rows left, keyed by thermal timestamp and label
                 keys = np.rec.fromarrays([t.timestamp[i], t.label[i]], names="timestamp,label")
@@ -238,10 +238,9 @@ def fuse_dataset(
                 len(i), radar_len)
         audit["recording"][part] = recording
         for m, idx in rows.items():
-            name = m.name.lower()
-            audit[name][part] = idx
+            audit[m.kind][part] = idx
             if m is not Modality.THERMAL:
-                audit[f"{name}_dt"][part] = np.abs(t.timestamp[i] - src[m].timestamp[idx])
+                audit[f"{m.kind}_dt"][part] = np.abs(t.timestamp[i] - src[m].timestamp[idx])
 
     provenance = [rec_id for rec_id, _ in kept]
     return FusedDataset(modality_set, samples, provenance, counts, audit)
@@ -270,23 +269,24 @@ def audit_fused_dataset(
     _breach(rows, audit["radar_dt"] > cfg.radar_tolerance, "radar delta exceeds tolerance")
     fused_t, fused_labels = dataset.samples.timestamp, dataset.samples.label
     recording = audit["recording"]
-    for modality, recs in (("thermal", thermal), ("optronic", optronic), ("radar", radar)):
-        idx = audit[modality]
+    for modality, recs in zip(Modality, (thermal, optronic, radar)):
+        name = modality.kind
+        idx = audit[name]
         rows = np.flatnonzero(idx >= 0)
         keys = np.stack([recording[rows], idx[rows]], axis=1)
         _, first = np.unique(keys, axis=0, return_index=True)
         reused = np.setdiff1d(np.arange(len(rows)), first)
         if reused.size:
             n = rows[reused[0]]
-            where = f"{modality} sample {idx[n]} of {dataset.provenance[recording[n]]}"
+            where = f"{name} sample {idx[n]} of {dataset.provenance[recording[n]]}"
             raise ValidationError(f"fused sample {n}: {where} used twice")
-        for k, rec in enumerate(map(_by_id(recs, modality).get, dataset.provenance)):
+        for k, rec in enumerate(map(_by_id(recs, name).get, dataset.provenance)):
             if rec is None:
                 continue
             mine = rows[recording[rows] == k]
             src_t, src_labels = rec.samples.timestamp[idx[mine]], rec.samples.label[idx[mine]]
-            dt = 0.0 if modality == "thermal" else audit[f"{modality}_dt"][mine]
-            what = f"{modality} contributor"
+            dt = 0.0 if modality is Modality.THERMAL else audit[f"{name}_dt"][mine]
+            what = f"{name} contributor"
             _breach(mine, src_labels != fused_labels[mine], f"{what} label disagrees")
             _breach(mine, np.abs(fused_t[mine] - src_t) != dt, f"{what} timestamp disagrees")
 

@@ -87,7 +87,7 @@ class SynthConfig:
 
 
 def _pattern(root: Rng, modality: Modality, shape: tuple[int, ...]) -> np.ndarray:
-    u = root.spawn(f"pattern/{modality.name.lower()}").normal(shape)
+    u = root.spawn(f"pattern/{modality.kind}").normal(shape)
     return u / np.linalg.norm(u)
 
 
@@ -114,7 +114,7 @@ def generate_synthetic_dataset(config: SynthConfig) -> dict[Modality, list[Recor
         frame_jitter = (rng.uniform(n) * 2 - 1) * config.timestamp_jitter
         radar_jitter = (rng.uniform(n) * 2 - 1) * config.timestamp_jitter
         dropped = {
-            m: rng.uniform(n) < getattr(config, f"{m.name.lower()}_dropout") for m in Modality
+            m: rng.uniform(n) < getattr(config, f"{m.kind}_dropout") for m in Modality
         }
 
         base = np.arange(n, dtype=np.float64) / config.frame_rate
@@ -132,7 +132,7 @@ def generate_synthetic_dataset(config: SynthConfig) -> dict[Modality, list[Recor
             times = radar_t if modality is Modality.RADAR else frame_t
             keep = np.flatnonzero(~dropped[modality])
             order = keep[np.argsort(times[keep], kind="stable")]
-            mean = getattr(config, f"{modality.name.lower()}_separation") * patterns[modality]
+            mean = getattr(config, f"{modality.kind}_separation") * patterns[modality]
             noise = rng.normal((n,) + shape)
             samples = np.recarray(len(order), recording_dtype(shape))
             samples.timestamp = times[order]
@@ -151,7 +151,7 @@ def generate_synthetic_dataset(config: SynthConfig) -> dict[Modality, list[Recor
             try:
                 recording.validate()
             except ValidationError as exc:
-                what = f"{modality.name.lower()} recording {rec_id}"
+                what = f"{modality.kind} recording {rec_id}"
                 raise ConfigError(f"the config makes an invalid {what}: {exc}") from None
             out[modality].append(recording)
     return out

@@ -14,12 +14,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import FusedDataset, fused_dtype
+from .data import DECISION_THRESHOLD, FusedDataset, fused_dtype
 from .errors import (
     CompatibilityError, ConfigError, NumericFault, TrainingError, check_finite_fields
 )
 from .metrics import classification_report, confusion_at_threshold
-from .model import Model, TrainStep, record_rows, weights_digest, _check_batch, _forward
+from .model import Model, record_rows, weights_digest, workspace, _check_batch, _forward
 from .ops import RmspropUpdate, bce_loss
 from .rng import Rng
 
@@ -73,11 +73,11 @@ def evaluate_probabilities(model: Model, x, r, batch_size: int = 64) -> np.ndarr
     computed in the model's dtype, in chunks of ``batch_size``. ``x`` and
     ``r`` may be the unaligned fields of fused records (``record_maps``):
     each chunk is copied into the workspace (the maps at float32), and the
-    input is never copied whole. Chunks run in eval ``TrainStep``
-    workspaces that the model keeps for its life, one per row count, all on
-    the buffers of the largest (at the paper profile 115 MB for 64 rows;
-    the short last chunk and single samples add nothing beside it). Calls
-    on one model take turns on its lock, so each gets its own results.
+    input is never copied whole. Chunks run in the eval workspace set that
+    the model keeps for its life (``model.workspace``), one per row count,
+    all on the buffers of the largest (at the paper profile 115 MB for 64
+    rows; the short last chunk and single samples add nothing beside it).
+    Calls on one model take turns on its lock, so each gets its own results.
     Pair it with ``classify_probability`` for hard labels. At the paper
     profile, with BLAS on one thread, each chunk's conv product (and for 3
     rows or more its dense1 product) runs in two halves on two CPUs
@@ -96,11 +96,6 @@ def evaluate_probabilities(model: Model, x, r, batch_size: int = 64) -> np.ndarr
     return out
 
 
-def _step_sizes(n: int, batch_size: int) -> set[int]:
-    """The row counts of n rows' batches: the full one and the short last one."""
-    return {min(batch_size, n), n % batch_size} - {0}
-
-
 def train(model: Model, dataset: FusedDataset, cfg: TrainConfig) -> tuple[Model, TrainReport]:
     """Train a copy of ``model`` on the dataset; the input model is untouched.
 
@@ -113,10 +108,12 @@ def train(model: Model, dataset: FusedDataset, cfg: TrainConfig) -> tuple[Model,
 
     Batches and validation chunks are gathered from the dataset's records,
     in the model's layout, by row number; the labels are the only
-    per-sample copy. Besides the caller's model it holds four vectors of
-    theta's size (the clone, its gradient, the mean square and the best
-    epoch's copy) and one set of workspace buffers for the largest row
-    count; the returned model caches no workspace.
+    per-sample copy, and they share one train-mode workspace set
+    (``model.workspace``); a chunk, given no rng, runs the eval forward.
+    Besides the caller's model it holds four vectors of theta's size (the
+    clone, its gradient, the mean square and the best epoch's copy) and the
+    set's buffers for the largest row count; the returned model caches no
+    workspace.
     """
     cfg.validate()
     samples = dataset.samples
@@ -143,20 +140,14 @@ def train(model: Model, dataset: FusedDataset, cfg: TrainConfig) -> tuple[Model,
 
     # The model's tensors view its one flat vector, so one in-place RMSprop
     # pass per step updates all of them; its operands are checked here, once.
-    # One workspace per row count that occurs, training batches in train mode
-    # and validation chunks in eval mode, all on the buffers of the largest.
+    # Batches and validation chunks share one train-mode workspace set.
     model = model.clone()
     theta = model.theta
     grad = np.empty_like(theta)
     update = RmspropUpdate(theta, grad, np.zeros_like(theta))
     best_theta = np.empty_like(theta)
-    train_sizes = _step_sizes(train_n, cfg.batch_size)
-    val_sizes = _step_sizes(val_n, cfg.batch_size)
-    largest = max(train_sizes | val_sizes)
     rows = record_rows(samples)
-    base = TrainStep(model, largest, grad)
-    workspaces = {n: TrainStep(model, n, grad, base) for n in train_sizes}
-    evaluators = {n: TrainStep(model, n, None, base) for n in val_sizes}
+    steps = {}
     step = 0
 
     y_val = y[val_idx]
@@ -173,7 +164,7 @@ def train(model: Model, dataset: FusedDataset, cfg: TrainConfig) -> tuple[Model,
         correct = 0
         for s in range(0, train_n, cfg.batch_size):
             idx = order[s : s + cfg.batch_size]
-            ws = workspaces[len(idx)]
+            ws = workspace(steps, model, len(idx), grad)
             ws.gather(rows, idx, dropout_rng)
             loss, hits = ws.loss(y, idx)
             if not math.isfinite(loss):
@@ -188,7 +179,7 @@ def train(model: Model, dataset: FusedDataset, cfg: TrainConfig) -> tuple[Model,
         p_val = np.empty(val_n, theta.dtype)
         for s in range(0, val_n, cfg.batch_size):
             idx = val_idx[s : s + cfg.batch_size]
-            p_val[s : s + len(idx)] = evaluators[len(idx)].gather(rows, idx)
+            p_val[s : s + len(idx)] = workspace(steps, model, len(idx), grad).gather(rows, idx)
         val_loss, _ = bce_loss(p_val, y_val)
         if not math.isfinite(val_loss):
             raise NumericFault(f"non-finite validation loss at epoch {epoch}")
@@ -196,7 +187,8 @@ def train(model: Model, dataset: FusedDataset, cfg: TrainConfig) -> tuple[Model,
         report.train_loss.append(loss_sum / train_n)
         report.train_accuracy.append(correct / train_n)
         report.val_loss.append(val_loss)
-        report.val_accuracy.append(float(np.mean((p_val > 0.5) == (y_val > 0.5))))
+        agree = (p_val > DECISION_THRESHOLD) == (y_val > DECISION_THRESHOLD)
+        report.val_accuracy.append(float(np.mean(agree)))
 
         if val_loss < best_val:
             best_val = val_loss

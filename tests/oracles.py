@@ -66,3 +66,17 @@ def environment() -> str:
     simd = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
     return (f"BLAS core {core or '?'}, BLAS threads {threads}, numpy {np.__version__}, "
             f"SIMD {simd[-1] if simd else 'baseline'}")
+
+
+def force_split(monkeypatch) -> bool:
+    """Turn the split gate on where its rules were measured; whether it did.
+
+    The size and width rules hold the bits of a half to the whole product's
+    on OpenBLAS's ``worker._CORE`` kernels alone. On any other core the gate
+    must be off, and it is left so: every product then runs whole.
+    """
+    if worker._blas()[1] != worker._CORE:
+        assert not worker.split_gate()
+        return False
+    monkeypatch.setattr(worker, "_gate", True)
+    return True

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import environment, fused_rows, grad_check, rmsprop_oracle
+from oracles import environment, force_split, fused_rows, grad_check, rmsprop_oracle
 from test_memory import MIB, traced_peak
 
 from uavfuse import worker
@@ -27,6 +27,7 @@ from uavfuse.errors import (
     NumericFault,
     ShapeError,
     TrainingError,
+    ValidationError,
 )
 from uavfuse.metrics import classification_report, confusion_at_threshold
 from uavfuse.model import (
@@ -46,6 +47,7 @@ from uavfuse.model import (
     record_rows,
     save_weights,
     weights_digest,
+    workspace,
     _spec_bytes,
 )
 from uavfuse import ops
@@ -326,6 +328,25 @@ class TestClassification:
         for p in eval_probabilities(model, tiny_dataset().samples[:5], batch_size=1):
             assert p == 0.5 and classify_probability(p) is Label.FALSE_ALARM
 
+    def test_the_ends_of_the_unit_interval_are_labelled(self):
+        assert classify_probability(0.0) is Label.FALSE_ALARM
+        assert classify_probability(1.0) is Label.UAV
+
+    @pytest.mark.parametrize("p", [math.nan, -0.25, 1.5, math.inf])
+    def test_no_label_for_a_value_that_is_no_probability(self, p):
+        with pytest.raises(ValidationError, match="is not a probability"):
+            classify_probability(p)
+
+    def test_a_nan_map_gets_no_label(self):
+        model = build_model(tiny_spec(), Rng(1))
+        x, r, _ = batch_arrays(tiny_dataset().samples[:3])
+        x[1, 0, 0, 0] = np.nan
+        p = evaluate_probabilities(model, x, r)
+        assert np.isnan(p[1]) and not np.isnan(p[[0, 2]]).any()
+        classify_probability(p[0])
+        with pytest.raises(ValidationError, match="nan is not a probability"):
+            classify_probability(p[1])
+
 
 class TestPersistence:
     def test_save_load_save_byte_identical(self, tmp_path):
@@ -588,6 +609,20 @@ class TestTraining:
             "4e0c91ce3b95c838b26011de7d238c60e2d5ed7276121d39e4f8460a8a421826"
         ), environment()
 
+    def test_golden_digest_with_a_validation_chunk_larger_than_the_batch(self):
+        # 14 samples at val_fraction 0.7: training batches of 4 rows and a
+        # validation chunk of 10, whose workspace replaces the batches' set
+        ds = tiny_dataset(samples_per_recording=7)
+        cfg = TrainConfig(lr0=1e-2, max_epochs=6, patience=6, seed=9, val_fraction=0.7)
+        assert split_sizes(len(ds.samples), cfg.val_fraction) == (4, 10)
+        _, report = train(build_model(tiny_spec(), Rng(60)), ds, cfg)
+        assert report.weights_digest == (
+            "c76859f73e9fb47408c3c24ca26340ee26559f5698314e1dae1190da93d20fdf"
+        ), environment()
+        assert hashlib.sha256(np.array(report.val_loss)).hexdigest() == (
+            "c014e0cbcf846683e3e6539e5c131119471cdfa61e877d35457c3b1df1aed7c5"
+        ), environment()
+
     def test_input_model_is_not_mutated(self):
         ds = tiny_dataset()
         model = build_model(tiny_spec(), Rng(20))
@@ -761,6 +796,22 @@ class TestTrainStep:
         assert _bits(rng.u64(5)) == _bits(rng_oracle.u64(5))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("modality_set", list(ModalitySet))
+    def test_a_train_mode_gather_without_an_rng_is_the_eval_forward(self, modality_set, dtype):
+        # a validation chunk in training: at dropout 0.5, it drops and draws nothing
+        rows = record_rows(tiny_dataset(modality_set).samples)
+        model = build_model(tiny_spec(modality_set, 0.5), Rng(61), dtype)
+        idx = Rng(62).permutation(len(rows))[:7]
+        ws, twin = (TrainStep(model, 7, np.empty_like(model.theta)) for _ in range(2))
+        rng, twin_rng = Rng(63), Rng(63)
+        dropped = ws.gather(rows, idx, rng).copy()
+        p = ws.gather(rows, idx)
+        assert _bits(p) == _bits(TrainStep(model, 7).gather(rows, idx))
+        assert _bits(p) != _bits(dropped)
+        twin.gather(rows, idx, twin_rng)
+        assert _bits(rng.u64(5)) == _bits(twin_rng.u64(5))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("batch_size", [1, 5, 12, 64])
     @pytest.mark.parametrize("modality_set", list(ModalitySet))
     def test_evaluate_probabilities_bit_identical_to_the_oracle(
@@ -780,20 +831,28 @@ class TestSharedWorkspaces:
     dataset, spec = staticmethod(tiny_dataset), staticmethod(tiny_spec)
 
     class Run:
-        """A model, its gradient, its optimizer and its dropout stream, stepped in workspaces."""
+        """A model, its gradient, its optimizer and its dropout stream, stepped in workspaces.
 
-        def __init__(self, model, base_rows):
+        A shared run takes them from one set (``model.workspace``), opened
+        by its 12-row ``base``; a separate run gives each row count its own.
+        """
+
+        def __init__(self, model, shared):
             self.model, self.grad = model, np.empty_like(model.theta)
             self.update = RmspropUpdate(model.theta, self.grad, np.zeros_like(self.grad))
             self.rng = Rng(51)
-            self.base = None if base_rows is None else TrainStep(model, base_rows, self.grad)
             self.steps = {}
+            self.base = workspace(self.steps, model, 12, self.grad) if shared else None
+
+        def workspace(self, n):
+            if self.base is not None:
+                return workspace(self.steps, self.model, n, self.grad)
+            if n not in self.steps:
+                self.steps[n] = TrainStep(self.model, n, self.grad)
+            return self.steps[n]
 
         def step(self, rows, y, idx):
-            n = len(idx)
-            if n not in self.steps:
-                self.steps[n] = TrainStep(self.model, n, self.grad, self.base)
-            ws = self.steps[n]
+            ws = self.workspace(len(idx))
             p = ws.gather(rows, idx, self.rng).copy()
             loss, _ = ws.loss(y, idx)
             ws.backward()
@@ -801,8 +860,8 @@ class TestSharedWorkspaces:
             return p, loss, self.grad.copy(), self.model.theta.copy()
 
         def evaluate(self, x, r, rows, idx):
-            """Eval-mode probabilities of the batch idx: (copied in, gathered from rows)."""
-            ws = TrainStep(self.model, len(idx), base=self.base)
+            """The batch idx's probabilities without an rng: (copied in, gathered from rows)."""
+            ws = self.workspace(len(idx))
             copied = ws.forward(x[idx], None if r is None else r[idx]).copy()
             return copied, ws.gather(rows, idx).copy()
 
@@ -815,7 +874,7 @@ class TestSharedWorkspaces:
         rows = record_rows(ds.samples)
         assert np.shares_memory(rows, ds.samples)
         oracle = build_model(self.spec(modality_set, dropout), Rng(50), dtype)
-        shared, separate = self.Run(oracle.clone(), 12), self.Run(oracle.clone(), None)
+        shared, separate = self.Run(oracle.clone(), True), self.Run(oracle.clone(), False)
         ms_oracle, rng_oracle = np.zeros_like(oracle.theta), Rng(51)
         order = Rng(52).permutation(len(y))
         s = 0
@@ -832,12 +891,13 @@ class TestSharedWorkspaces:
                 assert loss == loss_o
                 assert _bits(grad) == _bits(grad_o)
                 assert _bits(theta) == _bits(oracle.theta)
+        assert sorted(shared.steps) == sorted(separate.steps) == [1, 5, 7, 12]
         for n, ws in shared.steps.items():
             assert np.shares_memory(ws.x, shared.base.x), n
             assert not np.shares_memory(separate.steps[n].x, shared.base.x)
         want = rng_oracle.u64(5)
         assert _bits(shared.rng.u64(5)) == _bits(want) == _bits(separate.rng.u64(5))
-        # eval mode on the same buffers: 1, 5 and 7 rows, and 7 shuffled, against the oracle
+        # no rng in the same workspaces: 1, 5 and 7 rows, and 7 shuffled, against the eval oracle
         for idx in (np.arange(1), np.arange(3, 8), np.arange(10, 17), order[40:47]):
             rb = None if r is None else r[idx]
             p_o = oracle_forward(oracle, x[idx], rb, "eval", None)[0]
@@ -852,7 +912,7 @@ class TestSharedWorkspaces:
         x, r, y = batch_arrays(ds.samples, dtype=dtype)
         rows = record_rows(ds.samples)
         model = build_model(self.spec(modality_set, dropout), Rng(53), dtype)
-        plain, interleaved = self.Run(model.clone(), 12), self.Run(model.clone(), 12)
+        plain, interleaved = self.Run(model.clone(), True), self.Run(model.clone(), True)
         order = Rng(54).permutation(len(y))
         first, second = order[:7], order[7:12]
         plain.step(rows, y, first)
@@ -871,8 +931,9 @@ class TestSharedWorkspaces:
         x, r, y = batch_arrays(ds.samples, dtype=dtype)
         records, arrays = record_rows(ds.samples), fused_rows(x, r, y)
         model = build_model(self.spec(modality_set), Rng(55), dtype)
-        base = TrainStep(model, 12, np.empty_like(model.theta))
-        from_records = TrainStep(model, 7, base.grads.theta, base)
+        steps, grad = {}, np.empty_like(model.theta)
+        workspace(steps, model, 12, grad)
+        from_records = workspace(steps, model, 7, grad)
         from_arrays = TrainStep(model, 7, np.empty_like(model.theta))
         for idx in np.split(Rng(56).permutation(len(y))[:21], 3):
             p = from_records.gather(records, idx, Rng(57))
@@ -900,7 +961,9 @@ class TestSplitWorkspaces(TestSharedWorkspaces):
     """TestSharedWorkspaces' cases with the gate on, so the large products and RMSprop split.
 
     The threshold stays as it is: below it, OpenBLAS picks kernels for small
-    sizes that can give a half other bits than the whole product.
+    sizes that can give a half other bits than the whole product. On a core
+    other than ``worker._CORE`` the gate stays off (``force_split``), and
+    every product must run whole.
     """
 
     spec = staticmethod(split_spec)
@@ -911,7 +974,7 @@ class TestSplitWorkspaces(TestSharedWorkspaces):
 
     @pytest.fixture(autouse=True)
     def split_on(self, monkeypatch):
-        monkeypatch.setattr(worker, "_gate", True)
+        self.split = force_split(monkeypatch)
 
     @pytest.mark.parametrize("modality_set", list(ModalitySet))
     def test_the_large_products_and_the_update_split(self, modality_set):
@@ -923,11 +986,15 @@ class TestSplitWorkspaces(TestSharedWorkspaces):
             split[n] = {name for name in SPLIT_PRODUCTS
                         if getattr(ws, name).func is worker.run_halves}
         conv = set() if modality_set is ModalitySet.THERMAL else {"_conv_forward", "_conv_dk"}
-        assert split == {1: set(), 5: conv, 12: set(SPLIT_PRODUCTS)}
-        assert TrainStep(model, 12)._conv_forward.func is worker.run_halves
+        want = {1: set(), 5: conv, 12: set(SPLIT_PRODUCTS)}
+        assert split == (want if self.split else dict.fromkeys(want, set()))
+        assert (TrainStep(model, 12)._conv_forward.func is worker.run_halves) == self.split
         update = RmspropUpdate(model.theta, grad, np.zeros_like(grad))
         first, second = update._halves
-        assert 13 <= len(first) == (len(first) + len(second)) // 2
+        if self.split:
+            assert 13 <= len(first) == (len(first) + len(second)) // 2
+        else:
+            assert not second
 
 
 @pytest.fixture(scope="module")

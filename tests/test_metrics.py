@@ -40,6 +40,11 @@ class TestConfusion:
         with pytest.raises(ShapeError):
             confusion_at_threshold(np.zeros(3), np.zeros(4))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_score_is_counted_by_no_class(self, bad):
+        with pytest.raises(ValidationError, match="1 non-finite"):
+            confusion_at_threshold(np.array([1, 0, 1]), np.array([bad, 0.2, 0.9]))
+
     def test_total_matches_sample_count(self):
         rng = Rng(1)
         y = (rng.uniform(500) < 0.3).astype(int)

@@ -16,6 +16,8 @@ from functools import partial
 import numpy as np
 import pytest
 
+from oracles import force_split
+
 from uavfuse import worker
 
 TWO_CPUS = hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
@@ -236,7 +238,7 @@ def test_only_products_past_the_threshold_and_of_aligned_width_split(monkeypatch
     "shape", [(25, 2304, 320), (12, 864, 2048), (864, 12, 2048), (4608, 125, 32), (37, 1001, 480)]
 )
 def test_a_split_product_has_the_bits_of_the_whole_one(monkeypatch, shape, dtype):
-    monkeypatch.setattr(worker, "_gate", True)
+    split = force_split(monkeypatch)
     m, k, n = shape
     rng = np.random.default_rng(sum(shape))
     a, b = rng.standard_normal((m, k)).astype(dtype), rng.standard_normal((k, n)).astype(dtype)
@@ -245,6 +247,6 @@ def test_a_split_product_has_the_bits_of_the_whole_one(monkeypatch, shape, dtype
         want = np.dot(x, y)
         out = np.full_like(want, np.nan)
         run = worker.product(np.dot, x, y, out)
-        assert run.func is worker.run_halves
+        assert (run.func is worker.run_halves) == split
         run()
         assert out.tobytes() == want.tobytes()
