@@ -8,11 +8,12 @@ A probability strictly above ``data.DECISION_THRESHOLD`` (0.5) is
 classified as UAV, at or below it as false alarm.
 
 ``TrainStep`` is the one implementation, and packed fused records are its
-one input layout. Training gathers its batches and validation chunks into
-them in train mode (the chunks with no rng, so they drop nothing), and so
-do the gradient checks, which give ``backward_pass`` an outside dL/dp;
-evaluation copies its maps in through ``_forward`` in eval mode, one call
-per model at a time. ``workspace`` builds every set of them.
+one input layout. Training gathers its batches (their labels with them)
+and validation chunks into them in train mode (the chunks with no rng, so
+they drop nothing), and so do the gradient checks, which give
+``backward_pass`` an outside dL/dp; evaluation copies its maps in through
+``_forward`` in eval mode, one call per model at a time. ``workspace``
+builds every set of them.
 """
 
 from __future__ import annotations
@@ -213,12 +214,6 @@ def batch_arrays(
     return stacked, radar, labels
 
 
-def record_rows(samples: np.ndarray) -> np.ndarray:
-    """Packed records as a (records, record bytes) uint8 array; a view when they are contiguous."""
-    records = np.ascontiguousarray(samples)
-    return records.view(np.uint8).reshape(len(records), records.itemsize)
-
-
 def _check_batch(model: Model, x: np.ndarray, r: np.ndarray | None) -> None:
     spec = model.spec
     if x.shape[1:] != tuple(spec.stacked_shape):
@@ -272,22 +267,22 @@ def backward_pass(ws: TrainStep, grad_p: np.ndarray) -> dict[str, np.ndarray]:
 class TrainStep:
     """Preallocated buffers for the network on a fixed number of rows.
 
-    The input buffer ``records`` holds whole records of the spec's
-    ``data.fused_dtype``, and the conv windows read their float32 stacked
-    field ``x``, so a float64 model (the gradient checks') reads its maps
-    at float32 precision.
+    The input buffer ``records`` is a 1-D array of whole records of the
+    spec's ``data.fused_dtype``, and the conv windows read their float32
+    stacked field ``x``, so a float64 model (the gradient checks') reads its
+    maps at float32 precision.
 
     Train mode (with ``grad``): ``gather`` given an rng runs the network
     with dropout, drawing the keep flags of both dropout layers in one call;
-    ``loss`` takes the batch's labels, returns the loss and writes its
-    gradient through the sigmoid into ``dz3``; ``backward`` then writes the
-    loss gradient into ``grad``, a flat vector laid out like ``theta``
-    (``grads`` holds its per-tensor views), reusing the conv forward's patch
-    matrix. Eval mode (no ``grad``) holds the forward buffers alone; in
-    either mode, a call without an rng drops nothing. Each product is the
-    one the allocating ``ops`` layer functions make, on the same operand
-    shapes, and each element-wise step runs their float ops in their order,
-    so the bits are theirs.
+    ``loss`` reads the labels of the records ``gather`` copied in, returns
+    the loss and writes its gradient through the sigmoid into ``dz3``;
+    ``backward`` then writes the loss gradient into ``grad``, a flat vector
+    laid out like ``theta`` (``grads`` holds its per-tensor views), reusing
+    the conv forward's patch matrix. Eval mode (no ``grad``) holds the
+    forward buffers alone; in either mode, a call without an rng drops
+    nothing. The products are the ``ops`` layer functions' BLAS products,
+    on the same operand shapes and with their bits, and each element-wise
+    step runs their float ops in their order, so the bits are theirs.
 
     Given ``base``, a workspace of at least as many rows (in train mode if
     this one is, with the same ``grad``), every buffer views the leading
@@ -299,11 +294,12 @@ class TrainStep:
 
     The five large products (the conv forward and kernel gradient, and the
     dense1 forward and its two gradient products) are bound once, here, by
-    ``worker.product``. With BLAS on one thread and two CPUs, each one of
-    at least ``worker.SPLIT_MACS`` multiply-adds (at the paper profile the
-    conv products from one row, all five from three) runs as two column
-    halves, one on a thread that lives for the call, with the bits of the
-    whole product; every other product is the plain numpy call.
+    ``worker.product``, whose whole product is ``np.dot``. With BLAS on one
+    thread and two CPUs, each one of at least ``worker.SPLIT_MACS``
+    multiply-adds (at the paper profile the conv products from one row, all
+    five from three) runs as two column halves, one on a thread that lives
+    for the call, with the bits of the whole product; every other product
+    is the plain numpy call.
 
     A workspace holds the model's layers, not the model, so a model can
     cache it without a reference cycle. The caller checks shapes.
@@ -334,9 +330,8 @@ class TrainStep:
         self._zero, self._one = const(0), const(1)
         self._tiny = const(np.finfo(dt).tiny)
         self._below_one = const(np.nextafter(dt.type(1), dt.type(0)))
-        records = fused_dtype(spec.stacked_shape, spec.radar_len)
-        self.records = buf("records", (b, records.itemsize), np.uint8)
-        self.x, self._radar = record_maps(self.records.view(records)[:, 0])
+        self.records = buf("records", (b,), fused_dtype(spec.stacked_shape, spec.radar_len))
+        self.x, self._radar = record_maps(self.records)
         self._windows = conv_windows(self.x, *spec.kernel)
         self.patches = buf("patches", self._windows.shape)
         self.z1 = buf("z1", (b, *spec.conv_out_shape))  # ReLU'd in place
@@ -351,8 +346,8 @@ class TrainStep:
         self._z1, self._a1 = self.z1.reshape(-1, c_out), self.z1.reshape(b, flat)
         self._h1, self._hr = self.h[:, :flat], self.h[:, flat:]
         # the large products, each bound once (worker.product): whole, or in two halves
-        self._conv_forward = product(np.dot, self._p, self._k, self._z1)
-        self._dense1_forward = product(np.matmul, self.h, self.dense1.weights, self.z2)
+        self._conv_forward = product(self._p, self._k, self._z1)
+        self._dense1_forward = product(self.h, self.dense1.weights, self.z2)
         # the output head runs on 1-D views of z3 and dz3, four temporary rows
         # and (train mode) two mask rows, unpacked from tuples without making views each step
         self._z3 = self.z3.reshape(b)
@@ -380,9 +375,9 @@ class TrainStep:
         self._gk = self.grads.conv.kernels.reshape(-1, c_out)
         self._dz1, self._dflat = self.dz1.reshape(-1, c_out), self.dz1.reshape(b, flat)
         self._dh1 = self.dh[:, :flat]  # the radar columns get no gradient path
-        self._dense1_dh = product(np.matmul, self.dz2, self.dense1.weights.T, self.dh)
-        self._dense1_dw = product(np.matmul, self.h.T, self.dz2, self.grads.dense1.weights)
-        self._conv_dk = product(np.dot, self._p.T, self._dz1, self._gk)
+        self._dense1_dh = product(self.dz2, self.dense1.weights.T, self.dh)
+        self._dense1_dw = product(self.h.T, self.dz2, self.grads.dense1.weights)
+        self._conv_dk = product(self._p.T, self._dz1, self._gk)
         self._eps, self._n = const(BCE_EPS), const(b)
         self._threshold = const(DECISION_THRESHOLD)
         self._one_minus_eps = const(1 - dt.type(BCE_EPS))
@@ -398,15 +393,16 @@ class TrainStep:
             np.copyto(self._hr, r)
         return self._run(None)
 
-    def gather(self, rows: np.ndarray, idx: np.ndarray, rng=None) -> np.ndarray:
-        """UAV probabilities of the records ``idx`` of ``rows`` (``record_rows``).
+    def gather(self, samples: np.ndarray, idx: np.ndarray, rng=None) -> np.ndarray:
+        """UAV probabilities of the records ``idx`` of ``samples``, fused records in C order.
 
         ``take`` on a record field would copy the whole input first, since the
-        field is an unaligned view; so one ``take`` copies the batch's whole
-        records into the record buffer, and the conv windows read its field.
+        field is an unaligned view, and so would ``take`` on strided records;
+        so one ``take`` copies the batch's whole records, labels with them,
+        into the record buffer, and the conv windows read its field.
         """
-        # idx holds row numbers of rows, so "clip" never clamps; "raise" takes via a temporary
-        rows.take(idx, 0, self.records, "clip")
+        # idx holds row numbers of samples, so "clip" never clamps; "raise" takes via a temporary
+        samples.take(idx, 0, self.records, "clip")
         if self._radar is not None:
             np.copyto(self._hr, self._radar)
         return self._run(rng)
@@ -455,9 +451,10 @@ class TrainStep:
         np.maximum(p, self._tiny, out=p)  # np.clip's order: max with the low bound first
         np.minimum(p, self._below_one, out=p)
 
-    def loss(self, y: np.ndarray, idx: np.ndarray) -> tuple[float, int]:
-        """(Loss, correct count) of the last forward batch against the labels ``y[idx]``.
+    def loss(self) -> tuple[float, int]:
+        """(Loss, correct count) of the last gathered batch against its records' labels.
 
+        The labels are copied into ``y`` in the model's dtype, 0 or 1 exactly.
         The loss is ``ops.bce_loss``'s, by its expression in its order; its
         gradient, through the sigmoid, goes into ``dz3`` for ``backward``. A
         prediction is correct when p and y are both above ``DECISION_THRESHOLD``
@@ -465,7 +462,7 @@ class TrainStep:
         """
         p, yb, (m1, m2) = self.p, self.y, self._masks
         a, c, phat, v = self._tmp
-        y.take(idx, 0, yb, "clip")  # as in gather
+        np.copyto(yb, self.records["label"])
         np.maximum(p, self._eps, out=phat)  # np.clip(p, eps, 1 - eps)
         np.minimum(phat, self._one_minus_eps, out=phat)
         # mean(-(y * log(phat) + (1 - y) * log1p(-phat)))

@@ -64,7 +64,13 @@ def _id_block(text: str, what: str) -> bytes:
 
 
 def provenance_block(dataset: FusedDataset) -> bytes:
-    """A fused file's id block: the provenance, its recording ids joined by commas."""
+    """A fused file's id block: the provenance, its recording ids joined by commas.
+
+    An id must be non-empty and free of commas, or it would read back as other ids.
+    """
+    for rec_id in dataset.provenance:
+        if not rec_id or "," in rec_id:
+            raise ValidationError(f"provenance id {rec_id!r} is empty or holds a comma")
     return _id_block(",".join(dataset.provenance), "provenance")
 
 
@@ -158,23 +164,6 @@ class BinaryReader:
             )
 
 
-def _check_header(reader: BinaryReader, expect_fused: bool) -> int:
-    """Check magic, version and modality byte; return the modality byte."""
-    reader.header(MAGIC, VERSION)
-    (modality_byte,) = reader.unpack("<B")
-    where = reader.where
-    if expect_fused:
-        if modality_byte != FUSED_MODALITY_BYTE:
-            raise FormatError(
-                f"{where}modality byte {modality_byte} is a plain recording, not a fused dataset"
-            )
-    elif modality_byte == FUSED_MODALITY_BYTE:
-        raise FormatError(f"{where}modality byte 3 marks a fused dataset, not a plain recording")
-    elif modality_byte not in (0, 1, 2):
-        raise FormatError(f"{where}modality byte {modality_byte} is not a recording modality")
-    return modality_byte
-
-
 def _write(destination, header: list[bytes], samples: np.ndarray) -> int:
     """Write the header and the sample count, then stream the records; return the byte count."""
     with open(destination, "wb") as f:
@@ -195,7 +184,12 @@ def write_recording(recording: Recording, destination) -> int:
 def read_recording(source) -> Recording:
     """Parse and validate one recording file (exact inverse of write_recording)."""
     reader = BinaryReader(np.fromfile(source, np.uint8), source)
-    modality_byte = _check_header(reader, expect_fused=False)
+    reader.header(MAGIC, VERSION)
+    (modality_byte,) = reader.unpack("<B")
+    if modality_byte == FUSED_MODALITY_BYTE:
+        raise FormatError(f"{source}: modality byte 3 marks a fused dataset, not a plain recording")
+    if modality_byte not in (0, 1, 2):
+        raise FormatError(f"{source}: modality byte {modality_byte} is not a recording modality")
     recording_id = reader.text()
     samples = reader.records(features=reader.shape())
     reader.done()
@@ -224,7 +218,12 @@ def read_fused(source, buf=None) -> FusedDataset:
     the records then view it.
     """
     reader = BinaryReader(np.fromfile(source, np.uint8) if buf is None else buf, source)
-    _check_header(reader, expect_fused=True)
+    reader.header(MAGIC, VERSION)
+    (modality_byte,) = reader.unpack("<B")
+    if modality_byte != FUSED_MODALITY_BYTE:
+        raise FormatError(
+            f"{source}: modality byte {modality_byte} is a plain recording, not a fused dataset"
+        )
     modality_set = reader.modality_set()
     provenance_text = reader.text()
     stacked_shape, radar_shape = reader.shape(), reader.shape()

@@ -14,12 +14,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import DECISION_THRESHOLD, FusedDataset, fused_dtype
+from .data import FusedDataset, fused_dtype
 from .errors import (
     CompatibilityError, ConfigError, NumericFault, TrainingError, check_finite_fields
 )
 from .metrics import classification_report, confusion_at_threshold
-from .model import Model, record_rows, weights_digest, workspace, _check_batch, _forward
+from .model import Model, weights_digest, workspace, _check_batch, _forward
 from .ops import RmspropUpdate, bce_loss
 from .rng import Rng
 
@@ -107,12 +107,14 @@ def train(model: Model, dataset: FusedDataset, cfg: TrainConfig) -> tuple[Model,
     that epoch's.
 
     Batches and validation chunks are gathered from the dataset's records,
-    in the model's layout, by row number; the labels are the only
-    per-sample copy, and they share one train-mode workspace set
-    (``model.workspace``); a chunk, given no rng, runs the eval forward.
-    Besides the caller's model it holds four vectors of theta's size (the
-    clone, its gradient, the mean square and the best epoch's copy) and the
-    set's buffers for the largest row count; the returned model caches no
+    in the model's layout and made C-contiguous once, by row number, into
+    one train-mode workspace set (``model.workspace``); a batch's labels
+    come with its records, and a chunk, given no rng, runs the eval
+    forward. The validation labels are the only per-sample copy, and one
+    confusion matrix per epoch gives its validation accuracy. Besides the
+    caller's model it holds four vectors of theta's size (the clone, its
+    gradient, the mean square and the best epoch's copy) and the set's
+    buffers for the largest row count; the returned model caches no
     workspace.
     """
     cfg.validate()
@@ -122,17 +124,19 @@ def train(model: Model, dataset: FusedDataset, cfg: TrainConfig) -> tuple[Model,
     layout = fused_dtype(model.spec.stacked_shape, model.spec.radar_len)
     if samples.dtype != layout:
         raise CompatibilityError(f"records {samples.dtype} are not the model's layout {layout}")
-    y = np.array(samples["label"], dtype=model.theta.dtype)
+    # take copies a strided input whole on every call
+    records = np.ascontiguousarray(samples)
+    labels = records["label"]
 
     rng = Rng(cfg.seed)
-    train_n, val_n = split_sizes(len(y), cfg.val_fraction)
+    train_n, val_n = split_sizes(len(records), cfg.val_fraction)
     if train_n < 1 or val_n < 1:
         raise TrainingError(
-            f"{len(y)} samples leave an empty split at val_fraction={cfg.val_fraction}"
+            f"{len(records)} samples leave an empty split at val_fraction={cfg.val_fraction}"
         )
-    perm = rng.spawn("split").permutation(len(y))
+    perm = rng.spawn("split").permutation(len(records))
     train_idx, val_idx = perm[:train_n], perm[train_n:]
-    if len(np.unique(y[train_idx])) < 2:
+    if len(np.unique(labels[train_idx])) < 2:
         raise TrainingError("training split contains a single class")
 
     shuffle_rng = rng.spawn("shuffle")
@@ -146,16 +150,15 @@ def train(model: Model, dataset: FusedDataset, cfg: TrainConfig) -> tuple[Model,
     grad = np.empty_like(theta)
     update = RmspropUpdate(theta, grad, np.zeros_like(theta))
     best_theta = np.empty_like(theta)
-    rows = record_rows(samples)
     steps = {}
     step = 0
 
-    y_val = y[val_idx]
+    y_val = labels[val_idx].astype(theta.dtype)
+    p_val = np.empty(val_n, theta.dtype)
 
     report = TrainReport()
     best_val = math.inf
     best_epoch = 0
-    best_p_val = None
     stopped = cfg.max_epochs
 
     for epoch in range(1, cfg.max_epochs + 1):
@@ -165,8 +168,8 @@ def train(model: Model, dataset: FusedDataset, cfg: TrainConfig) -> tuple[Model,
         for s in range(0, train_n, cfg.batch_size):
             idx = order[s : s + cfg.batch_size]
             ws = workspace(steps, model, len(idx), grad)
-            ws.gather(rows, idx, dropout_rng)
-            loss, hits = ws.loss(y, idx)
+            ws.gather(records, idx, dropout_rng)
+            loss, hits = ws.loss()
             if not math.isfinite(loss):
                 raise NumericFault(f"non-finite training loss at epoch {epoch}")
             ws.backward()
@@ -176,10 +179,9 @@ def train(model: Model, dataset: FusedDataset, cfg: TrainConfig) -> tuple[Model,
             correct += hits
 
         # evaluate_probabilities' chunks and bits, from the records in place
-        p_val = np.empty(val_n, theta.dtype)
         for s in range(0, val_n, cfg.batch_size):
             idx = val_idx[s : s + cfg.batch_size]
-            p_val[s : s + len(idx)] = workspace(steps, model, len(idx), grad).gather(rows, idx)
+            p_val[s : s + len(idx)] = workspace(steps, model, len(idx), grad).gather(records, idx)
         val_loss, _ = bce_loss(p_val, y_val)
         if not math.isfinite(val_loss):
             raise NumericFault(f"non-finite validation loss at epoch {epoch}")
@@ -187,25 +189,24 @@ def train(model: Model, dataset: FusedDataset, cfg: TrainConfig) -> tuple[Model,
         report.train_loss.append(loss_sum / train_n)
         report.train_accuracy.append(correct / train_n)
         report.val_loss.append(val_loss)
-        agree = (p_val > DECISION_THRESHOLD) == (y_val > DECISION_THRESHOLD)
-        report.val_accuracy.append(float(np.mean(agree)))
+        scores = classification_report(confusion_at_threshold(y_val, p_val))
+        report.val_accuracy.append(scores.accuracy)
 
         if val_loss < best_val:
             best_val = val_loss
             best_epoch = epoch
             np.copyto(best_theta, theta)
-            best_p_val = p_val
+            best_scores = scores
         elif epoch - best_epoch == cfg.patience:
             stopped = epoch
             break
 
     if cfg.restore_best:
         theta[:] = best_theta
-        p_val = best_p_val
+        scores = best_scores
 
     report.stopped_epoch = stopped
     report.best_epoch = best_epoch
     report.weights_digest = weights_digest(model)
-    cm = confusion_at_threshold(y_val, p_val)
-    report.val_weighted_f1 = classification_report(cm).weighted_f1
+    report.val_weighted_f1 = scores.weighted_f1
     return model, report

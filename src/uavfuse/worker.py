@@ -80,19 +80,20 @@ def _blas() -> tuple[int, str]:
     return 0, ""
 
 
-def product(call, a: np.ndarray, b: np.ndarray, out: np.ndarray):
-    """``call(a, b, out)`` bound once, for a product a @ b into ``out``.
+def product(a: np.ndarray, b: np.ndarray, out: np.ndarray):
+    """The product a @ b into the C-contiguous ``out``, bound once.
 
     It splits when it has at least ``SPLIT_MACS`` multiply-adds, two or
     more rows (one row is a gemv) and a multiple of 2 * ``_COLUMNS``
     columns, and the gate is on. Then it runs two ``np.matmul`` calls on
     column views, ``b[:, :h]`` into ``out[:, :h]`` and ``b[:, h:]`` into
     ``out[:, h:]``, which BLAS reads and writes in place with the full row
-    stride. Otherwise it is exactly ``call(a, b, out)``.
+    stride (``np.dot`` takes no column view as ``out``). Otherwise it is
+    exactly the whole product ``np.dot(a, b, out)``.
     """
     (m, k), n = a.shape, b.shape[1]
     if m < 2 or n % (2 * _COLUMNS) or m * k * n < SPLIT_MACS or not split_gate():
-        return partial(call, a, b, out)
+        return partial(np.dot, a, b, out)
     h = n // 2
     return partial(
         run_halves,

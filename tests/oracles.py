@@ -1,6 +1,6 @@
 """Independent reference expressions and helpers shared by the test modules.
 
-The helpers pack records (``fused_rows``) and name the compute environment
+The helpers pack records (``fused_records``) and name the compute environment
 for the goldens' assertion messages (``environment``).
 """
 
@@ -9,7 +9,6 @@ from numpy._core import _multiarray_umath as umath
 
 from uavfuse import worker
 from uavfuse.data import fused_dtype
-from uavfuse.model import record_rows
 
 
 def rmsprop_oracle(param, grad, mean_square, step, lr0, decay, rho=0.9, eps=1e-7):
@@ -41,17 +40,17 @@ def grad_check(f, x: np.ndarray, analytic_grad: np.ndarray, eps: float = 1e-5) -
     return worst
 
 
-def fused_rows(x, r, y):
+def fused_records(x, r, y):
     """Maps ``x``, radar-or-None ``r`` and labels ``y`` packed into fused records.
 
-    The (records, record bytes) rows that ``TrainStep.gather`` takes, as
-    ``record_rows`` gives them; the payloads are stored as float32.
+    The C-contiguous records that ``TrainStep.gather`` takes; the payloads
+    are stored as float32.
     """
     samples = np.zeros(len(x), fused_dtype(x.shape[1:], 0 if r is None else r.shape[1]))
     samples["stacked"], samples["label"] = x, y
     if r is not None:
         samples["radar"] = r
-    return record_rows(samples)
+    return samples
 
 
 def environment() -> str:

@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from oracles import fused_rows, grad_check
+from oracles import fused_records, grad_check
 from test_registration import brute_force_match, pairs, stream
 
 from uavfuse.cli import main
@@ -146,7 +146,7 @@ def test_criterion_2_gradient_suite():
         rb = rng.normal((3, spec.radar_len))
         yb = np.array([1.0, 0.0, 1.0])
 
-        rows = fused_rows(xb, rb, yb)  # the network reads the maps at float32 precision
+        rows = fused_records(xb, rb, yb)  # the network reads the maps at float32 precision
 
         def net_loss(m):
             ws = TrainStep(m, len(xb), np.empty_like(m.theta))

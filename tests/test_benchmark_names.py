@@ -8,7 +8,7 @@ so this test fails instead.
 from pathlib import Path
 
 import numpy as np
-from oracles import fused_rows
+from oracles import fused_records
 
 import uavfuse.registration
 
@@ -91,7 +91,7 @@ def test_model_and_optimizer_hooks_see_the_calls(monkeypatch):
     x = rng.normal((3, *spec.stacked_shape)).astype(np.float32)
     r = rng.normal((3, spec.radar_len)).astype(np.float32)
     ws = uf.model.TrainStep(model, 3, np.empty_like(model.theta))
-    p = ws.gather(fused_rows(x, r, np.zeros(3)), np.arange(3), rng)
+    p = ws.gather(fused_records(x, r, np.zeros(3)), np.arange(3), rng)
     theta = model.theta
     with tracer.Tracer() as t:
         state = uf.ops.RmspropState(np.zeros_like(theta))

@@ -423,6 +423,20 @@ class TestRegister:
         assert "data error: split 'all': provenance of 80001 bytes exceeds the u16 limit" in err
         assert not out.exists()
 
+    def test_a_recording_id_with_a_comma_exits_3_before_any_output(self, generated, capsys):
+        # the fused file joins its ids with commas: 'rec,000' would read back as 'rec' and '000'
+        cfg, data = generated
+        for name, _, _ in read_manifest(data):
+            rec = read_recording(data / name)
+            if rec.recording_id == "rec000":
+                write_recording(Recording(rec.modality, "rec,000", rec.samples), data / name)
+        out = data.parent / "fused"
+        code = main(["register", "--config", str(cfg), "--data", str(data), "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "split 'all': provenance id 'rec,000' is empty or holds a comma" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("modalities", ["two", "three"])
     def test_maps_that_cannot_stack_exit_3(self, generated, capsys, modalities):
         cfg, data = generated

@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+import re
 import struct
 import tempfile
 from pathlib import Path
@@ -9,7 +10,7 @@ from pathlib import Path
 import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from uavfuse.data import (
@@ -367,8 +368,11 @@ def _recordings(draw):
     return Recording(draw(st.sampled_from(Modality)), draw(st.text(max_size=8)), samples)
 
 
+_IDS = st.text("abcxyz019_-", min_size=1, max_size=6)
+
+
 @st.composite
-def _fused_datasets(draw):
+def _fused_datasets(draw, ids=_IDS):
     modality_set = draw(st.sampled_from(ModalitySet))
     radar_len = draw(st.integers(1, 4)) if modality_set.has_radar else 0
     stacked_shape = tuple(draw(st.lists(st.integers(1, 3), min_size=3, max_size=3)))
@@ -382,9 +386,14 @@ def _fused_datasets(draw):
         draw(st.lists(st.sampled_from(Label), min_size=n, max_size=n)),
         *payloads,
     )
-    ids = st.text("abcxyz019_-", min_size=1, max_size=6)
     provenance = draw(st.lists(ids, max_size=3))
     return FusedDataset(modality_set, samples, provenance)
+
+
+def _fused_with(provenance):
+    """A one-sample single-modality dataset with the given provenance."""
+    samples = _records(fused_dtype((1, 1, 1), 0), [0.0], [1], np.zeros((1, 1, 1, 1), np.float32))
+    return FusedDataset(ModalitySet.THERMAL, samples, provenance)
 
 
 @st.composite
@@ -434,10 +443,20 @@ class TestFileProperties:
             assert path.read_bytes() == blob
             _every_prefix_rejected(path, read_recording)
 
-    @given(_fused_datasets())
+    # ids may also be empty or hold a comma, which write_fused must refuse
+    @given(_fused_datasets(st.text("abcxyz019_-,", max_size=6)))
+    @example(_fused_with(["a,b", "c"]))
+    @example(_fused_with([""]))
     def test_fused_round_trip(self, ds):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "f.msfr"
+            bad = [rec_id for rec_id in ds.provenance if not rec_id or "," in rec_id]
+            if bad:
+                # joined by commas, such ids would read back as other ids
+                with pytest.raises(ValidationError, match=re.escape(f"provenance id {bad[0]!r}")):
+                    write_fused(ds, path)
+                assert not path.exists()
+                return
             write_fused(ds, path)
             back = read_fused(path)
             assert back.modality_set is ds.modality_set

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import environment, force_split, fused_rows, grad_check, rmsprop_oracle
+from oracles import environment, force_split, fused_records, grad_check, rmsprop_oracle
 from test_memory import MIB, traced_peak
 
 from uavfuse import worker
@@ -44,7 +44,6 @@ from uavfuse.model import (
     classify_probability,
     load_weights,
     record_maps,
-    record_rows,
     save_weights,
     weights_digest,
     workspace,
@@ -296,7 +295,7 @@ class TestForward:
 
     def test_train_mode_reproducible_given_seed(self):
         model = build_model(tiny_spec(), Rng(4))
-        rows, idx = record_rows(tiny_dataset().samples), np.arange(6)
+        rows, idx = tiny_dataset().samples, np.arange(6)
         p1 = TrainStep(model, 6, np.empty_like(model.theta)).gather(rows, idx, Rng(55))
         p2 = TrainStep(model, 6, np.empty_like(model.theta)).gather(rows, idx, Rng(55))
         assert np.array_equal(p1, p2)
@@ -457,7 +456,7 @@ class TestEndToEndGradient:
         model = build_model(spec, Rng(11), dtype=np.float64)
         ds = tiny_dataset()
         x, r, y = batch_arrays(ds.samples[:4], dtype=np.float64)
-        rows = fused_rows(x, r, y)
+        rows = fused_records(x, r, y)
 
         def loss_with(m):
             # fresh Rng per evaluation so the dropout masks repeat exactly
@@ -678,6 +677,26 @@ class TestTraining:
         with pytest.raises(CompatibilityError, match="not the model's layout"):
             train(model, FusedDataset(ds.modality_set, samples, ds.provenance), TrainConfig())
 
+    def test_strided_records_train_as_their_contiguous_copy(self, monkeypatch):
+        # every other record: a take from a strided view would copy it whole on every call
+        ds = tiny_dataset()
+        strided, copied = ds.samples[::2], ds.samples[::2].copy()
+        assert not strided.flags.c_contiguous
+        contiguous = []
+        gather = TrainStep.gather
+
+        def recorded(self, samples, idx, rng=None):
+            contiguous.append(samples.flags.c_contiguous)
+            return gather(self, samples, idx, rng)
+
+        monkeypatch.setattr(TrainStep, "gather", recorded)
+        model = build_model(tiny_spec(), Rng(28))
+        cfg = TrainConfig(lr0=1e-2, max_epochs=3, patience=3, seed=5)
+        _, from_view = train(model, FusedDataset(ds.modality_set, strided, ds.provenance), cfg)
+        _, from_copy = train(model, FusedDataset(ds.modality_set, copied, ds.provenance), cfg)
+        assert from_view == from_copy
+        assert contiguous and all(contiguous)
+
     def test_non_finite_gradient_faults_and_leaves_the_input_alone(self, monkeypatch):
         # a finite loss with an infinite gradient in the last tensor, so the
         # fault comes from the optimizer's own check
@@ -763,7 +782,7 @@ class TestTrainStep:
         ds = tiny_dataset(modality_set)
         x, r, y = batch_arrays(ds.samples, dtype=dtype)
         assert (r is not None) == modality_set.has_radar
-        rows = fused_rows(x, r, y)
+        rows = fused_records(x, r, y)
         oracle = build_model(tiny_spec(modality_set, dropout), Rng(30), dtype)
         model = oracle.clone()
         grad = np.empty_like(model.theta)
@@ -781,7 +800,7 @@ class TestTrainStep:
                     workspaces[len(idx)] = TrainStep(model, len(idx), grad)
                 ws = workspaces[len(idx)]
                 p = ws.gather(rows, idx, rng)
-                loss, correct = ws.loss(y, idx)
+                loss, correct = ws.loss()
                 ws.backward()
                 assert _bits(p) == _bits(p_o)
                 assert loss == loss_o
@@ -796,10 +815,27 @@ class TestTrainStep:
         assert _bits(rng.u64(5)) == _bits(rng_oracle.u64(5))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_the_loss_scores_the_batch_it_gathered(self, dtype):
+        # two batches in one workspace, their labels opposite at every row
+        samples = tiny_dataset().samples
+        uav, fa = np.flatnonzero(samples["label"] == 1), np.flatnonzero(samples["label"] == 0)
+        first, second = np.r_[uav[:3], fa[:3]], np.r_[fa[3:6], uav[3:6]]
+        model = build_model(tiny_spec(), Rng(64), dtype)
+        ws = TrainStep(model, 6, np.empty_like(model.theta))
+        ws.gather(samples, first, Rng(65))
+        p = ws.gather(samples, second, Rng(66)).copy()
+        loss, correct = ws.loss()
+        y = samples["label"][second].astype(dtype)
+        loss_want, grad_p = bce_loss(p, y)
+        assert loss == loss_want
+        assert correct == int(np.sum((p > 0.5) == (y > 0.5)))
+        assert _bits(ws.dz3) == _bits(sigmoid_backward(grad_p.reshape(-1, 1), p.reshape(-1, 1)))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("modality_set", list(ModalitySet))
     def test_a_train_mode_gather_without_an_rng_is_the_eval_forward(self, modality_set, dtype):
         # a validation chunk in training: at dropout 0.5, it drops and draws nothing
-        rows = record_rows(tiny_dataset(modality_set).samples)
+        rows = tiny_dataset(modality_set).samples
         model = build_model(tiny_spec(modality_set, 0.5), Rng(61), dtype)
         idx = Rng(62).permutation(len(rows))[:7]
         ws, twin = (TrainStep(model, 7, np.empty_like(model.theta)) for _ in range(2))
@@ -851,10 +887,10 @@ class TestSharedWorkspaces:
                 self.steps[n] = TrainStep(self.model, n, self.grad)
             return self.steps[n]
 
-        def step(self, rows, y, idx):
+        def step(self, rows, idx):
             ws = self.workspace(len(idx))
             p = ws.gather(rows, idx, self.rng).copy()
-            loss, _ = ws.loss(y, idx)
+            loss, _ = ws.loss()
             ws.backward()
             self.update(1e-2)
             return p, loss, self.grad.copy(), self.model.theta.copy()
@@ -871,8 +907,7 @@ class TestSharedWorkspaces:
     def test_bit_identical_to_separate_buffers_and_the_oracle(self, modality_set, dropout, dtype):
         ds = self.dataset(modality_set)
         x, r, y = batch_arrays(ds.samples, dtype=dtype)
-        rows = record_rows(ds.samples)
-        assert np.shares_memory(rows, ds.samples)
+        rows = ds.samples
         oracle = build_model(self.spec(modality_set, dropout), Rng(50), dtype)
         shared, separate = self.Run(oracle.clone(), True), self.Run(oracle.clone(), False)
         ms_oracle, rng_oracle = np.zeros_like(oracle.theta), Rng(51)
@@ -886,7 +921,7 @@ class TestSharedWorkspaces:
                 oracle.theta, grad_o, ms_oracle, 0, 1e-2, 0
             )
             for run in (shared, separate):
-                p, loss, grad, theta = run.step(rows, y, idx)
+                p, loss, grad, theta = run.step(rows, idx)
                 assert _bits(p) == _bits(p_o)
                 assert loss == loss_o
                 assert _bits(grad) == _bits(grad_o)
@@ -910,15 +945,15 @@ class TestSharedWorkspaces:
     def test_an_eval_forward_between_steps_changes_nothing(self, modality_set, dropout, dtype):
         ds = self.dataset(modality_set)
         x, r, y = batch_arrays(ds.samples, dtype=dtype)
-        rows = record_rows(ds.samples)
+        rows = ds.samples
         model = build_model(self.spec(modality_set, dropout), Rng(53), dtype)
         plain, interleaved = self.Run(model.clone(), True), self.Run(model.clone(), True)
         order = Rng(54).permutation(len(y))
         first, second = order[:7], order[7:12]
-        plain.step(rows, y, first)
-        interleaved.step(rows, y, first)
+        plain.step(rows, first)
+        interleaved.step(rows, first)
         interleaved.evaluate(x, r, rows, np.arange(20, 32))
-        got, want = interleaved.step(rows, y, second), plain.step(rows, y, second)
+        got, want = interleaved.step(rows, second), plain.step(rows, second)
         for a, b in zip(got, want):
             assert _bits(a) == _bits(b)
 
@@ -929,7 +964,7 @@ class TestSharedWorkspaces:
         # records packed from its column arrays, in a workspace of its own
         ds = self.dataset(modality_set)
         x, r, y = batch_arrays(ds.samples, dtype=dtype)
-        records, arrays = record_rows(ds.samples), fused_rows(x, r, y)
+        records, arrays = ds.samples, fused_records(x, r, y)
         model = build_model(self.spec(modality_set), Rng(55), dtype)
         steps, grad = {}, np.empty_like(model.theta)
         workspace(steps, model, 12, grad)
@@ -938,7 +973,7 @@ class TestSharedWorkspaces:
         for idx in np.split(Rng(56).permutation(len(y))[:21], 3):
             p = from_records.gather(records, idx, Rng(57))
             assert _bits(p) == _bits(from_arrays.gather(arrays, idx, Rng(57)))
-            assert from_records.loss(y, idx) == from_arrays.loss(y, idx)
+            assert from_records.loss() == from_arrays.loss()
             from_records.backward()
             from_arrays.backward()
             assert _bits(from_records.grads.theta) == _bits(from_arrays.grads.theta)
@@ -1090,7 +1125,8 @@ class TestWorkspaceHead:
         return TrainStep(model, batch_size, np.empty_like(model.theta))
 
     def _check(self, ws, p_want, y):
-        loss, correct = ws.loss(y, np.arange(len(y)))
+        ws.records["label"] = y
+        loss, correct = ws.loss()
         loss_want, grad_p = bce_loss(p_want, y)
         assert loss == loss_want or not (math.isfinite(loss) or math.isfinite(loss_want))
         dz3_want = sigmoid_backward(grad_p.reshape(-1, 1), p_want.reshape(-1, 1))

@@ -17,7 +17,7 @@ import pytest
 
 from uavfuse.data import FusedDataset, Modality, ModalitySet, ShapeProfile
 from uavfuse.model import (
-    ModelSpec, TrainStep, build_model, load_weights, record_rows, save_weights, weights_digest
+    ModelSpec, TrainStep, build_model, load_weights, save_weights, weights_digest
 )
 from uavfuse.registration import fuse_dataset
 from uavfuse.rng import Rng
@@ -147,13 +147,11 @@ def test_a_training_step_gathers_the_batch_alone(reduced_set):
     samples = reduced_set.samples
     model = build_model(SMALL, Rng(8))
     ws = TrainStep(model, 12, np.empty_like(model.theta))
-    rows = record_rows(samples)
-    y = np.array(samples["label"], model.theta.dtype)
     idx, rng = Rng(9).permutation(len(samples))[:12], Rng(10)
 
     def step():
-        ws.gather(rows, idx, rng)
-        ws.loss(y, idx)
+        ws.gather(samples, idx, rng)
+        ws.loss()
         ws.backward()
 
     step()  # first-call allocations

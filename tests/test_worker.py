@@ -42,7 +42,7 @@ worker._gate, worker.SPLIT_MACS = True, 1
 a, b = np.arange(12.0).reshape(3, 4), np.arange(128.0).reshape(4, 32)
 def split_product():
     out = np.empty((3, 32))
-    run = worker.product(np.matmul, a, b, out)
+    run = worker.product(a, b, out)
     assert run.func is worker.run_halves
     run()
     assert np.array_equal(out, a @ b)
@@ -219,11 +219,11 @@ def test_only_products_past_the_threshold_and_of_aligned_width_split(monkeypatch
     macs = 4 * 8 * 64
 
     def func(a, b):
-        return worker.product(np.dot, a, b, np.empty((len(a), b.shape[1]))).func
+        return worker.product(a, b, np.empty((len(a), b.shape[1]))).func
 
     monkeypatch.setattr(worker, "SPLIT_MACS", macs + 1)
     out = np.empty((4, 64))
-    whole = worker.product(np.dot, a, b, out)
+    whole = worker.product(a, b, out)
     assert (whole.func, whole.args, whole.keywords) == (np.dot, (a, b, out), {})
     monkeypatch.setattr(worker, "SPLIT_MACS", macs)
     assert func(a, b) is worker.run_halves
@@ -246,7 +246,7 @@ def test_a_split_product_has_the_bits_of_the_whole_one(monkeypatch, shape, dtype
     for x, y in [(x, y) for x in (a, np.asfortranarray(a)) for y in (b, np.asfortranarray(b))]:
         want = np.dot(x, y)
         out = np.full_like(want, np.nan)
-        run = worker.product(np.dot, x, y, out)
+        run = worker.product(x, y, out)
         assert (run.func is worker.run_halves) == split
         run()
         assert out.tobytes() == want.tobytes()
