@@ -273,12 +273,13 @@ class TrainStep:
     maps at float32 precision.
 
     Train mode (with ``grad``): ``gather`` given an rng runs the network
-    with dropout, drawing the keep flags of both dropout layers in one call;
-    ``loss`` reads the labels of the records ``gather`` copied in, returns
-    the loss and writes its gradient through the sigmoid into ``dz3``;
-    ``backward`` then writes the loss gradient into ``grad``, a flat vector
-    laid out like ``theta`` (``grads`` holds its per-tensor views), reusing
-    the conv forward's patch matrix. Eval mode (no ``grad``) holds the
+    with dropout, drawing both layers' keep flags into one scale buffer in
+    one call (``z2`` is dropped in place); ``loss`` reads the labels of the
+    records ``gather`` copied in, returns the loss and writes its gradient
+    through the sigmoid into ``dz3``; ``backward`` then writes the loss
+    gradient into ``grad``, a flat vector laid out like ``theta`` (``grads``
+    holds its per-tensor views), reusing the conv forward's patch matrix,
+    and the ReLU masks over the scales. Eval mode (no ``grad``) holds the
     forward buffers alone; in either mode, a call without an rng drops
     nothing. The products are the ``ops`` layer functions' BLAS products,
     on the same operand shapes and with their bits, and each element-wise
@@ -336,8 +337,7 @@ class TrainStep:
         self.patches = buf("patches", self._windows.shape)
         self.z1 = buf("z1", (b, *spec.conv_out_shape))  # ReLU'd in place
         self.h = buf("h", (b, spec.dense1_in))  # dropped-out conv features, then radar
-        self.z2 = buf("z2", (b, spec.dense_units))  # ReLU'd in place
-        self.d2 = buf("d2", self.z2.shape) if self.rate else self.z2  # rate 0: the identity
+        self.z2 = buf("z2", (b, spec.dense_units))  # ReLU'd, then dropped out, in place
         self.z3 = buf("z3", (b, 1))
         self.p = buf("p", (b,))
         # 2-D views for the products and the per-layer element-wise steps
@@ -356,16 +356,13 @@ class TrainStep:
             return
         self._masks = vectors("_masks", 2, bool)
         self.grads = Model(spec, grad)
-        # dropout scales (1/(1-rate) where kept, 0 where dropped) and keep flags of
-        # both layers, each in one buffer so that a step draws its flags at once;
-        # backward overwrites the flags with the ReLU masks
+        # dropout scales of both layers (1/(1-rate) where kept, 0 where dropped) in
+        # one buffer, so that a step draws its flags at once; backward writes
+        # each layer's ReLU mask over its scales once it has applied them
         n1 = b * flat
         self._scales = buf("_scales", (n1 + self.z2.size,))
-        self._keep = buf("_keep", self._scales.shape, bool)
         self.s1 = self._scales[:n1].reshape(b, flat)
         self.s2 = self._scales[n1:].reshape(self.z2.shape)
-        self.flags1 = self._keep[:n1].reshape(b, flat)
-        self.flags2 = self._keep[n1:].reshape(self.z2.shape)
         self.y = buf("y", (b,))  # the batch's labels
         self.dz3 = buf("dz3", self.z3.shape)
         self.dh = buf("dh", self.h.shape)
@@ -414,9 +411,9 @@ class TrainStep:
         np.add(self._z1, self.conv.bias, out=self._z1)
         np.maximum(self._z1, self._zero, out=self._z1)
         if drop:
-            # the words of flags1 then flags2, in the order of two separate draws
-            dropout_keep(rng, self.rate, self._keep)
-            np.multiply(self._keep, self.scale, out=self._scales)
+            # the flags of s1 then s2, 1.0 or 0.0, in the order of two separate draws
+            dropout_keep(rng, self.rate, self._scales)
+            np.multiply(self._scales, self.scale, out=self._scales)
             np.multiply(self._a1, self.s1, out=self._h1)
         else:
             np.copyto(self._h1, self._a1)
@@ -424,8 +421,8 @@ class TrainStep:
         np.add(self.z2, self.dense1.bias, out=self.z2)
         np.maximum(self.z2, self._zero, out=self.z2)
         if drop:
-            np.multiply(self.z2, self.s2, out=self.d2)
-        np.matmul(self.d2 if drop else self.z2, self.output.weights, out=self.z3)
+            np.multiply(self.z2, self.s2, out=self.z2)
+        np.matmul(self.z2, self.output.weights, out=self.z3)
         np.add(self.z3, self.output.bias, out=self.z3)
         self._sigmoid()
         return self.p
@@ -507,24 +504,29 @@ class TrainStep:
         """
         g, dz3 = self.grads, self.dz3
         np.matmul(dz3, self.output.weights.T, out=self.dz2)
-        np.matmul(self.d2.T, dz3, out=g.output.weights)
+        np.matmul(self.z2.T, dz3, out=g.output.weights)
         np.add.reduce(dz3, axis=0, out=g.output.bias)
-        self._dropout_relu_backward(self.dz2, self.s2, self.z2, self.flags2, self.dz2)
+        self._dropout_relu_backward(self.dz2, self.s2, self.z2, self.dz2)
         self._dense1_dh()
         self._dense1_dw()
         np.add.reduce(self.dz2, axis=0, out=g.dense1.bias)
-        self._dropout_relu_backward(self._dh1, self.s1, self._a1, self.flags1, self._dflat)
+        self._dropout_relu_backward(self._dh1, self.s1, self._a1, self._dflat)
         np.add.reduce(self.dz1, axis=(0, 1, 2), out=g.conv.bias)
         self._conv_dk()
 
-    def _dropout_relu_backward(self, upstream, scale, a, flags, out) -> None:
-        """out = upstream * scale * (a > 0), in that order; a > 0 exactly where z > 0."""
+    def _dropout_relu_backward(self, upstream, scale, a, out) -> None:
+        """out = upstream * scale * (a > 0), in that order, the mask written over ``scale``.
+
+        The second layer's ``a`` is the dropped z2, with the same mask: a scale is 0 or at
+        least 1, so a kept a * scale > 0 exactly where a > 0, and a dropped out = upstream * 0
+        times 0 or 1 has the same bits (±0, or NaN).
+        """
         if self.rate:
             np.multiply(upstream, scale, out=out)
         elif out is not upstream:
             np.copyto(out, upstream)
-        np.greater(a, self._zero, out=flags)
-        np.multiply(out, flags, out=out)
+        np.greater(a, self._zero, out=scale)
+        np.multiply(out, scale, out=out)
 
 
 def classify_probability(p: float) -> Label:

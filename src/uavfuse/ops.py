@@ -4,12 +4,12 @@ Valid 2-D convolution, fully connected layers, ReLU, sigmoid, inverted
 dropout and binary cross entropy, each with an exact analytic backward
 pass. These allocate their results, never mutate their inputs, and are
 the test oracle of model.TrainStep, which runs the network in
-preallocated buffers. dropout_keep fills the bool array it is given.
-RmspropUpdate, which training builds once and calls every step, updates a
-parameter and a mean-square array in place, half of a long pass on a
-thread that lives for the call (``worker.run_halves``); rmsprop_step is
-its pure form. Identical inputs (including generator state) give bit-identical
-outputs.
+preallocated buffers. dropout_keep fills the bool or float array it is
+given. RmspropUpdate, which training builds once and calls every step,
+updates a parameter and a mean-square array in place at a given learning
+rate, half of a long pass on a thread that lives for the call
+(``worker.run_halves``); rmsprop_step is its pure form. Identical inputs
+(including generator state) give bit-identical outputs.
 
 Layout conventions: feature maps are (H, W, C) row-major, kernels are
 (kh, kw, C_in, C_out), dense weights are (n_in, n_out). Spatial functions
@@ -60,14 +60,6 @@ class DenseParams:
 
     weights: np.ndarray
     bias: np.ndarray
-
-
-@dataclass
-class RmspropState:
-    """Running mean of squared gradients plus the shared step counter."""
-
-    mean_square: np.ndarray
-    step_count: int = 0
 
 
 def _check_conv_shapes(x: np.ndarray, params: ConvParams) -> None:
@@ -224,13 +216,13 @@ def dropout_apply(
 
 
 def dropout_keep(rng: Rng, rate: float, out: np.ndarray) -> None:
-    """Fill the C-contiguous bool array ``out`` with train-mode dropout's keep flags.
+    """Fill the C-contiguous bool or float array ``out`` with train-mode dropout's keep flags.
 
     A flag is rng.uniform() >= rate, taken on the raw words: a uniform is
     m * 2^-53 for the 53-bit integer m = word >> 11, so it is >= rate exactly
     when m >= T = ceil(rate * 2^53), that is when word >= T << 11, which fits
     64 bits since T < 2^53 for rate < 1. Same words, same order, no float
-    conversion.
+    conversion; a float ``out`` gets each flag as exactly 1.0 or 0.0.
     """
     threshold = np.uint64(math.ceil(float(rate) * 2.0**53) << 11)
     np.greater_equal(rng.u64(out.size), threshold, out=out.reshape(-1))
@@ -350,17 +342,15 @@ def _rmsprop_pass(blocks, lr: float) -> None:
 
 
 def rmsprop_step(
-    param: np.ndarray, grad: np.ndarray, state: RmspropState, lr0: float, decay: float
-) -> tuple[np.ndarray, RmspropState]:
-    """One RmspropUpdate on copies of one tensor's arrays, returning the new ones.
+    param: np.ndarray, grad: np.ndarray, mean_square: np.ndarray, lr: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """One RmspropUpdate at learning rate ``lr`` on copies: (new param, new mean square).
 
-    lr_t = lr0 / (1 + decay*t), t being the step count before the update;
-    the caller keeps one step counter per model. A strided ``grad`` is copied.
+    The schedule lives with its caller (``training.train``). A strided
+    ``grad`` is copied.
     """
-    lr = lr0 / (1.0 + decay * state.step_count)
-    dtype = np.result_type(param, grad, state.mean_square)
+    dtype = np.result_type(param, grad, mean_square)
     new_param = param.astype(dtype, order="C")
-    mean_square = state.mean_square.astype(dtype, order="C")
-    RmspropUpdate(new_param, np.ascontiguousarray(grad), mean_square)(lr)
-    return new_param, RmspropState(mean_square, state.step_count + 1)
-
+    new_mean_square = mean_square.astype(dtype, order="C")
+    RmspropUpdate(new_param, np.ascontiguousarray(grad), new_mean_square)(lr)
+    return new_param, new_mean_square

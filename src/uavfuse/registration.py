@@ -70,8 +70,11 @@ def match_streams(
     accepted iff both endpoints are still unmatched. With one_to_one off,
     every a-sample instead takes its closest eligible b-sample (ties to the
     smaller j), allowing reuse. Returns a (k, 2) array of (i, j) index
-    pairs sorted by i.
+    pairs sorted by i. A tolerance that is negative, infinite or NaN raises
+    ConfigError before any work.
     """
+    if not 0 <= tolerance < np.inf:
+        raise ConfigError(f"tolerance must be finite and non-negative, got {tolerance}")
     ta, tb = a["timestamp"], b["timestamp"]
     _check_sorted(ta, "a")
     _check_sorted(tb, "b")

@@ -10,6 +10,9 @@ algorithm, so a seed produces the identical stream on every platform.
 
 from __future__ import annotations
 
+import math
+import operator
+
 import numpy as np
 
 _MASK = 0xFFFFFFFFFFFFFFFF
@@ -47,6 +50,23 @@ def _fnv1a64(text: str) -> int:
 def derive_seed(seed: int, label: str) -> int:
     """Deterministic child seed for a named sub-stream of ``seed``."""
     return int(splitmix64((seed & _MASK) ^ _fnv1a64(label), 2)[1])
+
+
+def _count(n) -> int:
+    """``n`` as a draw count: any integer, numpy's included; ValueError if negative."""
+    n = operator.index(n)
+    if n < 0:
+        raise ValueError(f"draw count must be non-negative, got {n}")
+    return n
+
+
+def _shape(shape) -> tuple[tuple[int, ...], int]:
+    """A draw's shape (a count or a sequence of them, see ``_count``) and its value count.
+
+    The empty shape () holds one value, which the draw returns as a scalar.
+    """
+    dims = tuple(map(_count, (shape,) if hasattr(shape, "__index__") else shape))
+    return dims, math.prod(dims)
 
 
 class Rng:
@@ -94,8 +114,7 @@ class Rng:
 
     def u64(self, n: int) -> np.ndarray:
         """Next ``n`` raw 64-bit words of the stream, in a new array."""
-        if n < 0:
-            raise ValueError("draw count must be non-negative")
+        n = _count(n)
         out = np.empty(n, dtype=np.uint64)
         lo = min(n, self.LANES - self._pos)
         out[:lo] = self._buf[self._pos : self._pos + lo]
@@ -110,22 +129,20 @@ class Rng:
         return out
 
     def uniform(self, shape=()) -> np.ndarray:
-        """Doubles in [0, 1), one 53-bit mantissa per value."""
-        shape = (shape,) if isinstance(shape, int) else tuple(shape)
-        n = int(np.prod(shape, dtype=np.int64)) if shape else 1
+        """Doubles in [0, 1), one 53-bit mantissa per value, in ``shape`` (see ``_shape``)."""
+        shape, n = _shape(shape)
         out = (self.u64(n) >> _11).astype(np.float64) * _U53
         return out.reshape(shape) if shape else float(out[0])
 
     def normal(self, shape=()) -> np.ndarray:
-        """Standard Gaussian via Box-Muller on consecutive uniform pairs.
+        """Standard Gaussian values in ``shape`` (see ``_shape``), by Box-Muller on uniform pairs.
 
         The ``2m`` words give the pairs (word i, word m + i); pair i yields
         values i and m + i. The pairs run in blocks through two reused
         scratch rows, and each value gets the same float operations, in the
         same order, as whole-array numpy code.
         """
-        shape = (shape,) if isinstance(shape, int) else tuple(shape)
-        n = int(np.prod(shape, dtype=np.int64)) if shape else 1
+        shape, n = _shape(shape)
         m = (n + 1) // 2
         w = self.u64(2 * m)
         z = np.empty(2 * m)
@@ -153,7 +170,8 @@ class Rng:
         return z.reshape(shape) if shape else float(z[0])
 
     def permutation(self, n: int) -> np.ndarray:
-        """Fisher-Yates shuffle of range(n), one uniform per position."""
+        """Fisher-Yates shuffle of range(n), one uniform per position; ValueError if n < 0."""
+        n = _count(n)
         if n < 2:
             return np.arange(n)
         # on Python lists: indexing numpy scalars costs more than the swaps

@@ -94,8 +94,7 @@ def test_model_and_optimizer_hooks_see_the_calls(monkeypatch):
     p = ws.gather(fused_records(x, r, np.zeros(3)), np.arange(3), rng)
     theta = model.theta
     with tracer.Tracer() as t:
-        state = uf.ops.RmspropState(np.zeros_like(theta))
-        uf.ops.rmsprop_step(theta, np.ones_like(theta), state, 1e-3, 0)
+        uf.ops.rmsprop_step(theta, np.ones_like(theta), np.zeros_like(theta), 1e-3)
         uf.ops.conv2d_backward(x, model.conv, np.ones((3, *spec.conv_out_shape), np.float32))
         uf.model.backward_pass(ws, np.ones_like(p))
     for span in ("ops.rmsprop_step", "ops.conv2d_backward", "model.backward"):

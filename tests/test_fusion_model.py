@@ -73,6 +73,13 @@ from uavfuse.training import TrainConfig, evaluate_probabilities, split_sizes, t
 
 TINY = ShapeProfile("tiny", (4, 4, 2), (4, 4, 1), (8,))
 
+# the ops functions that training and inference never call
+ORACLE_ONLY = (
+    "conv2d_forward", "conv2d_backward", "dense_forward", "dense_backward", "relu",
+    "relu_backward", "sigmoid", "sigmoid_backward", "dropout_apply", "dropout_backward",
+    "rmsprop_step",
+)
+
 
 def tiny_spec(modality_set=ModalitySet.THERMAL_OPTRONIC_RADAR, dropout=0.5):
     return ModelSpec.for_profile(
@@ -696,6 +703,44 @@ class TestTraining:
         _, from_copy = train(model, FusedDataset(ds.modality_set, copied, ds.provenance), cfg)
         assert from_view == from_copy
         assert contiguous and all(contiguous)
+
+    def test_the_learning_rate_decays_with_the_step_count_across_epochs(self, monkeypatch):
+        rates = []
+        update = RmspropUpdate.__call__
+
+        def recorded(self, lr):
+            rates.append(lr)
+            update(self, lr)
+
+        monkeypatch.setattr(RmspropUpdate, "__call__", recorded)
+        ds = tiny_dataset()
+        cfg = TrainConfig(lr0=1e-2, decay=0.5, max_epochs=3, patience=3, seed=5)
+        _, report = train(build_model(tiny_spec(), Rng(29)), ds, cfg)
+        train_n, _ = split_sizes(len(ds.samples), cfg.val_fraction)
+        steps = 3 * math.ceil(train_n / cfg.batch_size)
+        assert report.stopped_epoch == 3 and steps > 3
+        assert rates == [1e-2 / (1 + 0.5 * t) for t in range(steps)]
+
+    def test_training_and_inference_run_no_oracle_function(self, monkeypatch):
+        # the allocating ops functions are the tests' oracle only; bce_loss,
+        # the validation loss, is not among them
+        def raises(name):
+            def call(*args, **kwargs):
+                raise AssertionError(f"ops.{name} called")
+            return call
+
+        modules = [m for key, m in sys.modules.items() if key.split(".")[0] == "uavfuse"]
+        for name in ORACLE_ONLY:
+            original = getattr(ops, name)
+            for module in modules:
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, raises(name))
+        assert sys.modules["uavfuse.model"].conv2d_forward is not conv2d_forward
+        ds = tiny_dataset()
+        model, _ = train(build_model(tiny_spec(dropout=0.5), Rng(30)), ds,
+                         TrainConfig(lr0=1e-2, max_epochs=2, patience=2, seed=6))
+        p = evaluate_probabilities(model, *record_maps(ds.samples))
+        assert np.all((p > 0) & (p < 1))
 
     def test_non_finite_gradient_faults_and_leaves_the_input_alone(self, monkeypatch):
         # a finite loss with an infinite gradient in the last tensor, so the

@@ -15,7 +15,7 @@ from uavfuse.data import (
     ShapeProfile,
     recording_dtype,
 )
-from uavfuse.errors import ShapeError, ValidationError
+from uavfuse.errors import ConfigError, ShapeError, ValidationError
 from uavfuse.msfr import read_fused, write_fused
 from uavfuse.registration import (
     MatchConfig,
@@ -100,6 +100,18 @@ class TestMatchStreams:
         a, b, tol = stream([1.5811093383823338]), stream([0.504286180248341]), 1.0768231581339927
         assert b.timestamp[0] < a.timestamp[0] - tol
         assert pairs(match_streams(a, b, tol)) == brute_force_match(a, b, tol) == [(0, 0)]
+
+    @pytest.mark.parametrize("tolerance", [np.inf, np.nan, -0.5])
+    def test_a_tolerance_outside_zero_to_infinity_raises(self, tolerance):
+        # an infinite tolerance once made a NaN search window and no pairs
+        a = stream([0.0, 1.0])
+        with pytest.raises(ConfigError, match="tolerance"):
+            match_streams(a, a.copy(), tolerance)
+
+    @pytest.mark.parametrize("tolerance", [0.0, -0.0])
+    def test_a_zero_tolerance_pairs_equal_timestamps(self, tolerance):
+        a = stream([0.0, 1.0])
+        assert pairs(match_streams(a, a.copy(), tolerance)) == [(0, 0), (1, 1)]
 
     def test_unsorted_input_names_first_offender(self):
         a = stream([1.0, 0.5])

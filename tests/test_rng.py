@@ -102,6 +102,21 @@ def test_permutation_is_a_permutation():
     assert np.array_equal(Rng(3).permutation(257), p)
 
 
+@pytest.mark.parametrize("kind", ["uniform", "normal", "permutation"])
+@pytest.mark.parametrize("n", [np.int64(4), np.uint8(3), np.intp(1), np.int32(0)])
+def test_a_numpy_integer_count_draws_as_the_int(kind, n):
+    rng, twin = Rng(8), Rng(8)
+    got, want = getattr(rng, kind)(n), getattr(twin, kind)(int(n))
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert np.array_equal(rng.u64(3), twin.u64(3))
+
+
+@pytest.mark.parametrize("kind", ["u64", "uniform", "normal", "permutation"])
+def test_a_negative_count_raises(kind):
+    with pytest.raises(ValueError, match="non-negative"):
+        getattr(Rng(8), kind)(-1)
+
+
 def _permutation_ref(rng, n):
     """The Fisher-Yates loop on a numpy array that Rng.permutation runs on lists."""
     perm = np.arange(n)

@@ -18,7 +18,6 @@ from uavfuse.ops import (
     BCE_EPS,
     ConvParams,
     DenseParams,
-    RmspropState,
     bce_loss,
     conv2d_backward,
     conv2d_forward,
@@ -461,49 +460,44 @@ class TestBce:
 class TestRmsprop:
     def test_zero_gradient_keeps_param(self):
         p = np.array([1.0, -2.0])
-        state = RmspropState(np.array([0.5, 0.25]), 3)
-        p2, s2 = rmsprop_step(p, np.zeros(2), state, 1e-4, 1e-7)
+        mean_square = np.array([0.5, 0.25])
+        p2, e2 = rmsprop_step(p, np.zeros(2), mean_square, 1e-4 / (1 + 1e-7 * 3))
         assert np.array_equal(p2, p)
-        assert np.allclose(s2.mean_square, 0.9 * state.mean_square)
-        assert s2.step_count == 4
+        assert np.allclose(e2, 0.9 * mean_square)
 
     def test_hand_first_step(self):
         p = np.array([0.0])
-        p2, s2 = rmsprop_step(p, np.array([1.0]), RmspropState(np.zeros(1)), 1e-4, 1e-7)
-        assert abs(s2.mean_square[0] - 0.1) < 1e-15
+        p2, e2 = rmsprop_step(p, np.array([1.0]), np.zeros(1), 1e-4)
+        assert abs(e2[0] - 0.1) < 1e-15
         want = -1e-4 / (math.sqrt(0.1) + 1e-7)
         assert abs(p2[0] - want) < 1e-12
         assert abs(p2[0] - (-3.16228e-4)) < 1e-8
 
     def test_hand_two_steps(self):
-        p = np.array([0.0])
-        state = RmspropState(np.zeros(1))
+        p, e = np.array([0.0]), np.zeros(1)
         g = np.array([1.0])
-        p, state = rmsprop_step(p, g, state, 1e-4, 1e-7)
-        p, state = rmsprop_step(p, g, state, 1e-4, 1e-7)
-        assert abs(state.mean_square[0] - 0.19) < 1e-15
+        p, e = rmsprop_step(p, g, e, 1e-4 / (1 + 1e-7 * 0))
+        p, e = rmsprop_step(p, g, e, 1e-4 / (1 + 1e-7 * 1))
+        assert abs(e[0] - 0.19) < 1e-15
         theta1 = -1e-4 / (math.sqrt(0.1) + 1e-7)
         eta1 = 1e-4 / (1 + 1e-7)
         want = theta1 - eta1 / (math.sqrt(0.19) + 1e-7)
         assert abs(p[0] - want) < 1e-15
-        assert state.step_count == 2
 
     def test_inputs_not_mutated(self):
         p = np.array([1.0])
         g = np.array([2.0])
-        state = RmspropState(np.array([0.5]), 1)
-        rmsprop_step(p, g, state, 1e-4, 1e-7)
-        assert p[0] == 1.0 and g[0] == 2.0 and state.mean_square[0] == 0.5
+        mean_square = np.array([0.5])
+        rmsprop_step(p, g, mean_square, 1e-4 / (1 + 1e-7 * 1))
+        assert p[0] == 1.0 and g[0] == 2.0 and mean_square[0] == 0.5
 
     def test_non_finite_gradient_faults(self):
         with pytest.raises(NumericFault):
-            rmsprop_step(
-                np.zeros(2), np.array([1.0, np.nan]), RmspropState(np.zeros(2)), 1e-4, 0
-            )
+            rmsprop_step(np.zeros(2), np.array([1.0, np.nan]), np.zeros(2), 1e-4)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ShapeError):
-            rmsprop_step(np.zeros(2), np.zeros(3), RmspropState(np.zeros(2)), 1e-4, 0)
+            rmsprop_step(np.zeros(2), np.zeros(3), np.zeros(2), 1e-4)
 
 
 class TestRmspropBlocks:
@@ -516,19 +510,18 @@ class TestRmspropBlocks:
         rng = Rng(size)
         param = rng.normal(size).astype(dtype)
         want_p, want_e = param, np.zeros(size, dtype=dtype)
-        state = RmspropState(want_e.copy())
+        mean_square = want_e.copy()
         for step in range(4):
             grad = (rng.normal(size) * 10.0 ** -step).astype(dtype)
-            before = (param.copy(), grad.copy(), state.mean_square.copy())
-            new_p, new_state = rmsprop_step(param, grad, state, 1e-3, 1e-2)
+            before = (param.copy(), grad.copy(), mean_square.copy())
+            new_p, new_e = rmsprop_step(param, grad, mean_square, 1e-3 / (1 + 1e-2 * step))
             want_p, want_e = rmsprop_oracle(want_p, grad, want_e, step, 1e-3, 1e-2)
-            for arr, old in zip((param, grad, state.mean_square), before):
+            for arr, old in zip((param, grad, mean_square), before):
                 assert np.array_equal(arr, old)
-            assert new_p.dtype == dtype and new_state.mean_square.dtype == dtype
+            assert new_p.dtype == dtype and new_e.dtype == dtype
             assert np.array_equal(new_p, want_p)
-            assert np.array_equal(new_state.mean_square, want_e)
-            assert new_state.step_count == step + 1
-            param, state = new_p, new_state
+            assert np.array_equal(new_e, want_e)
+            param, mean_square = new_p, new_e
 
     def test_multi_dimensional_tensor_keeps_its_shape(self):
         rng = Rng(42)
@@ -536,18 +529,18 @@ class TestRmspropBlocks:
         param = rng.normal(shape).astype(np.float32)
         grad = rng.normal(shape).astype(np.float32)
         mean_square = np.abs(rng.normal(shape)).astype(np.float32)
-        new_p, state = rmsprop_step(param, grad, RmspropState(mean_square, 5), 1e-4, 1e-7)
+        new_p, new_e = rmsprop_step(param, grad, mean_square, 1e-4 / (1 + 1e-7 * 5))
         want_p, want_e = rmsprop_oracle(param, grad, mean_square, 5, 1e-4, 1e-7)
-        assert new_p.shape == shape and state.mean_square.shape == shape
+        assert new_p.shape == shape and new_e.shape == shape
         assert np.array_equal(new_p, want_p)
-        assert np.array_equal(state.mean_square, want_e)
+        assert np.array_equal(new_e, want_e)
 
     def test_non_finite_gradient_in_a_later_block_faults(self):
         grad = np.zeros(2 * _RMSPROP_BLOCK + 3, dtype=np.float32)
         grad[-1] = np.inf
         param = np.zeros_like(grad)
         with pytest.raises(NumericFault):
-            rmsprop_step(param, grad, RmspropState(np.zeros_like(grad)), 1e-4, 0)
+            rmsprop_step(param, grad, np.zeros_like(grad), 1e-4)
 
 
 class TestRmspropUpdate:
@@ -591,7 +584,7 @@ class TestRmspropUpdate:
         with pytest.raises(ShapeError, match="mean_square"):
             RmspropUpdate(np.zeros(4), np.zeros(4), np.zeros(5))
         with pytest.raises(ShapeError, match="mean_square"):
-            rmsprop_step(np.zeros(4), np.zeros(4), RmspropState(np.zeros(5)), 1e-3, 0)
+            rmsprop_step(np.zeros(4), np.zeros(4), np.zeros(5), 1e-3)
 
     def test_non_finite_gradient_in_a_later_block_faults(self):
         grad = np.zeros(2 * _RMSPROP_BLOCK + 3, dtype=np.float32)
@@ -611,11 +604,11 @@ class TestRmspropUpdate:
         param, grad, mean_square = arrays
         if fault == "shape":
             with pytest.raises(ShapeError):
-                rmsprop_step(param, grad, RmspropState(mean_square), 1e-3, 0)
+                rmsprop_step(param, grad, mean_square, 1e-3)
         else:
-            new_p, state = rmsprop_step(param, grad, RmspropState(mean_square), 1e-3, 0)
+            new_p, new_e = rmsprop_step(param, grad, mean_square, 1e-3)
             want_p, want_e = rmsprop_oracle(np.zeros(6), np.ones(6), np.zeros(6), 0, 1e-3, 0)
-            assert np.array_equal(new_p, want_p) and np.array_equal(state.mean_square, want_e)
+            assert np.array_equal(new_p, want_p) and np.array_equal(new_e, want_e)
 
     def test_a_built_update_reads_the_current_gradient(self):
         param, grad, mean_square = np.zeros(5), np.empty(5), np.zeros(5)
